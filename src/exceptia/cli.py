@@ -403,16 +403,14 @@ def _cmd_clifford_superym(args):
 # lattice group
 
 def _resolve_lattice(args) -> lat.Lattice:
-    name = getattr(args, "name", None)
-    path = getattr(args, "input", None)
-    if path and name:
+    if args.input and args.name:
         raise ValueError("give a lattice name or --input FILE, not both")
-    if path:
-        with open(path) as fh:
+    if args.input:
+        with open(args.input) as fh:
             return lat.parse_lattice(fh.read())
-    if not name:
+    if not args.name:
         raise ValueError("a lattice name or --input FILE is required")
-    return lat.named_lattice(name)
+    return lat.named_lattice(args.name)
 
 
 def _cmd_lattice_build(args):
@@ -490,16 +488,7 @@ def _cmd_modular_eta24(args):
 
 
 def _cmd_modular_j(args):
-    if args.lattice and args.input:
-        raise ValueError("give --lattice NAME or --input FILE, not both")
-    if args.input:
-        with open(args.input) as fh:
-            l = lat.parse_lattice(fh.read())
-    elif args.lattice:
-        l = lat.named_lattice(args.lattice)
-    else:
-        raise ValueError("--lattice NAME or --input FILE is required")
-    s = mod.j_from_lattice(l, args.order)
+    s = mod.j_from_lattice(_resolve_lattice(args), args.order)
     return _emit(args, lambda: mod.format_series(s), lambda: _series_json(s))
 
 
@@ -655,7 +644,7 @@ def _build_parser() -> _Parser:
     p = sub(mo, "eta24", _cmd_modular_eta24)
     p.add_argument("--order", type=int, required=True)
     p = sub(mo, "j", _cmd_modular_j)
-    p.add_argument("--lattice")
+    p.add_argument("--lattice", dest="name", metavar="LATTICE")
     p.add_argument("--input")
     p.add_argument("--order", type=int, default=5)
 

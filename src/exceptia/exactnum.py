@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic: rationals, the field Q(sqrt5), modular powers.
+"""Exact scalar arithmetic: rationals and the field Q(sqrt5).
 
 Everything downstream (hypercomplex numbers, lattices, q-series) does its
 arithmetic in one of two fields: plain rationals, or the real quadratic field
@@ -27,22 +27,6 @@ def rat(x: Rat) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
-
-
-def rat_arith(a: Rat, b: Rat, kind: str) -> Fraction:
-    """Field arithmetic on rationals; `kind` is one of add/sub/mul/div."""
-    a, b = rat(a), rat(b)
-    if kind == "add":
-        return a + b
-    if kind == "sub":
-        return a - b
-    if kind == "mul":
-        return a * b
-    if kind == "div":
-        if b == 0:
-            raise ZeroDivisionError("rational division by zero")
-        return a / b
-    raise ValueError(f"unknown arithmetic kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -124,25 +108,3 @@ GOLDEN_ZERO = GoldenRational(0)
 GOLDEN_ONE = GoldenRational(1)
 PHI = GoldenRational(Fraction(1, 2), Fraction(1, 2))
 PHI_BAR = PHI.conjugate()
-
-
-def golden_mul(x: GoldenRational, y: GoldenRational) -> GoldenRational:
-    return x * y
-
-
-def golden_conj(x: GoldenRational) -> GoldenRational:
-    return x.conjugate()
-
-
-def mod_pow(base: int, exp: int, modulus: int) -> int:
-    """base**exp mod modulus by binary exponentiation.
-
-    Thin wrapper over the builtin three-argument pow, which already does
-    square-and-multiply; kept as a named operation so call sites read as
-    number theory rather than as a builtin trick.
-    """
-    if modulus < 1:
-        raise ValueError("modulus must be positive")
-    if exp < 0:
-        raise ValueError("negative exponent not supported here")
-    return pow(base, exp, modulus)

@@ -15,10 +15,10 @@ system.
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 from .exactnum import GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenRational, rat
 from . import intlinalg
@@ -328,9 +328,6 @@ class IcosianElement:
     certificate: Tuple[int, ...]
 
 
-_ICOSIAN_LOCK = threading.Lock()
-_ICOSIAN_STATE: Optional[Tuple[frozenset, Tuple[Tuple[int, ...], ...]]] = None
-
 _CLOSURE_BOUND = 10_000
 
 
@@ -338,6 +335,7 @@ def _golden_quat(coords) -> HyperNumber:
     return HyperNumber(GOLDEN, tuple(coords))
 
 
+@functools.cache
 def _build_icosian_state():
     half = Fraction(1, 2)
     gi = basis_element(2, 1, GOLDEN)
@@ -349,20 +347,20 @@ def _build_icosian_state():
         PHI * GoldenRational(half),
         GOLDEN_ZERO,
     ))
-    elems = {gi, gj, seed3}
-    frontier = list(elems)
-    while frontier:
-        fresh = []
-        for p in frontier:
-            for q in list(elems):
-                for r in (cd_mul(p, q), cd_mul(q, p)):
-                    if r not in elems:
-                        elems.add(r)
-                        fresh.append(r)
-        if len(elems) > _CLOSURE_BOUND:
-            raise RuntimeError("unit closure exceeded the defensive bound; "
-                               "seed set is wrong")
-        frontier = fresh
+    # breadth-first search over right multiplication by the generators; the
+    # group is finite, so the monoid they generate is the whole group
+    gens = (gi, gj, seed3)
+    order = [one(2, GOLDEN)]
+    elems = set(order)
+    for p in order:                       # order grows while it is walked
+        for g in gens:
+            r = cd_mul(p, g)
+            if r not in elems:
+                if len(elems) >= _CLOSURE_BOUND:
+                    raise RuntimeError("unit closure exceeded the defensive "
+                                       "bound; seed set is wrong")
+                elems.add(r)
+                order.append(r)
 
     # fixed integer coordinate system: HNF basis of the quadrupled images
     scaled = [[_quad(c) for c in icosian_to_r8_raw(q)] for q in sorted_units(elems)]
@@ -397,33 +395,21 @@ def _certificate(q: HyperNumber, basis) -> Tuple[int, ...]:
     return tuple(x)
 
 
-def _icosian_state():
-    global _ICOSIAN_STATE
-    state = _ICOSIAN_STATE
-    if state is None:
-        with _ICOSIAN_LOCK:
-            state = _ICOSIAN_STATE
-            if state is None:
-                state = _build_icosian_state()
-                _ICOSIAN_STATE = state
-    return state
-
-
 def icosian_units() -> frozenset:
     """The 120 unit icosians (with membership certificates), cached."""
-    return _icosian_state()[0]
+    return _build_icosian_state()[0]
 
 
 def icosian_basis() -> Tuple[Tuple[int, ...], ...]:
     """The fixed rank-8 integer basis (quadrupled coordinates) of the ring."""
-    return _icosian_state()[1]
+    return _build_icosian_state()[1]
 
 
 def to_icosian(q: HyperNumber) -> IcosianElement:
     """Attach a membership certificate, or raise ValueError for non-members."""
     if q.field != GOLDEN or q.level != 2:
         raise ValueError("icosians are golden quaternions")
-    return IcosianElement(q, _certificate(q, _icosian_state()[1]))
+    return IcosianElement(q, _certificate(q, icosian_basis()))
 
 
 def icosian_to_r8_raw(q: HyperNumber) -> Tuple[Fraction, ...]:
@@ -433,7 +419,3 @@ def icosian_to_r8_raw(q: HyperNumber) -> Tuple[Fraction, ...]:
         out.append(c.u)
         out.append(c.v)
     return tuple(out)
-
-
-def icosian_to_r8(x: IcosianElement) -> Tuple[Fraction, ...]:
-    return icosian_to_r8_raw(x.q)

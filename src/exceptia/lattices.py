@@ -5,10 +5,15 @@ integrality and unimodularity tests, dual lattices, LLL reduction, exact
 short-vector enumeration and theta series, plus the even unimodular
 Lorentzian lattices II_{8k+1,1} with their Weyl vectors.
 
-Everything is exact: bases are rational, Grams are rational, enumeration
-counts are decided by integer arithmetic. Floating point appears only inside
-the enumerator to propose search windows, which are then filtered exactly, so
-a float can cost time but never correctness.
+Bases and Grams are rational, and every vector the enumerator counts has its
+norm decided by integer arithmetic. Floating point appears only inside the
+enumerator, to propose search windows that are then filtered exactly. Those
+windows are widened by an absolute slack, which does not cover the rounding
+error of large Gram entries: a window can then come out too narrow and lose
+vectors (E8 with its basis scaled by 10^8, Gram entries ~10^16, reports
+kissing 180-186 instead of 240). Counts are exact only while the Gram
+entries stay small enough for the slack to cover rounding; E8 scaled by 10^4
+is still counted correctly.
 """
 
 from __future__ import annotations
@@ -136,16 +141,16 @@ class Lattice:
             raise LatticeError("rank must satisfy 1 <= rank <= ambient_dim")
         if any(len(row) != self.ambient_dim for row in rows):
             raise LatticeError("basis row length differs from ambient_dim")
-        if _row_rank(rows) != self.rank:
-            raise LatticeError("basis rows are linearly dependent")
-        object.__setattr__(self, "basis", rows)
         gram = tuple(
             tuple(self._form_dot(a, b) for b in rows) for a in rows
         )
+        # under the identity form, B B^T is positive definite exactly when
+        # the rows of B are independent
+        if not (_positive_definite(gram) if self.signature == EUCLIDEAN
+                else _row_rank(rows) == self.rank):
+            raise LatticeError("basis rows are linearly dependent")
+        object.__setattr__(self, "basis", rows)
         object.__setattr__(self, "gram", gram)
-        if self.signature == EUCLIDEAN and not _positive_definite(gram):
-            raise LatticeError("euclidean lattice with non-positive-definite "
-                               "Gram; basis rows cannot be independent")
 
     def _form_dot(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
         s = sum(x * y for x, y in zip(a, b))
@@ -484,9 +489,14 @@ def lll_reduce(lat: Lattice, delta: Fraction = DEFAULT_LLL_DELTA) -> Lattice:
 # short-vector enumeration
 #
 # Fincke-Pohst on an LLL-reduced integer Gram. Float Cholesky data proposes
-# per-level windows (widened by an absolute slack), exact integer partial
-# norms decide what is counted. Only one representative of each +-v pair is
-# visited; counts are incremented by two.
+# per-level windows, exact integer partial norms decide what is counted. Only
+# one representative of each +-v pair is visited; counts are incremented by
+# two.
+#
+# The windows are widened by the absolute slacks below. Rounding error grows
+# with the size of the Gram entries while these slacks do not, so on large
+# entries a window can come out too narrow and vectors are lost without any
+# error (E8 with its basis scaled by 10^8 reports kissing 180-186, not 240).
 
 _WINDOW_EPS = 1e-7
 _BUDGET_SLACK = 0.01
@@ -527,6 +537,7 @@ def _fp_run(g: Sequence[Sequence[int]], muf: Sequence[Sequence[float]],
     lo = [0] * n
     hi = [0] * n
     tf = [0.0] * n                # float budget at each level
+    ctr = [0.0] * n               # minus the window center at each level
     ne = [0] * n                  # exact norm of the fixed tail at each level
     zpre = [False] * n            # all coordinates above this level are zero?
 
@@ -535,6 +546,7 @@ def _fp_run(g: Sequence[Sequence[int]], muf: Sequence[Sequence[float]],
         for m_, xv in zip(muf[i], x[i + 1:]):
             if xv:
                 c += m_ * xv
+        ctr[i] = c
         t = tf[i]
         if t < 0.0:
             if t < -_BUDGET_SLACK:
@@ -607,7 +619,7 @@ def _fp_run(g: Sequence[Sequence[int]], muf: Sequence[Sequence[float]],
             continue
         v = cur[i]
         x[i] = v
-        d = v + _center_of(muf, x, i)
+        d = v + ctr[i]
         child_tf = tf[i] - bsf[i] * d * d
         if child_tf < -_BUDGET_SLACK:
             continue
@@ -645,14 +657,6 @@ def _fp_run(g: Sequence[Sequence[int]], muf: Sequence[Sequence[float]],
     return counts
 
 
-def _center_of(muf, x, i) -> float:
-    c = 0.0
-    for m_, xv in zip(muf[i], x[i + 1:]):
-        if xv:
-            c += m_ * xv
-    return c
-
-
 def _fp_chunk(args):
     g, muf, bsf, bound, rng = args
     return _fp_run(g, muf, bsf, bound, top_range=rng)
@@ -688,8 +692,9 @@ def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
     return merged
 
 
-def _lll_int(g: Sequence[Sequence[int]]):
-    """LLL on an integer Gram; the reduced Gram comes back with int entries."""
+def _lll_int(g: Sequence[Sequence]):
+    """LLL on an integral Gram (int or Fraction entries); the reduced Gram
+    comes back with int entries."""
     gr, u, _, _ = _lll_gram(g, DEFAULT_LLL_DELTA)
     return [[int(v) for v in row] for row in gr], u
 
@@ -705,19 +710,16 @@ def _integer_gram(gram: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], 
     return out, scale
 
 
-def _enumerate_gram(gram: Sequence[Sequence[Fraction]], bound: Fraction,
-                    collect: Optional[list] = None):
-    """Exact norm counts for an arbitrary positive-definite rational Gram.
-
-    Returns ({norm: count}, transform) where norms are Fractions and the
-    transform maps reduced coefficients back to the caller's basis.
-    """
-    gi, scale = _integer_gram(gram)
-    gr, u = _lll_int(gi)
-    scaled_bound = math.floor(_frac(bound) * scale)
-    raw = _enumerate_int_gram(gr, scaled_bound, collect=collect)
-    counts = {Fraction(k, scale): v for k, v in raw.items()}
-    return counts, u
+def _reduced_even_gram(lat: Lattice, max_norm: int, what: str):
+    """Check an enumeration request; return the LLL-reduced int Gram and
+    its transform."""
+    if not isinstance(max_norm, int) or max_norm < 0:
+        raise LatticeError("max_norm must be a nonnegative integer")
+    if not is_positive_definite(lat):
+        raise LatticeError(f"{what} needs a positive-definite Gram")
+    if not is_even(lat):
+        raise LatticeError(f"{what} is defined for even lattices")
+    return _lll_int(lat.gram)
 
 
 def short_vectors(lat: Lattice, max_norm: int) -> Dict[int, int]:
@@ -726,14 +728,7 @@ def short_vectors(lat: Lattice, max_norm: int) -> Dict[int, int]:
     The map omits norms with zero count; an even lattice only ever shows even
     keys. Deterministic, including under EXCEPTIA_THREADS parallelism.
     """
-    if not isinstance(max_norm, int) or max_norm < 0:
-        raise LatticeError("max_norm must be a nonnegative integer")
-    if not is_positive_definite(lat):
-        raise LatticeError("short_vectors needs a positive-definite Gram")
-    if not is_even(lat):
-        raise LatticeError("short_vectors is defined for even lattices")
-    g = [[int(v) for v in row] for row in lat.gram]
-    gr, _ = _lll_int(g)
+    gr, _ = _reduced_even_gram(lat, max_norm, "short_vectors")
     counts = _enumerate_int_gram(gr, max_norm)
     return {k: counts[k] for k in sorted(counts)}
 
@@ -744,14 +739,7 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
     Both members of each +-v pair are returned; the list is sorted by norm
     and then lexicographically. Intended for small bounds (root systems).
     """
-    if not isinstance(max_norm, int) or max_norm < 0:
-        raise LatticeError("max_norm must be a nonnegative integer")
-    if not is_positive_definite(lat):
-        raise LatticeError("short_vector_list needs a positive-definite Gram")
-    if not is_even(lat):
-        raise LatticeError("short_vector_list is defined for even lattices")
-    g = [[int(v) for v in row] for row in lat.gram]
-    gr, u = _lll_int(g)
+    gr, u = _reduced_even_gram(lat, max_norm, "short_vector_list")
     found: list = []
     _enumerate_int_gram(gr, max_norm, collect=found)
     rows = intlinalg.matmul(u, [list(r) for r in lat.basis])
@@ -769,11 +757,9 @@ def _minimal_norm(gram: Sequence[Sequence[Fraction]]) -> Fraction:
     """Smallest nonzero norm of a positive-definite rational Gram."""
     gi, scale = _integer_gram(gram)
     gr, _ = _lll_int(gi)
-    cap = min(gr[i][i] for i in range(len(gr)))   # a lattice vector's norm
-    counts = _enumerate_int_gram(gr, cap)
-    if not counts:
-        raise LatticeError("enumeration up to a realized norm found nothing")
-    return Fraction(min(counts), scale)
+    # cap is a basis vector's norm, so only shorter vectors need a search
+    cap = min(gr[i][i] for i in range(len(gr)))
+    return Fraction(min(_enumerate_int_gram(gr, cap - 1), default=cap), scale)
 
 
 @dataclass(frozen=True)
@@ -1008,7 +994,7 @@ def _ring_mult_matrix(hc, basis8, factor, side: str) -> List[List[int]]:
     for brow in basis8:
         q = _quat_from_quadrupled(hc, brow)
         prod = hc.cd_mul(q, factor) if side == "right" else hc.cd_mul(factor, q)
-        target = [_quad_int(c) for c in hc.icosian_to_r8_raw(prod)]
+        target = [hc._quad(c) for c in hc.icosian_to_r8_raw(prod)]
         coeffs = solve_left(basis8, target)
         if coeffs is None:
             raise LatticeConstructionError(
@@ -1026,13 +1012,6 @@ def _quat_from_quadrupled(hc, row: Sequence[int]):
         v = Fraction(row[2 * t + 1], 4)
         coords.append(GoldenRational(u, v))
     return hc.HyperNumber(hc.GOLDEN, tuple(coords))
-
-
-def _quad_int(c: Fraction) -> int:
-    q = 4 * c
-    if q.denominator != 1:
-        raise LatticeConstructionError("product left the quarter-integer grid")
-    return q.numerator
 
 
 def _icosian_flat_rows(basis8) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -1225,10 +1204,8 @@ def lattice_info(lat: Lattice) -> dict:
         "unimodular": is_unimodular(lat),
     }
     if info["even"] and is_positive_definite(lat):
-        gi = [[int(v) for v in row] for row in lat.gram]
-        gr, _ = _lll_int(gi)
-        cap = min(gr[i][i] for i in range(lat.rank))
-        counts = _enumerate_int_gram(gr, cap)
+        gr, _ = _lll_int(lat.gram)
+        counts = _enumerate_int_gram(gr, min(gr[i][i] for i in range(lat.rank)))
         mn = min(counts)
         info["min_norm"] = mn
         info["kissing"] = counts[mn]

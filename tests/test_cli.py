@@ -253,6 +253,9 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         (["modular", "eta24", "--order", "0"], "eta24 needs N >= 1"),
         (["modular", "j", "--input", str(a2), "--order", "1"],
          "rank-24 even unimodular"),
+        (["modular", "j", "--lattice", "3E8", "--input", str(a2)],
+         "not both"),
+        (["modular", "j", "--order", "1"], "is required"),
         (["id", "link", "--input", str(touch)],
          "needs disjoint loops"),
         (["id", "link", "--input", str(tmp_path / "absent.txt")], ""),

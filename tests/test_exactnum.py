@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exceptia.exactnum import (GOLDEN_ONE, GOLDEN_ZERO, PHI, PHI_BAR,
-                               GoldenRational, mod_pow)
+                               GoldenRational)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -89,8 +89,3 @@ def test_norm_is_rational(a):
     # u^2 - 5 v^2 = 0 only for u = v = 0, sqrt5 being irrational
     if a:
         assert n.u != 0
-
-
-def test_mod_pow_matches_builtin():
-    for base, exp, m in [(3, 41, 97), (16, 10**9, 2**61 - 1), (7, 0, 13)]:
-        assert mod_pow(base, exp, m) == pow(base, exp, m)

@@ -407,6 +407,22 @@ def test_icosian_units_are_120_of_norm_one():
         assert hc.cd_norm(x.q) == GOLDEN_ONE
 
 
+def test_icosian_closure_multiplies_each_unit_by_each_generator_once(
+        monkeypatch):
+    calls = []
+    real = hc.cd_mul
+
+    def counting(x, y):
+        calls.append(1)
+        return real(x, y)
+
+    hc._build_icosian_state.cache_clear()
+    monkeypatch.setattr(hc, "cd_mul", counting)
+    units, _ = hc._build_icosian_state()
+    assert len(units) == 120
+    assert len(calls) == 120 * 3
+
+
 def test_icosian_units_close_under_multiplication():
     units = hc.icosian_units()
     certs = {x.certificate for x in units}

@@ -1,10 +1,13 @@
 """Euclidean and Lorentzian lattices: builders, enumeration, reduction."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from exceptia import hypercomplex as hc
 from exceptia import lattices as lat
+from exceptia.intlinalg import invert_fraction
 
 
 E8 = lat.build_E8()
@@ -225,6 +228,47 @@ def test_enumeration_agrees_across_thread_counts(monkeypatch):
     monkeypatch.setenv("EXCEPTIA_THREADS", "2")
     parallel = lat.short_vectors(E8, 4)
     assert serial == parallel == {2: 240, 4: 2160}
+
+
+def brute_force_minimum(gram):
+    """Least nonzero x G x^T over the box |x_i| <= sqrt(c (G^-1)_ii), c the
+    least diagonal entry; the box holds every x of norm at most c."""
+    n = len(gram)
+    ginv = invert_fraction(gram)
+    cap = min(gram[i][i] for i in range(n))
+    bounds = [math.isqrt(math.floor(cap * ginv[i][i])) for i in range(n)]
+    scale = math.lcm(*(v.denominator for row in gram for v in row))
+    g = [[int(v * scale) for v in row] for row in gram]
+    best = cap * scale
+
+    def walk(k, norm, y):        # y = sum of x_j g_j over the fixed j < k
+        nonlocal best
+        for v in range(-bounds[k], bounds[k] + 1):
+            nv = norm + v * (2 * y[k] + v * g[k][k])
+            if k + 1 < n:
+                walk(k + 1, nv, [a + v * b for a, b in zip(y, g[k])])
+            elif 0 < nv < best:
+                best = nv
+
+    walk(0, 0, [0] * n)
+    return Fraction(best, scale)
+
+
+# an integer basis whose LLL-reduced Gram has least diagonal entry 9 while
+# the lattice holds a vector of norm 8
+SKEW = ((4, -2, 4, -2), (-2, -2, 2, -2), (-6, 4, 1, 2), (-2, 4, -3, 4))
+
+
+@pytest.mark.parametrize("build,expected", [
+    (lambda: lat.dual_lattice(lat.build_An(2)), Fraction(2, 3)),
+    (lambda: E8, 2),
+    (lambda: lat.Lattice(8, 8, lat._icosian_flat_rows(hc.icosian_basis())),
+     Fraction(1, 2)),
+    (lambda: lat.Lattice(4, 4, SKEW), 8),
+], ids=["dual-A2", "E8", "flat-icosian-E8", "skew-Z4-sublattice"])
+def test_minimal_norm_matches_brute_force(build, expected):
+    gram = build().gram
+    assert lat._minimal_norm(gram) == brute_force_minimum(gram) == expected
 
 
 def test_thread_env_validation(monkeypatch):
