@@ -7,17 +7,19 @@ Lorentzian lattices II_{8k+1,1} with their Weyl vectors.
 
 Bases and Grams are rational, and every vector the enumerator counts has its
 norm decided by integer arithmetic. Floating point appears only inside the
-enumerator, to propose search windows that are then filtered exactly. Those
-windows are widened by an absolute slack, which does not cover the rounding
-error of large Gram entries: a window can then come out too narrow and lose
-vectors (E8 with its basis scaled by 10^8, Gram entries ~10^16, reports
-kissing 180-186 instead of 240). Counts are exact only while the Gram
-entries stay small enough for the slack to cover rounding; E8 scaled by 10^4
-is still counted correctly.
+enumerator, to propose search windows that are then filtered exactly. The
+enumerator first divides the Gram by the gcd of its entries, so a scaled
+lattice is searched at its primitive size (E8 with its basis scaled by 10^8
+or 10^12 reports kissing 240). Past that, the windows are widened by an
+absolute slack, which does not cover the rounding error of large Gram
+entries: a Gram with large entries and no common factor can get a window
+that comes out too narrow and lose vectors. Counts are exact only while the
+primitive Gram's entries stay small enough for the slack to cover rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -488,18 +490,37 @@ def lll_reduce(lat: Lattice, delta: Fraction = DEFAULT_LLL_DELTA) -> Lattice:
 # ---------------------------------------------------------------------------
 # short-vector enumeration
 #
-# Fincke-Pohst on an LLL-reduced integer Gram. Float Cholesky data proposes
+# Fincke-Pohst on an LLL-reduced integer Gram with Schnorr-Euchner partial
+# sums: each level keeps the running sums that give its window center (float)
+# and its exact row product, and rebuilds only the entries whose coordinates
+# changed, so a node costs amortised O(1). Float Cholesky data proposes
 # per-level windows, exact integer partial norms decide what is counted. Only
-# one representative of each +-v pair is visited; counts are incremented by
-# two.
+# one representative of each +-v pair is visited (its top nonzero coordinate
+# is positive); counts are incremented by two.
 #
-# The windows are widened by the absolute slacks below. Rounding error grows
-# with the size of the Gram entries while these slacks do not, so on large
-# entries a window can come out too narrow and vectors are lost without any
-# error (E8 with its basis scaled by 10^8 reports kissing 180-186, not 240).
+# The windows are widened by the absolute slacks below, which do not grow
+# with the size of the Gram entries while rounding error does. The callers
+# divide the Gram by the gcd of its entries first, so a scaled lattice (E8
+# with its basis scaled by 10^8 or 10^12) is searched at its primitive size
+# and counted exactly. A Gram with large entries and no common factor is not
+# covered: there a window can come out too narrow and vectors are lost
+# without any error.
 
 _WINDOW_EPS = 1e-7
 _BUDGET_SLACK = 0.01
+
+# A search whose Gaussian-heuristic node estimate (_node_estimate) passes
+# this bound runs as prefix jobs in a process pool; a smaller one stays
+# in-process. Measured on 2 vCPUs, a node costs ~2.5-3 us in-process and the
+# estimate is within 2x of the real count, so the bound sits near 100 ms of
+# search: E8 at norm 8 (estimate 17k, ~30 ms) and A10 at norm 8 (29k,
+# ~55 ms) stay in-process, where starting and feeding a two-worker pool
+# (~20 ms) would eat the gain; D16+ at norm 4 (48k, ~180 ms) and Leech at
+# norm 4 (1.9M) are pooled. The estimate decides only where the work runs.
+_POOL_NODES = 40000
+# prefix jobs fix this many top coordinates (Leech at norm 4: 97 jobs, the
+# largest ~10% of the work)
+_SPLIT_DEPTH = 3
 
 
 def _thread_count() -> int:
@@ -515,188 +536,173 @@ def _thread_count() -> int:
     return n
 
 
-def _fp_run(g: Sequence[Sequence[int]], muf: Sequence[Sequence[float]],
-            bsf: Sequence[float], bound: int,
-            top_range: Optional[Tuple[int, int]] = None,
-            collect: Optional[list] = None) -> Dict[int, int]:
-    """Enumerate x with 0 < (xB)(xB)^T <= bound over the reduced basis.
+def _float_gso(g: Sequence[Sequence[int]]):
+    """Float Gram-Schmidt data (muf, bsf) of an int Gram, with
+    muf[i][j] = mu[j][i] for j > i (0.0 otherwise) and bsf[i] = |b*_i|^2."""
+    mu, bs = _gso_exact(g)
+    n = len(g)
+    muf = [[float(mu[j][i]) if j > i else 0.0 for j in range(n)]
+           for i in range(n)]
+    return muf, [float(b) for b in bs]
 
-    Returns {norm: count}. With ``collect`` a list, also appends
-    (norm, coefficient tuple) for one representative of each +-v pair.
-    ``top_range`` restricts the outermost coordinate (used for work
-    splitting); the outermost window is already clamped to x >= 0.
+
+def _node_estimate(bsf: Sequence[float], bound: int) -> float:
+    """Gaussian-heuristic node count of a search to ``bound``: the sum over
+    k of the volume of the k-ball of radius sqrt(bound) divided by the top k
+    Gram-Schmidt lengths, halved for the +-v symmetry."""
+    total = log_lengths = 0.0
+    log_r = 0.5 * math.log(bound)
+    for k, b in enumerate(reversed(bsf), 1):
+        log_lengths += 0.5 * math.log(b)
+        total += math.exp(k * (0.5 * math.log(math.pi) + log_r)
+                          - math.lgamma(k / 2 + 1) - log_lengths)
+    return total / 2
+
+
+def _fp_run(g: Sequence[Sequence[int]], muf: Sequence[Sequence[float]],
+            bsf: Sequence[float], bound: int, prefix: Sequence[int] = (),
+            collect: Optional[list] = None, split: int = 0) -> Dict[int, int]:
+    """Enumerate x with 0 < x g x^T <= bound over the reduced Gram g.
+
+    Returns {norm: count}; (muf, bsf) come from `_float_gso`. ``prefix``
+    pins (x[n-1], x[n-2], ...) to its values, so the run covers one prefix
+    job. With ``collect`` a list, appends (norm, coefficient tuple) for one
+    representative of each +-v pair. With ``split`` = d > 0 the search
+    instead stops d levels below the top and appends to ``collect`` every
+    prefix (x[n-1], ..., x[n-d]) whose next window is nonempty; these are the
+    jobs, and together they cover every vector exactly once, because a
+    window depends only on the coordinates above it.
     """
     n = len(g)
     counts: Dict[int, int] = {}
     if bound <= 0:
         return counts
-    bound_f = float(bound) + _BUDGET_SLACK
+    top = n - 1
+    stop = top - split if split else 0    # the row where a branch ends
+    pin = n - len(prefix)              # rows >= pin are fixed by the prefix
+    g00 = g[0][0]
+    twog = 2 * g00
+    gd = [g[k][k] for k in range(n)]
+    sqrt, ceil, floor = math.sqrt, math.ceil, math.floor
+    eps, slack = _WINDOW_EPS, -_BUDGET_SLACK
 
     x = [0] * n
-    P = [0] * n                   # P[m] = sum_{j > level} g[m][j] x[j]
-    lo = [0] * n
-    hi = [0] * n
-    tf = [0.0] * n                # float budget at each level
-    ctr = [0.0] * n               # minus the window center at each level
-    ne = [0] * n                  # exact norm of the fixed tail at each level
-    zpre = [False] * n            # all coordinates above this level are zero?
+    hi = [-1] * n
+    tf = [0.0] * n                # float budget left at each level
+    ne = [0] * n                  # exact norm of the coordinates above
+    zp = [True] * n               # are all coordinates above zero?
+    ctr = [0.0] * n               # minus the window center
+    pc = [0] * n                  # exact sum_{j > i} g[i][j] x[j]
+    # Row i of S (float) and Q (exact) holds at j > i the partial sums over
+    # k >= j of muf[i][k] x[k] and g[i][k] x[k], so S[i][i+1] = ctr[i] and
+    # Q[i][i+1] = pc[i]. Entries i+1 .. stale[i] must be rebuilt before row
+    # i is read again; a rebuild runs top-down, so the float center of a
+    # level depends only on the coordinates above it.
+    S = [[0.0] * (n + 1) for _ in range(n)]
+    Q = [[0] * (n + 1) for _ in range(n)]
+    stale = list(range(n))
 
-    def window(i: int) -> bool:
-        c = 0.0
-        for m_, xv in zip(muf[i], x[i + 1:]):
-            if xv:
-                c += m_ * xv
-        ctr[i] = c
-        t = tf[i]
-        if t < 0.0:
-            if t < -_BUDGET_SLACK:
-                return False
-            t = 0.0
-        r = math.sqrt(t / bsf[i]) + 1e-9
-        a = math.ceil(-c - r - _WINDOW_EPS)
-        b = math.floor(-c + r + _WINDOW_EPS)
-        if zpre[i] and a < 0:
-            a = 0
-        lo[i], hi[i] = a, b
-        return a <= b
-
-    top = n - 1
-    tf[top] = bound_f
-    ne[top] = 0
-    zpre[top] = True
-    if not window(top):
-        return counts
-    if top_range is not None:
-        lo[top] = max(lo[top], top_range[0])
-        hi[top] = min(hi[top], top_range[1])
-
-    def leaf() -> None:
-        a, b = lo[0], hi[0]
-        if a > b:
-            return
-        g00 = g[0][0]
-        p2 = 2 * P[0]
-        nrm = ne[0] + g00 * a * a + p2 * a
-        step = g00 * (2 * a + 1) + p2
-        twog = 2 * g00
-        if collect is None:
-            for _ in range(a, b + 1):
-                if 0 < nrm <= bound:
-                    counts[nrm] = counts.get(nrm, 0) + 2
-                nrm += step
-                step += twog
-        else:
-            for v in range(a, b + 1):
-                if 0 < nrm <= bound:
-                    counts[nrm] = counts.get(nrm, 0) + 2
-                    x[0] = v
-                    collect.append((nrm, tuple(x)))
-                nrm += step
-                step += twog
-        return
-
-    if n == 1:
-        ne[0] = 0
-        tf[0] = bound_f
-        leaf()
-        return counts
-
+    # start by entering the top row; hi[top] = -1 ends the search at once
+    # if its window is empty
     i = top
-    cur = [0] * n
-    cur[top] = lo[top] - 1
+    r, h, t, nrm, z = top, top, float(bound) + _BUDGET_SLACK, 0, True
     while True:
-        cur[i] += 1
-        if cur[i] > hi[i]:
-            # exhausted this level; undo the parent's P contribution
-            i += 1
-            if i > top:
+        # enter row r: rebuild its stale partial sums, then take its window
+        Sr, Qr = S[r], Q[r]
+        if h > r:
+            mr, gr = muf[r], g[r]
+            for j in range(h, r, -1):
+                xj = x[j]
+                Sr[j] = Sr[j + 1] + mr[j] * xj
+                Qr[j] = Qr[j + 1] + gr[j] * xj
+            if r and stale[r - 1] < h:
+                stale[r - 1] = h
+            stale[r] = r
+        c = Sr[r + 1]
+        rad = (sqrt(t / bsf[r]) if t > 0.0 else 0.0) + 1e-9
+        a = ceil(-c - rad - eps)
+        b = floor(-c + rad + eps)
+        if z and a < 0:
+            a = 0
+        if r >= pin:
+            p = prefix[top - r]
+            a, b = max(a, p), min(b, p)
+        if a <= b:
+            if r != stop:
+                tf[r], ne[r], zp[r], ctr[r], pc[r] = t, nrm, z, c, Qr[r + 1]
+                x[r], hi[r] = a - 1, b
+                i = r
+            elif split:
+                collect.append(tuple(x[top:r:-1]))
+            else:
+                # the last level: exact norms along the window, stepped
+                q2 = 2 * Qr[1]
+                nv = nrm + (g00 * a + q2) * a
+                step = g00 * (2 * a + 1) + q2
+                for v in range(a, b + 1):
+                    if 0 < nv <= bound:
+                        counts[nv] = counts.get(nv, 0) + 2
+                        if collect is not None:
+                            x[0] = v
+                            collect.append((nv, tuple(x)))
+                    nv += step
+                    step += twog
+        # move to the next value within budget, backtracking as needed
+        while True:
+            v = x[i] + 1
+            if v > hi[i]:
+                i += 1
+                if i > top:
+                    return counts
+                continue
+            x[i] = v
+            d = v + ctr[i]
+            t = tf[i] - bsf[i] * d * d
+            if t >= slack:
                 break
-            v = x[i]
-            if v:
-                col = i
-                for m in range(col):
-                    P[m] -= g[m][col] * v
-            continue
-        v = cur[i]
-        x[i] = v
-        d = v + ctr[i]
-        child_tf = tf[i] - bsf[i] * d * d
-        if child_tf < -_BUDGET_SLACK:
-            continue
-        child_ne = ne[i] + g[i][i] * v * v + 2 * v * P[i]
-        if i == 1:
-            # set up level 0 directly
-            if v:
-                P[0] += g[0][1] * v
-            tf[0] = child_tf
-            ne[0] = child_ne
-            zpre[0] = zpre[1] and v == 0
-            if window(0):
-                leaf()
-            if v:
-                P[0] -= g[0][1] * v
-            continue
-        if v:
-            col = i
-            for m in range(col):
-                P[m] += g[m][col] * v
-        i -= 1
-        tf[i] = child_tf
-        ne[i] = child_ne
-        zpre[i] = zpre[i + 1] and v == 0
-        if not window(i):
-            # nothing below; undo and stay at this level
-            i += 1
-            v = x[i]
-            if v:
-                col = i
-                for m in range(col):
-                    P[m] -= g[m][col] * v
-            continue
-        cur[i] = lo[i] - 1
-    return counts
-
-
-def _fp_chunk(args):
-    g, muf, bsf, bound, rng = args
-    return _fp_run(g, muf, bsf, bound, top_range=rng)
+        nrm = ne[i] + (gd[i] * v + 2 * pc[i]) * v
+        z = zp[i] and not v
+        r = i - 1
+        h = stale[r] if stale[r] > i else i
 
 
 def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
-                        collect: Optional[list] = None,
-                        threads: Optional[int] = None) -> Dict[int, int]:
-    """Counts {norm: count} for an LLL-reduced positive-definite int Gram."""
-    mu, bs = _gso_exact(g)
-    n = len(g)
-    muf = [[float(mu[j][i]) for j in range(i + 1, n)] for i in range(n)]
-    bsf = [float(b) for b in bs]
-    workers = _thread_count() if threads is None else threads
-    if collect is not None or workers == 1 or n == 1:
+                        collect: Optional[list] = None) -> Dict[int, int]:
+    """Counts {norm: count} for an LLL-reduced positive-definite int Gram.
+
+    A search estimated above _POOL_NODES nodes runs as prefix jobs on a pool
+    of EXCEPTIA_THREADS workers, merged in submission order, so the result
+    is the same at any setting.
+    """
+    workers = _thread_count()
+    muf, bsf = _float_gso(g)
+    if (collect is not None or workers == 1 or len(g) <= _SPLIT_DEPTH
+            or bound <= 0 or _node_estimate(bsf, bound) < _POOL_NODES):
         return _fp_run(g, muf, bsf, bound, collect=collect)
-    # split the outermost window [0 .. hi] into contiguous chunks
-    top_hi = math.floor(math.sqrt((bound + _BUDGET_SLACK) / bsf[n - 1]) + 1e-9)
-    if top_hi < 1:
-        return _fp_run(g, muf, bsf, bound)
-    cuts = [round(k * (top_hi + 1) / workers) for k in range(workers + 1)]
-    ranges = [(cuts[k], cuts[k + 1] - 1) for k in range(workers)
-              if cuts[k] <= cuts[k + 1] - 1]
-    if len(ranges) <= 1:
+    jobs: list = []
+    _fp_run(g, muf, bsf, bound, collect=jobs, split=_SPLIT_DEPTH)
+    if len(jobs) < 2:
         return _fp_run(g, muf, bsf, bound)
     from concurrent.futures import ProcessPoolExecutor
     merged: Dict[int, int] = {}
-    with ProcessPoolExecutor(max_workers=len(ranges)) as ex:
-        for part in ex.map(_fp_chunk,
-                           [(g, muf, bsf, bound, r) for r in ranges]):
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as ex:
+        for part in ex.map(functools.partial(_fp_run, g, muf, bsf, bound),
+                           jobs, chunksize=1):
             for k, v in part.items():
                 merged[k] = merged.get(k, 0) + v
     return merged
 
 
 def _lll_int(g: Sequence[Sequence]):
-    """LLL on an integral Gram (int or Fraction entries); the reduced Gram
-    comes back with int entries."""
-    gr, u, _, _ = _lll_gram(g, DEFAULT_LLL_DELTA)
-    return [[int(v) for v in row] for row in gr], u
+    """LLL on an integral Gram (int or Fraction entries) divided by the gcd
+    c of its entries. Returns (reduced int Gram, transform, c): callers
+    search the primitive Gram, divide their bound by c with // and multiply
+    the norms back by c."""
+    gi = [[int(v) for v in row] for row in g]
+    c = math.gcd(*(v for row in gi for v in row))
+    gr, u, _, _ = _lll_gram([[v // c for v in row] for row in gi],
+                            DEFAULT_LLL_DELTA)
+    return [[int(v) for v in row] for row in gr], u, c
 
 
 def _integer_gram(gram: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], int]:
@@ -711,8 +717,7 @@ def _integer_gram(gram: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], 
 
 
 def _reduced_even_gram(lat: Lattice, max_norm: int, what: str):
-    """Check an enumeration request; return the LLL-reduced int Gram and
-    its transform."""
+    """Check an enumeration request; return `_lll_int` of its Gram."""
     if not isinstance(max_norm, int) or max_norm < 0:
         raise LatticeError("max_norm must be a nonnegative integer")
     if not is_positive_definite(lat):
@@ -728,9 +733,9 @@ def short_vectors(lat: Lattice, max_norm: int) -> Dict[int, int]:
     The map omits norms with zero count; an even lattice only ever shows even
     keys. Deterministic, including under EXCEPTIA_THREADS parallelism.
     """
-    gr, _ = _reduced_even_gram(lat, max_norm, "short_vectors")
-    counts = _enumerate_int_gram(gr, max_norm)
-    return {k: counts[k] for k in sorted(counts)}
+    gr, _, c = _reduced_even_gram(lat, max_norm, "short_vectors")
+    counts = _enumerate_int_gram(gr, max_norm // c)
+    return {c * k: counts[k] for k in sorted(counts)}
 
 
 def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Fraction, ...]]]:
@@ -739,16 +744,16 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
     Both members of each +-v pair are returned; the list is sorted by norm
     and then lexicographically. Intended for small bounds (root systems).
     """
-    gr, u = _reduced_even_gram(lat, max_norm, "short_vector_list")
+    gr, u, c = _reduced_even_gram(lat, max_norm, "short_vector_list")
     found: list = []
-    _enumerate_int_gram(gr, max_norm, collect=found)
+    _enumerate_int_gram(gr, max_norm // c, collect=found)
     rows = intlinalg.matmul(u, [list(r) for r in lat.basis])
     out = []
     for nrm, coeffs in found:
         amb = tuple(sum(coeffs[i] * rows[i][k] for i in range(lat.rank))
                     for k in range(lat.ambient_dim))
-        out.append((nrm, amb))
-        out.append((nrm, tuple(-v for v in amb)))
+        out.append((c * nrm, amb))
+        out.append((c * nrm, tuple(-v for v in amb)))
     out.sort()
     return out
 
@@ -756,10 +761,11 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
 def _minimal_norm(gram: Sequence[Sequence[Fraction]]) -> Fraction:
     """Smallest nonzero norm of a positive-definite rational Gram."""
     gi, scale = _integer_gram(gram)
-    gr, _ = _lll_int(gi)
+    gr, _, c = _lll_int(gi)
     # cap is a basis vector's norm, so only shorter vectors need a search
     cap = min(gr[i][i] for i in range(len(gr)))
-    return Fraction(min(_enumerate_int_gram(gr, cap - 1), default=cap), scale)
+    return Fraction(c * min(_enumerate_int_gram(gr, cap - 1), default=cap),
+                    scale)
 
 
 @dataclass(frozen=True)
@@ -1204,10 +1210,10 @@ def lattice_info(lat: Lattice) -> dict:
         "unimodular": is_unimodular(lat),
     }
     if info["even"] and is_positive_definite(lat):
-        gr, _ = _lll_int(lat.gram)
+        gr, _, c = _lll_int(lat.gram)
         counts = _enumerate_int_gram(gr, min(gr[i][i] for i in range(lat.rank)))
         mn = min(counts)
-        info["min_norm"] = mn
+        info["min_norm"] = c * mn
         info["kissing"] = counts[mn]
     else:
         info["min_norm"] = None

@@ -300,13 +300,16 @@ def test_console_script_runs():
 
 
 def test_output_is_deterministic_across_runs_and_thread_counts():
-    argv = [sys.executable, "-m", "exceptia.cli",
-            "lattice", "shortvec", "E8", "--max-norm", "4"]
-    outs = []
-    for threads in (None, None, 1, 2):
-        proc = subprocess.run(argv, capture_output=True,
-                              env=script_env(threads))
-        assert proc.returncode == 0
-        outs.append(proc.stdout)
-    assert outs[0] == outs[1] == outs[2] == outs[3]
-    assert outs[0].decode().splitlines() == ["2 240", "4 2160"]
+    # E8 stays in-process; D16+ at norm 4 is big enough for the pool
+    for name, expected in (("E8", ["2 240", "4 2160"]),
+                           ("D16+", ["2 480", "4 61920"])):
+        argv = [sys.executable, "-m", "exceptia.cli",
+                "lattice", "shortvec", name, "--max-norm", "4"]
+        outs = []
+        for threads in (None, None, 1, 2):
+            proc = subprocess.run(argv, capture_output=True,
+                                  env=script_env(threads))
+            assert proc.returncode == 0
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1] == outs[2] == outs[3]
+        assert outs[0].decode().splitlines() == expected

@@ -1,6 +1,7 @@
 """Euclidean and Lorentzian lattices: builders, enumeration, reduction."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -222,12 +223,70 @@ def test_short_vectors_gates():
         lat.short_vectors(lat.build_An(2), -1)
 
 
+def scrambled(l, ops, seed):
+    """The same lattice under ``ops`` random elementary row operations."""
+    rng = random.Random(seed)
+    rows = [list(r) for r in l.basis]
+    for _ in range(ops):
+        i, j = rng.sample(range(len(rows)), 2)
+        c = rng.choice((-1, 1))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return lat.Lattice(l.ambient_dim, l.rank, tuple(map(tuple, rows)))
+
+
 def test_enumeration_agrees_across_thread_counts(monkeypatch):
-    monkeypatch.setenv("EXCEPTIA_THREADS", "1")
-    serial = lat.short_vectors(E8, 4)
-    monkeypatch.setenv("EXCEPTIA_THREADS", "2")
-    parallel = lat.short_vectors(E8, 4)
-    assert serial == parallel == {2: 240, 4: 2160}
+    # E8 at norm 4 stays in-process at any setting; D16+ at norm 4 is
+    # estimated above the pool gate, so at 2 workers it runs as prefix jobs
+    d16 = lat.build_D16plus()
+    g, _, _ = lat._lll_int(d16.gram)
+    assert lat._node_estimate(lat._float_gso(g)[1], 4) > lat._POOL_NODES
+    for l, expected in ((E8, {2: 240, 4: 2160}), (d16, {2: 480, 4: 61920})):
+        monkeypatch.setenv("EXCEPTIA_THREADS", "1")
+        serial = lat.short_vectors(l, 4)
+        monkeypatch.setenv("EXCEPTIA_THREADS", "2")
+        parallel = lat.short_vectors(l, 4)
+        assert serial == parallel == expected
+
+
+@pytest.mark.parametrize("build,bound", [
+    (lambda: E8, 8),
+    (lambda: lat.build_Dn(12), 4),
+    (lambda: scrambled(lat.build_An(10), 32, 3), 4),
+], ids=["E8", "D12", "scrambled-A10"])
+def test_prefix_jobs_cover_every_vector_once(build, bound):
+    g, _, _ = lat._lll_int(build().gram)
+    muf, bsf = lat._float_gso(g)
+    serial: list = []
+    counts = lat._fp_run(g, muf, bsf, bound, collect=serial)
+    for depth in (1, 2, lat._SPLIT_DEPTH):
+        jobs: list = []
+        lat._fp_run(g, muf, bsf, bound, collect=jobs, split=depth)
+        assert len(jobs) > 1
+        found: list = []
+        total: dict = {}
+        for prefix in jobs:
+            part: list = []
+            for k, v in lat._fp_run(g, muf, bsf, bound, prefix=prefix,
+                                    collect=part).items():
+                total[k] = total.get(k, 0) + v
+            assert all(c[:-depth - 1:-1] == prefix for _, c in part)
+            found += part
+        assert sorted(found) == sorted(serial)
+        assert total == counts
+
+
+@pytest.mark.parametrize("s", [1, 10**4, 10**8, 10**12])
+def test_scaled_lattices_count_exactly(s):
+    # dividing the Gram by its content makes every count scale-invariant;
+    # without it E8 scaled by 10^8 reported kissing 184
+    for l, bound in ((scrambled(E8, 32, 1), 6), (lat.build_D16plus(), 4)):
+        big = lat.Lattice(l.ambient_dim, l.rank,
+                          tuple(tuple(v * s for v in r) for r in l.basis))
+        info = lat.lattice_info(big)
+        assert (info["min_norm"], info["kissing"]) == (2 * s * s,
+                                                       lat.lattice_info(l)["kissing"])
+        assert lat.short_vectors(big, bound * s * s) == {
+            k * s * s: v for k, v in lat.short_vectors(l, bound).items()}
 
 
 def brute_force_minimum(gram):
