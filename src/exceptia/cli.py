@@ -57,6 +57,10 @@ class _Parser(argparse.ArgumentParser):
 # the left, which matters once multiplication is non-associative.
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|e(\d+)|([()+\-*,]))")
+# A pair of level-L elements has level L + 1, so pairs nested deeper than
+# this would need over 2^32 coordinates; the cap also keeps the recursive
+# descent far inside Python's recursion limit.
+_MAX_NESTING = 32
 
 
 def _tokenize(text: str) -> List[Tuple[str, object]]:
@@ -85,6 +89,7 @@ class _ExprParser:
         self.toks = _tokenize(text)
         self.pos = 0
         self.pairs = pairs
+        self.depth = 0
 
     def _peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
@@ -142,7 +147,12 @@ class _ExprParser:
         if kind == "unit":
             return atom("unit", val, self)
         if kind == "sym" and val == "(" and self.pairs:
-            return atom("pair", None, self)
+            self.depth += 1
+            if self.depth > _MAX_NESTING:
+                self.fail(f"pairs nest deeper than {_MAX_NESTING} levels")
+            v = atom("pair", None, self)
+            self.depth -= 1
+            return v
         if kind is None:
             self.fail("it ends where a value was expected")
         self.fail(f"unexpected {val!r}")

@@ -113,7 +113,14 @@ class SpinList:
 
     @classmethod
     def from_values(cls, values: Iterable) -> "SpinList":
-        return cls(tuple(Fraction(v) for v in values))
+        spins = []
+        for v in values:
+            try:
+                spins.append(Fraction(v))
+            except (ValueError, ZeroDivisionError):
+                raise IdentityError(f"spin {v} is not a nonnegative "
+                                    "half-integer") from None
+        return cls(tuple(spins))
 
 
 def spin_area(spins: SpinList) -> Tuple[Dict[Fraction, int], float]:

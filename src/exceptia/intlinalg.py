@@ -2,8 +2,8 @@
 
 One audited core: Hermite-style row reduction over the integers, with the
 unimodular transform tracked. Kernels, membership certificates, sublattices
-and quotients are all phrased through it. Determinants and Gram-Schmidt data
-are exact rational computations on top.
+and quotients are all phrased through it. Determinants are computed
+fraction-free on the matrix cleared to integers.
 
 Conventions: matrices are lists of rows; vectors act on the left (x @ A is a
 row vector), so "the lattice of A" means the set of integer combinations of
@@ -12,6 +12,7 @@ A's rows.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -116,25 +117,36 @@ def matmul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
+def clear_denominators(m: Sequence[Sequence]) -> Tuple[IntMatrix, int]:
+    """(a, s) with s the least positive integer making a = s m integral;
+    entries may be int or Fraction."""
+    s = math.lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (s // x.denominator) for x in row] for row in m], s
+
+
 def det_fraction(m: Sequence[Sequence]) -> Fraction:
-    """Exact determinant by fraction Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in m]
+    """Exact determinant by Bareiss fraction-free elimination of s m, the
+    matrix cleared to integers: every division is exact, and
+    det m = det(s m) / s^n."""
+    a, s = clear_denominators(m)
     n = len(a)
-    d = Fraction(1)
+    sign, prev = 1, 1
     for c in range(n):
         p = next((r for r in range(c, n) if a[r][c]), None)
         if p is None:
             return Fraction(0)
         if p != c:
             a[c], a[p] = a[p], a[c]
-            d = -d
-        d *= a[c][c]
+            sign = -sign
+        ac = a[c]
+        piv = ac[c]
         for r in range(c + 1, n):
-            f = a[r][c] / a[c][c]
-            if f:
-                for k in range(c, n):
-                    a[r][k] -= f * a[c][k]
-    return d
+            ar = a[r]
+            f = ar[c]
+            for k in range(c + 1, n):
+                ar[k] = (piv * ar[k] - f * ac[k]) // prev
+        prev = piv
+    return Fraction(sign * prev, s ** n)
 
 
 def invert_fraction(m: Sequence[Sequence]) -> List[List[Fraction]]:

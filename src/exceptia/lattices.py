@@ -27,7 +27,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import intlinalg
-from .intlinalg import det_fraction, invert_fraction, left_kernel, solve_left
+from .intlinalg import (clear_denominators, det_fraction, invert_fraction,
+                        left_kernel, solve_left)
 
 EUCLIDEAN = "euclidean"
 LORENTZIAN = "lorentzian"
@@ -72,46 +73,9 @@ def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _row_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def _ldl_pivots(g: Sequence[Sequence[Fraction]]) -> Optional[List[Fraction]]:
-    """LDL^T pivots of a symmetric matrix, or None if a pivot hits zero."""
-    n = len(g)
-    a = [[Fraction(v) for v in row] for row in g]
-    piv = []
-    for k in range(n):
-        d = a[k][k]
-        if d == 0:
-            return None
-        piv.append(d)
-        for i in range(k + 1, n):
-            f = a[i][k] / d
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return piv
-
-
 def _positive_definite(g: Sequence[Sequence[Fraction]]) -> bool:
-    piv = _ldl_pivots(g)
-    return piv is not None and all(p > 0 for p in piv)
+    # Sylvester's criterion: every leading principal minor is positive
+    return _int_gso(clear_denominators(g)[0])[0][-1] > 0
 
 
 @dataclass(frozen=True)
@@ -146,10 +110,13 @@ class Lattice:
         gram = tuple(
             tuple(self._form_dot(a, b) for b in rows) for a in rows
         )
-        # under the identity form, B B^T is positive definite exactly when
-        # the rows of B are independent
-        if not (_positive_definite(gram) if self.signature == EUCLIDEAN
-                else _row_rank(rows) == self.rank):
+        # B B^T is positive definite exactly when the rows of B are
+        # independent; under the identity form it is the Gram itself
+        plain = gram
+        if self.signature == LORENTZIAN:
+            b, _ = clear_denominators(rows)
+            plain = [[sum(x * y for x, y in zip(r, s)) for s in b] for r in b]
+        if not _positive_definite(plain):
             raise LatticeError("basis rows are linearly dependent")
         object.__setattr__(self, "basis", rows)
         object.__setattr__(self, "gram", gram)
@@ -385,87 +352,97 @@ def direct_sum(*lattices: Lattice) -> Lattice:
 # ---------------------------------------------------------------------------
 # LLL reduction (exact, Gram-based, with the unimodular transform)
 
-def _gso_exact(g: Sequence[Sequence[Fraction]]):
-    """Gram-Schmidt data (mu, B*) computed exactly from a Gram matrix."""
+def _int_gso(g: Sequence[Sequence[int]]):
+    """Fraction-free Gram-Schmidt data (d, lam) of a symmetric int matrix.
+
+    d[0] = 1 and d[i+1] = d[i] |b*_i|^2, so d[i] is the leading principal
+    minor of order i, and lam[i][j] = d[j+1] mu[i][j] for j < i. Both are
+    integers and every division is exact (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.6.7). Stops after the first d[i+1] <= 0,
+    so the matrix is positive definite exactly when d[-1] > 0.
+    """
     n = len(g)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bs: List[Fraction] = [Fraction(0)] * n
+    d = [1]
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        bi = Fraction(g[i][i])
-        for j in range(i):
-            num = Fraction(g[i][j])
-            num -= sum(mu[i][t] * mu[j][t] * bs[t] for t in range(j))
-            mu[i][j] = num / bs[j]
-            bi -= mu[i][j] * mu[i][j] * bs[j]
-        if bi <= 0:
-            raise LatticeError("Gram matrix is not positive definite")
-        bs[i] = bi
-    return mu, bs
+        li = lam[i]
+        for j in range(i + 1):
+            lj = lam[j]
+            s = g[i][j]
+            for t in range(j):
+                s = (d[t + 1] * s - li[t] * lj[t]) // d[t]
+            if j < i:
+                li[j] = s
+        d.append(s)
+        if s <= 0:
+            break
+    return d, lam
 
 
-def _lll_gram(g0: Sequence[Sequence[Fraction]], delta: Fraction):
-    """LLL on a positive-definite Gram matrix.
+def _lll_gram(g0: Sequence[Sequence[int]], delta: Fraction):
+    """LLL on a positive-definite int Gram matrix, in integers only.
 
-    Returns (g, u, mu, bs) where u is unimodular, g = u g0 u^T is the reduced
-    Gram, and (mu, bs) is its exact Gram-Schmidt data. Works entirely on the
-    Gram; callers holding a basis apply u themselves.
+    Returns (g, u) where u is unimodular and g = u g0 u^T is the reduced
+    Gram. `_int_gso`'s (d, lam) is kept up to date through every size
+    reduction and swap with exact divisions (Cohen, Alg. 2.6.7), so each
+    decision is the one rational LLL takes with mu[i][j] = lam[i][j]/d[j+1]
+    and |b*_i|^2 = d[i+1]/d[i]. Works entirely on the Gram; callers holding
+    a basis apply u themselves.
     """
     n = len(g0)
-    g = [[Fraction(v) for v in row] for row in g0]
+    g = [list(row) for row in g0]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    if n == 1:
-        if g[0][0] <= 0:
-            raise LatticeError("Gram matrix is not positive definite")
-        return g, u, [[Fraction(0)]], [Fraction(g[0][0])]
-    mu, bs = _gso_exact(g)
-    half = Fraction(1, 2)
-
-    def addmul(k: int, l: int, q: int) -> None:
-        # b_k -= q b_l, propagated to the Gram by a row then a column update
-        u[k] = [a - q * b for a, b in zip(u[k], u[l])]
-        gk, gl = g[k], g[l]
-        for j in range(n):
-            gk[j] -= q * gl[j]
-        for i in range(n):
-            g[i][k] -= q * g[i][l]
+    d, lam = _int_gso(g)
+    if d[-1] <= 0:
+        raise LatticeError("Gram matrix is not positive definite")
+    p, q = delta.numerator, delta.denominator
 
     def red(k: int, l: int) -> None:
-        mkl = mu[k][l]
-        if mkl > half or mkl < -half:
-            q = int((mkl + half).__floor__()) if mkl > 0 else -int((-mkl + half).__floor__())
-            # nearest integer, ties rounded down in magnitude is fine here
-            if q:
-                addmul(k, l, q)
-                mu[k][l] -= q
-                for t in range(l):
-                    mu[k][t] -= q * mu[l][t]
+        # when |mu[k][l]| > 1/2, b_k -= r b_l with r the nearest integer to
+        # mu[k][l], ties rounded away from zero (3/2 -> 2, -3/2 -> -2)
+        lk, dl = lam[k], d[l + 1]
+        a = abs(lk[l])
+        if 2 * a > dl:
+            r = (2 * a + dl) // (2 * dl)
+            if lk[l] < 0:
+                r = -r
+            u[k] = [x - r * y for x, y in zip(u[k], u[l])]
+            gk, gl = g[k], g[l]
+            for j in range(n):
+                gk[j] -= r * gl[j]
+            for row in g:
+                row[k] -= r * row[l]
+            lk[l] -= r * dl
+            ll = lam[l]
+            for t in range(l):
+                lk[t] -= r * ll[t]
 
     k = 1
     while k < n:
         red(k, k - 1)
-        if bs[k] < (delta - mu[k][k - 1] * mu[k][k - 1]) * bs[k - 1]:
-            # swap rows k-1 and k everywhere, then repair the GSO data
+        m = lam[k][k - 1]
+        # Lovasz: |b*_k|^2 < (delta - mu^2) |b*_{k-1}|^2, times q d[k-1] d[k]
+        if q * (d[k + 1] * d[k - 1] + m * m) < p * d[k] * d[k]:
+            # swap rows k-1 and k everywhere, then repair (d, lam)
             u[k - 1], u[k] = u[k], u[k - 1]
             g[k - 1], g[k] = g[k], g[k - 1]
             for row in g:
                 row[k - 1], row[k] = row[k], row[k - 1]
-            m = mu[k][k - 1]
-            big = bs[k] + m * m * bs[k - 1]
-            mu[k][k - 1] = m * bs[k - 1] / big
-            bs[k] = bs[k - 1] * bs[k] / big
-            bs[k - 1] = big
-            for j in range(k - 1):
-                mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+            lk1, lk = lam[k - 1], lam[k]
+            lk1[:k - 1], lk[:k - 1] = lk[:k - 1], lk1[:k - 1]
+            b = (d[k - 1] * d[k + 1] + m * m) // d[k]
             for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                li = lam[i]
+                t = li[k]
+                li[k] = (d[k + 1] * li[k - 1] - m * t) // d[k]
+                li[k - 1] = (b * t + m * li[k]) // d[k + 1]
+            d[k] = b
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
-    return g, u, mu, bs
+    return g, u
 
 
 def lll_reduce(lat: Lattice, delta: Fraction = DEFAULT_LLL_DELTA) -> Lattice:
@@ -478,7 +455,7 @@ def lll_reduce(lat: Lattice, delta: Fraction = DEFAULT_LLL_DELTA) -> Lattice:
         raise LatticeError("delta must lie strictly between 1/4 and 1")
     if not is_positive_definite(lat):
         raise LatticeError("lll_reduce needs a positive-definite Gram")
-    _, u, _, _ = _lll_gram(lat.gram, delta)
+    _, u = _lll_gram(clear_denominators(lat.gram)[0], delta)
     if abs(det_fraction(u)) != 1:
         raise LatticeConstructionError("LLL transform lost unimodularity")
     rows = intlinalg.matmul(u, [list(r) for r in lat.basis])
@@ -539,11 +516,12 @@ def _thread_count() -> int:
 def _float_gso(g: Sequence[Sequence[int]]):
     """Float Gram-Schmidt data (muf, bsf) of an int Gram, with
     muf[i][j] = mu[j][i] for j > i (0.0 otherwise) and bsf[i] = |b*_i|^2."""
-    mu, bs = _gso_exact(g)
+    d, lam = _int_gso(g)
     n = len(g)
-    muf = [[float(mu[j][i]) if j > i else 0.0 for j in range(n)]
+    # int true division rounds correctly, as float(Fraction) does
+    muf = [[lam[j][i] / d[i + 1] if j > i else 0.0 for j in range(n)]
            for i in range(n)]
-    return muf, [float(b) for b in bs]
+    return muf, [d[i + 1] / d[i] for i in range(n)]
 
 
 def _node_estimate(bsf: Sequence[float], bound: int) -> float:
@@ -700,20 +678,8 @@ def _lll_int(g: Sequence[Sequence]):
     the norms back by c."""
     gi = [[int(v) for v in row] for row in g]
     c = math.gcd(*(v for row in gi for v in row))
-    gr, u, _, _ = _lll_gram([[v // c for v in row] for row in gi],
-                            DEFAULT_LLL_DELTA)
-    return [[int(v) for v in row] for row in gr], u, c
-
-
-def _integer_gram(gram: Sequence[Sequence[Fraction]]) -> Tuple[List[List[int]], int]:
-    """Scale a rational Gram to integers; returns (matrix, scale)."""
-    scale = 1
-    for row in gram:
-        for v in row:
-            d = _frac(v).denominator
-            scale = scale * d // math.gcd(scale, d)
-    out = [[int(_frac(v) * scale) for v in row] for row in gram]
-    return out, scale
+    gr, u = _lll_gram([[v // c for v in row] for row in gi], DEFAULT_LLL_DELTA)
+    return gr, u, c
 
 
 def _reduced_even_gram(lat: Lattice, max_norm: int, what: str):
@@ -760,7 +726,7 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
 
 def _minimal_norm(gram: Sequence[Sequence[Fraction]]) -> Fraction:
     """Smallest nonzero norm of a positive-definite rational Gram."""
-    gi, scale = _integer_gram(gram)
+    gi, scale = clear_denominators(gram)
     gr, _, c = _lll_int(gi)
     # cap is a basis vector's norm, so only shorter vectors need a search
     cap = min(gr[i][i] for i in range(len(gr)))

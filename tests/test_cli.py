@@ -259,6 +259,9 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         (["id", "link", "--input", str(touch)],
          "needs disjoint loops"),
         (["id", "link", "--input", str(tmp_path / "absent.txt")], ""),
+        (["id", "area", "1/2", "1/0"], "spin 1/0 is not"),
+        (["hyper", "mul", "(" * 1200 + "1" + ")" * 1200, "1"],
+         "pairs nest deeper than"),
     ]
     for argv, needle in cases:
         rc, _, err = run(capsys, *argv)

@@ -5,10 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from exceptia import hypercomplex as hc
 from exceptia import lattices as lat
-from exceptia.intlinalg import invert_fraction
+from exceptia.intlinalg import det_fraction, invert_fraction, matmul
 
 
 E8 = lat.build_E8()
@@ -362,6 +363,133 @@ def test_lll_improves_a_skewed_basis():
     r = lat.lll_reduce(skew)
     assert lat.same_lattice(r, skew)
     assert max(r.gram[i][i] for i in range(2)) <= 2
+
+
+def fraction_lll(g0, delta):
+    """Rational LLL on a Gram matrix, the reference for `lat._lll_gram`:
+    (g, u, mu, bs) with g = u g0 u^T and (mu, bs) its Gram-Schmidt data."""
+    n = len(g0)
+    g = [[Fraction(v) for v in row] for row in g0]
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    bs = [Fraction(0)] * n
+    for i in range(n):
+        bi = g[i][i]
+        for j in range(i):
+            num = g[i][j] - sum(mu[i][t] * mu[j][t] * bs[t] for t in range(j))
+            mu[i][j] = num / bs[j]
+            bi -= mu[i][j] * mu[i][j] * bs[j]
+        bs[i] = bi
+    half = Fraction(1, 2)
+
+    def red(k, l):
+        mkl = mu[k][l]
+        if abs(mkl) > half:
+            # the nearest integer, ties away from zero
+            q = math.floor(abs(mkl) + half) * (1 if mkl > 0 else -1)
+            u[k] = [a - q * b for a, b in zip(u[k], u[l])]
+            g[k] = [a - q * b for a, b in zip(g[k], g[l])]
+            for row in g:
+                row[k] -= q * row[l]
+            mu[k][l] -= q
+            for t in range(l):
+                mu[k][t] -= q * mu[l][t]
+
+    k = 1
+    while k < n:
+        red(k, k - 1)
+        if bs[k] < (delta - mu[k][k - 1] ** 2) * bs[k - 1]:
+            u[k - 1], u[k] = u[k], u[k - 1]
+            g[k - 1], g[k] = g[k], g[k - 1]
+            for row in g:
+                row[k - 1], row[k] = row[k], row[k - 1]
+            m = mu[k][k - 1]
+            big = bs[k] + m * m * bs[k - 1]
+            mu[k][k - 1] = m * bs[k - 1] / big
+            bs[k] = bs[k - 1] * bs[k] / big
+            bs[k - 1] = big
+            for j in range(k - 1):
+                mu[k - 1][j], mu[k][j] = mu[k][j], mu[k - 1][j]
+            for i in range(k + 1, n):
+                t = mu[i][k]
+                mu[i][k] = mu[i][k - 1] - m * t
+                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+            k = max(k - 1, 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                red(k, l)
+            k += 1
+    return g, u, mu, bs
+
+
+@st.composite
+def int_bases(draw, max_rank=8):
+    r = draw(st.integers(1, max_rank))
+    m = draw(st.integers(r, max_rank))
+    size = draw(st.sampled_from((3, 40, 10**6)))
+    row = st.lists(st.integers(-size, size), min_size=m, max_size=m)
+    return draw(st.lists(row, min_size=r, max_size=r))
+
+
+@given(rows=int_bases(), den=st.sampled_from((1, 2, 3, 10**4)),
+       delta=st.sampled_from((lat.DEFAULT_LLL_DELTA, Fraction(3, 4),
+                              Fraction(26, 100))))
+# mu = 3/2 and mu = -3/2: size reduction rounds both away from zero
+@example(rows=[[1, 1, 0], [2, 1, 1]], den=1, delta=lat.DEFAULT_LLL_DELTA)
+@example(rows=[[1, 1, 0], [-2, -1, 1]], den=2, delta=lat.DEFAULT_LLL_DELTA)
+# the Lovasz test at equality, |b*_1|^2 = (3/4 - 1/4) |b*_0|^2: no swap
+@example(rows=[[2, 0, 0], [1, 1, 1]], den=1, delta=Fraction(3, 4))
+@settings(max_examples=80, deadline=None)
+def test_lll_gram_matches_the_fraction_oracle(rows, den, delta):
+    g = matmul(rows, list(zip(*rows)))
+    assume(det_fraction(g) != 0)
+    g_ref, u_ref, mu, bs = fraction_lll(g, delta)
+    g_new, u_new = lat._lll_gram(g, delta)
+    assert (g_new, u_new) == (g_ref, u_ref)
+    # the enumerator's float windows: bit for bit float(Fraction)
+    n = len(g)
+    muf, bsf = lat._float_gso(g_new)
+    assert [[x.hex() for x in r] for r in muf] == [
+        [float(mu[j][i] if j > i else 0).hex() for j in range(n)]
+        for i in range(n)]
+    assert [x.hex() for x in bsf] == [float(b).hex() for b in bs]
+    # a rational basis through lll_reduce takes the same decisions
+    basis = [[Fraction(v, den) for v in r] for r in rows]
+    _, u_rat, _, _ = fraction_lll(matmul(basis, list(zip(*basis))), delta)
+    reduced = lat.lll_reduce(lat.Lattice(len(rows[0]), n, basis), delta)
+    assert reduced.basis == tuple(map(tuple, matmul(u_rat, basis)))
+
+
+def sylvester(g):
+    """Positive definite: every leading principal minor is positive."""
+    return all(det_fraction([row[:k] for row in g[:k]]) > 0
+               for k in range(1, len(g) + 1))
+
+
+@given(kind=st.sampled_from(("definite", "semidefinite", "indefinite")),
+       rows=int_bases(max_rank=5), den=st.sampled_from((1, 2, 7)),
+       ops=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                              st.integers(-3, 3)), max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_positive_definite_agrees_with_sylvester(kind, rows, den, ops):
+    # Lorentzian rows (x0, x1, y): the y rows span a spacelike space that
+    # is orthogonal to one extra row (x0, x1, 0), spacelike (0, 1), null
+    # (1, 1) or timelike (1, 0); row operations then hide the structure
+    head = {"definite": [0, 1], "semidefinite": [1, 1],
+            "indefinite": [1, 0]}[kind]
+    m = len(rows[0])
+    basis = [[Fraction(v, den) for v in r]
+             for r in [head + [0] * m] + [[0, 0] + r for r in rows]]
+    assume(det_fraction(matmul(rows, list(zip(*rows)))) != 0)
+    n = len(basis)
+    for i, j, c in ops:
+        if i % n != j % n:
+            basis[i % n] = [a + c * b for a, b in zip(basis[i % n],
+                                                      basis[j % n])]
+    l = lat.Lattice(m + 2, n, tuple(map(tuple, basis)),
+                    signature=lat.LORENTZIAN)
+    assert lat.is_positive_definite(l) == sylvester(l.gram) == (
+        kind == "definite")
 
 
 # --------------------------------------------------------------------------
