@@ -57,10 +57,12 @@ class _Parser(argparse.ArgumentParser):
 # the left, which matters once multiplication is non-associative.
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|e(\d+)|([()+\-*,]))")
-# A pair of level-L elements has level L + 1, so pairs nested deeper than
-# this would need over 2^32 coordinates; the cap also keeps the recursive
-# descent far inside Python's recursion limit.
-_MAX_NESTING = 32
+# A level-L element has 2^L coordinates and a dense product costs 4^L
+# scalar products: level 8 (256 coordinates) takes about 0.5 s. Units e<n>,
+# pair results and --level are held to this cap. A pair of level-L elements
+# has level L + 1, so pairs may nest at most this deep, which also keeps the
+# recursive descent far inside Python's recursion limit.
+_MAX_LEVEL = 8
 
 
 def _tokenize(text: str) -> List[Tuple[str, object]]:
@@ -148,8 +150,8 @@ class _ExprParser:
             return atom("unit", val, self)
         if kind == "sym" and val == "(" and self.pairs:
             self.depth += 1
-            if self.depth > _MAX_NESTING:
-                self.fail(f"pairs nest deeper than {_MAX_NESTING} levels")
+            if self.depth > _MAX_LEVEL:
+                self.fail(f"pairs nest deeper than {_MAX_LEVEL} levels")
             v = atom("pair", None, self)
             self.depth -= 1
             return v
@@ -161,6 +163,12 @@ class _ExprParser:
         kind, val = self._take()
         if kind != "sym" or val != ch:
             self.fail(f"expected {ch!r}")
+
+
+def _check_level(level: int, what: str) -> None:
+    if level > _MAX_LEVEL:
+        raise ValueError(f"{what} needs level {level}, above the cap of "
+                         f"{_MAX_LEVEL}")
 
 
 def _h_lift(x: hc.HyperNumber, level: int) -> hc.HyperNumber:
@@ -197,6 +205,7 @@ def _h_atom(kind, val, p: _ExprParser):
         return hc.HyperNumber(hc.RATIONAL, (val,))
     if kind == "unit":
         level = val.bit_length()
+        _check_level(level, f"e{val}")
         return hc.basis_element(level, val)
     # pair: '(' already consumed
     a = p.expr(_h_atom, _h_add, _h_mul, _h_neg)
@@ -204,11 +213,14 @@ def _h_atom(kind, val, p: _ExprParser):
     b = p.expr(_h_atom, _h_add, _h_mul, _h_neg)
     p.expect(")")
     a, b = _h_common(a, b)
+    _check_level(a.level + 1, "the pair")
     return hc.HyperNumber(a.field, a.coords + b.coords)
 
 
 def parse_hyper(text: str, level: Optional[int] = None) -> hc.HyperNumber:
     """Read a doubling-algebra element; lift it to `level` when given."""
+    if level is not None:
+        _check_level(level, "--level")
     x = _ExprParser(text, pairs=True).parse(_h_atom, _h_add, _h_mul, _h_neg)
     if level is not None:
         x = _h_lift(x, level)

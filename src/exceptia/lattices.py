@@ -5,16 +5,14 @@ integrality and unimodularity tests, dual lattices, LLL reduction, exact
 short-vector enumeration and theta series, plus the even unimodular
 Lorentzian lattices II_{8k+1,1} with their Weyl vectors.
 
-Bases and Grams are rational, and every vector the enumerator counts has its
-norm decided by integer arithmetic. Floating point appears only inside the
-enumerator, to propose search windows that are then filtered exactly. The
-enumerator first divides the Gram by the gcd of its entries, so a scaled
-lattice is searched at its primitive size (E8 with its basis scaled by 10^8
-or 10^12 reports kissing 240). Past that, the windows are widened by an
-absolute slack, which does not cover the rounding error of large Gram
-entries: a Gram with large entries and no common factor can get a window
-that comes out too narrow and lose vectors. Counts are exact only while the
-primitive Gram's entries stay small enough for the slack to cover rounding.
+Bases and Grams are rational; every lattice query clears them to integers
+and then runs in integer arithmetic only. LLL and Gram-Schmidt are
+fraction-free (leading minors d and scaled coefficients lam = d mu), and the
+enumerator takes each coordinate's window as an integer square root over
+that same data, so a window holds exactly the coordinates that keep the
+norm within the bound. Counts are exact for every positive-definite Gram,
+whatever the size of its entries. Floating point appears only in a
+node-count estimate that decides whether a search runs in a process pool.
 """
 
 from __future__ import annotations
@@ -107,25 +105,21 @@ class Lattice:
             raise LatticeError("rank must satisfy 1 <= rank <= ambient_dim")
         if any(len(row) != self.ambient_dim for row in rows):
             raise LatticeError("basis row length differs from ambient_dim")
-        gram = tuple(
-            tuple(self._form_dot(a, b) for b in rows) for a in rows
-        )
-        # B B^T is positive definite exactly when the rows of B are
-        # independent; under the identity form it is the Gram itself
-        plain = gram
-        if self.signature == LORENTZIAN:
-            b, _ = clear_denominators(rows)
-            plain = [[sum(x * y for x, y in zip(r, s)) for s in b] for r in b]
+        # the Gram is G / s^2 for the integer products G of the rows B
+        # cleared by s; B B^T is positive definite exactly when the rows are
+        # independent, and under the identity form it is G itself
+        b, s = clear_denominators(rows)
+        plain = [[sum(x * y for x, y in zip(r, t)) for t in b] for r in b]
         if not _positive_definite(plain):
             raise LatticeError("basis rows are linearly dependent")
-        object.__setattr__(self, "basis", rows)
-        object.__setattr__(self, "gram", gram)
-
-    def _form_dot(self, a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-        s = sum(x * y for x, y in zip(a, b))
+        g = plain
         if self.signature == LORENTZIAN:
-            s -= 2 * a[0] * b[0]
-        return s
+            g = [[v - 2 * r[0] * t[0] for v, t in zip(row, b)]
+                 for row, r in zip(plain, b)]
+        ss = s * s
+        object.__setattr__(self, "basis", rows)
+        object.__setattr__(self, "gram", tuple(
+            tuple(Fraction(v, ss) for v in row) for row in g))
 
     def form_dot(self, a: Sequence, b: Sequence) -> Fraction:
         """Ambient bilinear form applied to two coordinate vectors."""
@@ -133,7 +127,10 @@ class Lattice:
         bv = [_frac(x) for x in b]
         if len(av) != self.ambient_dim or len(bv) != self.ambient_dim:
             raise LatticeError("vector length differs from ambient_dim")
-        return self._form_dot(av, bv)
+        s = sum(x * y for x, y in zip(av, bv))
+        if self.signature == LORENTZIAN:
+            s -= 2 * av[0] * bv[0]
+        return s
 
 
 def is_positive_definite(lat: Lattice) -> bool:
@@ -172,19 +169,14 @@ def lattice_contains(lat: Lattice, vector: Sequence) -> bool:
     v = [_frac(x) for x in vector]
     if len(v) != lat.ambient_dim:
         raise LatticeError("vector length differs from ambient_dim")
-    # solve x B = v against the Gram: x = (v S B^T) G^{-1}, then confirm
-    rhs = [lat.form_dot(v, row) for row in lat.basis]
-    try:
-        ginv = invert_fraction(lat.gram)
-    except ZeroDivisionError:
-        raise LatticeError("degenerate Gram matrix") from None
-    x = [sum(rhs[j] * ginv[j][i] for j in range(lat.rank))
-         for i in range(lat.rank)]
-    recon = [sum(x[i] * lat.basis[i][k] for i in range(lat.rank))
-             for k in range(lat.ambient_dim)]
-    if recon != v:
-        return False
-    return all(c.denominator == 1 for c in x)
+    return _coefficients_of(lat, v) is not None
+
+
+def _coefficients_of(lat: Lattice, v: Sequence[Fraction]) -> Optional[List[int]]:
+    """The integer x with x B = v for the basis rows B, or None. The rows
+    are independent, so this settles membership whatever the form."""
+    m, _ = clear_denominators([*lat.basis, v])
+    return solve_left(m[:-1], m[-1])
 
 
 def sublattice_of(inner: Lattice, outer: Lattice) -> bool:
@@ -467,33 +459,33 @@ def lll_reduce(lat: Lattice, delta: Fraction = DEFAULT_LLL_DELTA) -> Lattice:
 # ---------------------------------------------------------------------------
 # short-vector enumeration
 #
-# Fincke-Pohst on an LLL-reduced integer Gram with Schnorr-Euchner partial
-# sums: each level keeps the running sums that give its window center (float)
-# and its exact row product, and rebuilds only the entries whose coordinates
-# changed, so a node costs amortised O(1). Float Cholesky data proposes
-# per-level windows, exact integer partial norms decide what is counted. Only
-# one representative of each +-v pair is visited (its top nonzero coordinate
-# is positive); counts are incremented by two.
-#
-# The windows are widened by the absolute slacks below, which do not grow
-# with the size of the Gram entries while rounding error does. The callers
-# divide the Gram by the gcd of its entries first, so a scaled lattice (E8
-# with its basis scaled by 10^8 or 10^12) is searched at its primitive size
-# and counted exactly. A Gram with large entries and no common factor is not
-# covered: there a window can come out too narrow and vectors are lost
-# without any error.
-
-_WINDOW_EPS = 1e-7
-_BUDGET_SLACK = 0.01
+# Fincke-Pohst on an LLL-reduced integer Gram, in integers only, over the
+# fraction-free Gram-Schmidt data (d, lam) of `_int_gso` (Fincke-Pohst 1985;
+# Cohen, Alg. 2.6.7). With C_i = sum_{j > i} lam[j][i] x_j and
+# w_i = d[i+1] x_i + C_i, a vector's norm is the sum of
+# w_i^2 / (d[i] d[i+1]). Write E_i for d[i+1] times the part of that sum
+# over the levels above i, so E_top = 0. Level i then admits exactly the x_i
+# with w_i^2 <= d[i] (bound d[i+1] - E_i), an integer window taken with
+# isqrt, and the next level gets E_{i-1} = (d[i] E_i + w_i^2) // d[i+1]. That
+# division is exact, because d[i] times the squared length of a lattice
+# vector projected away from b_0, ..., b_{i-1} is a Gram determinant; and
+# since d[0] = 1, E_{-1} is the norm itself. No vector outside the bound is
+# visited and none inside it is missed, at any size of the Gram entries.
+# Each level keeps Schnorr-Euchner partial sums for C_i and rebuilds only the
+# entries whose coordinates changed, so a node costs amortised O(1). Only one
+# representative of each +-v pair is visited (its top nonzero coordinate is
+# positive); counts are incremented by two.
 
 # A search whose Gaussian-heuristic node estimate (_node_estimate) passes
 # this bound runs as prefix jobs in a process pool; a smaller one stays
-# in-process. Measured on 2 vCPUs, a node costs ~2.5-3 us in-process and the
-# estimate is within 2x of the real count, so the bound sits near 100 ms of
-# search: E8 at norm 8 (estimate 17k, ~30 ms) and A10 at norm 8 (29k,
-# ~55 ms) stay in-process, where starting and feeding a two-worker pool
-# (~20 ms) would eat the gain; D16+ at norm 4 (48k, ~180 ms) and Leech at
-# norm 4 (1.9M) are pooled. The estimate decides only where the work runs.
+# in-process. Measured on 2 vCPUs, a node costs ~1.3-1.8 us in-process and
+# the estimate is within 2x of the real count, so the bound sits near 60 ms
+# of search: E8 at norm 8 (estimate 17k, 11k nodes, ~18 ms) and A10 at norm
+# 8 (29k, 21k nodes, ~38 ms) stay in-process, where starting and feeding a
+# two-worker pool (~20 ms) would eat the gain; D16+ at norm 4 (48k, 72k
+# nodes, ~90 ms) and Leech at norm 4 (1.9M nodes, ~3.3 s) are pooled. The
+# estimate is the only float code here and decides only where the work
+# runs.
 _POOL_NODES = 40000
 # prefix jobs fix this many top coordinates (Leech at norm 4: 97 jobs, the
 # largest ~10% of the work)
@@ -513,132 +505,111 @@ def _thread_count() -> int:
     return n
 
 
-def _float_gso(g: Sequence[Sequence[int]]):
-    """Float Gram-Schmidt data (muf, bsf) of an int Gram, with
-    muf[i][j] = mu[j][i] for j > i (0.0 otherwise) and bsf[i] = |b*_i|^2."""
-    d, lam = _int_gso(g)
-    n = len(g)
-    # int true division rounds correctly, as float(Fraction) does
-    muf = [[lam[j][i] / d[i + 1] if j > i else 0.0 for j in range(n)]
-           for i in range(n)]
-    return muf, [d[i + 1] / d[i] for i in range(n)]
-
-
-def _node_estimate(bsf: Sequence[float], bound: int) -> float:
+def _node_estimate(d: Sequence[int], bound: int) -> float:
     """Gaussian-heuristic node count of a search to ``bound``: the sum over
     k of the volume of the k-ball of radius sqrt(bound) divided by the top k
-    Gram-Schmidt lengths, halved for the +-v symmetry."""
-    total = log_lengths = 0.0
+    Gram-Schmidt lengths, halved for the +-v symmetry. The lengths multiply
+    to sqrt(d[n] / d[n-k])."""
+    n = len(d) - 1
+    total = 0.0
     log_r = 0.5 * math.log(bound)
-    for k, b in enumerate(reversed(bsf), 1):
-        log_lengths += 0.5 * math.log(b)
+    log_top = 0.5 * math.log(d[n])
+    for k in range(1, n + 1):
         total += math.exp(k * (0.5 * math.log(math.pi) + log_r)
-                          - math.lgamma(k / 2 + 1) - log_lengths)
+                          - math.lgamma(k / 2 + 1)
+                          - log_top + 0.5 * math.log(d[n - k]))
     return total / 2
 
 
-def _fp_run(g: Sequence[Sequence[int]], muf: Sequence[Sequence[float]],
-            bsf: Sequence[float], bound: int, prefix: Sequence[int] = (),
-            collect: Optional[list] = None, split: int = 0) -> Dict[int, int]:
-    """Enumerate x with 0 < x g x^T <= bound over the reduced Gram g.
+def _fp_run(d: Sequence[int], lam: Sequence[Sequence[int]], bound: int,
+            prefix: Sequence[int] = (), collect: Optional[list] = None,
+            split: int = 0) -> Dict[int, int]:
+    """Enumerate x with 0 < x g x^T <= bound over a reduced Gram g.
 
-    Returns {norm: count}; (muf, bsf) come from `_float_gso`. ``prefix``
-    pins (x[n-1], x[n-2], ...) to its values, so the run covers one prefix
-    job. With ``collect`` a list, appends (norm, coefficient tuple) for one
-    representative of each +-v pair. With ``split`` = d > 0 the search
-    instead stops d levels below the top and appends to ``collect`` every
-    prefix (x[n-1], ..., x[n-d]) whose next window is nonempty; these are the
+    Returns {norm: count}; (d, lam) is `_int_gso(g)`. ``prefix`` pins
+    (x[n-1], x[n-2], ...) to its values, so the run covers one prefix job.
+    With ``collect`` a list, appends (norm, coefficient tuple) for one
+    representative of each +-v pair. With ``split`` = k > 0 the search
+    instead stops k levels below the top and appends to ``collect`` every
+    prefix (x[n-1], ..., x[n-k]) whose next window is nonempty; these are the
     jobs, and together they cover every vector exactly once, because a
     window depends only on the coordinates above it.
     """
-    n = len(g)
+    n = len(d) - 1
     counts: Dict[int, int] = {}
     if bound <= 0:
         return counts
     top = n - 1
     stop = top - split if split else 0    # the row where a branch ends
     pin = n - len(prefix)              # rows >= pin are fixed by the prefix
-    g00 = g[0][0]
-    twog = 2 * g00
-    gd = [g[k][k] for k in range(n)]
-    sqrt, ceil, floor = math.sqrt, math.ceil, math.floor
-    eps, slack = _WINDOW_EPS, -_BUDGET_SLACK
+    isqrt = math.isqrt
+    room = [bound * d[k + 1] for k in range(n)]
+    col = [[lam[j][k] for j in range(n)] for k in range(n)]
 
     x = [0] * n
     hi = [-1] * n
-    tf = [0.0] * n                # float budget left at each level
-    ne = [0] * n                  # exact norm of the coordinates above
+    es = [0] * n                  # E_i at each level
+    cs = [0] * n                  # C_i at each level
     zp = [True] * n               # are all coordinates above zero?
-    ctr = [0.0] * n               # minus the window center
-    pc = [0] * n                  # exact sum_{j > i} g[i][j] x[j]
-    # Row i of S (float) and Q (exact) holds at j > i the partial sums over
-    # k >= j of muf[i][k] x[k] and g[i][k] x[k], so S[i][i+1] = ctr[i] and
-    # Q[i][i+1] = pc[i]. Entries i+1 .. stale[i] must be rebuilt before row
-    # i is read again; a rebuild runs top-down, so the float center of a
-    # level depends only on the coordinates above it.
-    S = [[0.0] * (n + 1) for _ in range(n)]
-    Q = [[0] * (n + 1) for _ in range(n)]
+    # Row i of S holds at j > i the partial sum over k >= j of
+    # lam[k][i] x[k], so S[i][i+1] = C_i. Entries i+1 .. stale[i] must be
+    # rebuilt before row i is read again.
+    S = [[0] * (n + 1) for _ in range(n)]
     stale = list(range(n))
 
     # start by entering the top row; hi[top] = -1 ends the search at once
     # if its window is empty
     i = top
-    r, h, t, nrm, z = top, top, float(bound) + _BUDGET_SLACK, 0, True
+    r, h, e, z = top, top, 0, True
     while True:
         # enter row r: rebuild its stale partial sums, then take its window
-        Sr, Qr = S[r], Q[r]
+        Sr = S[r]
         if h > r:
-            mr, gr = muf[r], g[r]
+            lr = col[r]
             for j in range(h, r, -1):
-                xj = x[j]
-                Sr[j] = Sr[j + 1] + mr[j] * xj
-                Qr[j] = Qr[j + 1] + gr[j] * xj
+                Sr[j] = Sr[j + 1] + lr[j] * x[j]
             if r and stale[r - 1] < h:
                 stale[r - 1] = h
             stale[r] = r
         c = Sr[r + 1]
-        rad = (sqrt(t / bsf[r]) if t > 0.0 else 0.0) + 1e-9
-        a = ceil(-c - rad - eps)
-        b = floor(-c + rad + eps)
-        if z and a < 0:
-            a = 0
+        dr = d[r + 1]
+        s = isqrt(d[r] * (room[r] - e))
+        a = -((s + c) // dr)
+        b = (s - c) // dr
+        if z and a < 1:
+            a = 1 if r == 0 else 0     # x = 0 is not counted
         if r >= pin:
             p = prefix[top - r]
             a, b = max(a, p), min(b, p)
         if a <= b:
             if r != stop:
-                tf[r], ne[r], zp[r], ctr[r], pc[r] = t, nrm, z, c, Qr[r + 1]
+                es[r], cs[r], zp[r] = e, c, z
                 x[r], hi[r] = a - 1, b
                 i = r
             elif split:
                 collect.append(tuple(x[top:r:-1]))
             else:
-                # the last level: exact norms along the window, stepped
-                q2 = 2 * Qr[1]
-                nv = nrm + (g00 * a + q2) * a
-                step = g00 * (2 * a + 1) + q2
+                # the last level: d[0] = 1 and d[1] = g[0][0], so the norm
+                # is (E_0 + w^2) // d[1], stepped along the window
+                w = dr * a + c
+                nv = (e + w * w) // dr
                 for v in range(a, b + 1):
-                    if 0 < nv <= bound:
-                        counts[nv] = counts.get(nv, 0) + 2
-                        if collect is not None:
-                            x[0] = v
-                            collect.append((nv, tuple(x)))
-                    nv += step
-                    step += twog
-        # move to the next value within budget, backtracking as needed
-        while True:
+                    counts[nv] = counts.get(nv, 0) + 2
+                    if collect is not None:
+                        x[0] = v
+                        collect.append((nv, tuple(x)))
+                    nv += 2 * w + dr
+                    w += dr
+        # move to the next value, backtracking as needed
+        v = x[i] + 1
+        while v > hi[i]:
+            i += 1
+            if i > top:
+                return counts
             v = x[i] + 1
-            if v > hi[i]:
-                i += 1
-                if i > top:
-                    return counts
-                continue
-            x[i] = v
-            d = v + ctr[i]
-            t = tf[i] - bsf[i] * d * d
-            if t >= slack:
-                break
-        nrm = ne[i] + (gd[i] * v + 2 * pc[i]) * v
+        x[i] = v
+        w = d[i + 1] * v + cs[i]
+        e = (d[i] * es[i] + w * w) // d[i + 1]
         z = zp[i] and not v
         r = i - 1
         h = stale[r] if stale[r] > i else i
@@ -653,18 +624,18 @@ def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
     is the same at any setting.
     """
     workers = _thread_count()
-    muf, bsf = _float_gso(g)
+    d, lam = _int_gso(g)
     if (collect is not None or workers == 1 or len(g) <= _SPLIT_DEPTH
-            or bound <= 0 or _node_estimate(bsf, bound) < _POOL_NODES):
-        return _fp_run(g, muf, bsf, bound, collect=collect)
+            or bound <= 0 or _node_estimate(d, bound) < _POOL_NODES):
+        return _fp_run(d, lam, bound, collect=collect)
     jobs: list = []
-    _fp_run(g, muf, bsf, bound, collect=jobs, split=_SPLIT_DEPTH)
+    _fp_run(d, lam, bound, collect=jobs, split=_SPLIT_DEPTH)
     if len(jobs) < 2:
-        return _fp_run(g, muf, bsf, bound)
+        return _fp_run(d, lam, bound)
     from concurrent.futures import ProcessPoolExecutor
     merged: Dict[int, int] = {}
     with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as ex:
-        for part in ex.map(functools.partial(_fp_run, g, muf, bsf, bound),
+        for part in ex.map(functools.partial(_fp_run, d, lam, bound),
                            jobs, chunksize=1):
             for k, v in part.items():
                 merged[k] = merged.get(k, 0) + v
@@ -920,6 +891,8 @@ def leech_from_ii26() -> Lattice:
 
     # w's coefficients, first over the full basis, then over the kernel rows
     yw = _coefficients_of(ii, wc)
+    if yw is None:
+        raise LatticeConstructionError("w is not a lattice member")
     z = solve_left(kern, yw)
     if z is None:
         raise LatticeConstructionError("w does not lie in its own perp")
@@ -929,8 +902,10 @@ def leech_from_ii26() -> Lattice:
     h, u = intlinalg.hnf_transform([[v] for v in z])
     if h[0][0] != 1:
         raise LatticeConstructionError("w is not primitive in w-perp")
-    uinv = invert_fraction(u)
-    m = [[int(uinv[j][i]) for j in range(25)] for i in range(25)]
+    # u is unimodular, so its Hermite form is the identity and the
+    # transform that reaches it is u^{-1}
+    uinv = intlinalg.hnf_transform(u)[1]
+    m = [list(col) for col in zip(*uinv)]
     srows = intlinalg.matmul(m, kern)      # basis of S, first row maps to w
     if srows[0] != list(yw):
         raise LatticeConstructionError("basis completion lost the w row")
@@ -938,16 +913,6 @@ def leech_from_ii26() -> Lattice:
     quot = intlinalg.matmul(srows[1:], [list(r) for r in basis])
     return Lattice(26, 24, tuple(tuple(v for v in row) for row in quot),
                    signature=LORENTZIAN)
-
-
-def _coefficients_of(lat: Lattice, vector: Sequence[Fraction]) -> List[int]:
-    rhs = [lat.form_dot(vector, row) for row in lat.basis]
-    ginv = invert_fraction(lat.gram)
-    x = [sum(rhs[j] * ginv[j][i] for j in range(lat.rank))
-         for i in range(lat.rank)]
-    if any(c.denominator != 1 for c in x):
-        raise LatticeConstructionError("vector is not a lattice member")
-    return [int(c) for c in x]
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,11 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         (["id", "area", "1/2", "1/0"], "spin 1/0 is not"),
         (["hyper", "mul", "(" * 1200 + "1" + ")" * 1200, "1"],
          "pairs nest deeper than"),
+        (["hyper", "mul", "(" * 32 + "1" + ",0)" * 32, "1"],
+         "pairs nest deeper than 8 levels"),
+        (["hyper", "mul", "e100000", "e1"], "e100000 needs level 17"),
+        (["hyper", "norm", "1", "--level", "40"], "--level needs level 40"),
+        (["hyper", "mul", "(e128,0)", "1"], "the pair needs level 9"),
     ]
     for argv, needle in cases:
         rc, _, err = run(capsys, *argv)

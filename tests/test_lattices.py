@@ -1,5 +1,6 @@
 """Euclidean and Lorentzian lattices: builders, enumeration, reduction."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -142,6 +143,19 @@ def test_lattice_contains_handles_non_members():
     assert not lat.lattice_contains(E8, (Fraction(1, 3),) * 8)
 
 
+def test_membership_in_a_lattice_with_a_lightlike_row():
+    # the Gram of a lightlike row is [[0]], so membership cannot come from
+    # inverting it; x B = v is solved over the integers instead
+    null = lat.Lattice(2, 1, ((1, 1),), signature=lat.LORENTZIAN)
+    assert null.gram == ((0,),)
+    assert lat.lattice_contains(null, (-3, -3))
+    assert not lat.lattice_contains(null, (1, 0))
+    assert not lat.lattice_contains(null, (Fraction(1, 2), Fraction(1, 2)))
+    plane = lat.Lattice(3, 2, ((1, 1, 0), (0, 0, 2)), signature=lat.LORENTZIAN)
+    assert lat.lattice_contains(plane, (2, 2, -2))
+    assert not lat.lattice_contains(plane, (1, 1, 1))
+
+
 def test_same_lattice_distinguishes_scalings():
     a1 = lat.build_An(1)
     doubled = lat.Lattice(2, 1, tuple(tuple(2 * x for x in row)
@@ -240,7 +254,7 @@ def test_enumeration_agrees_across_thread_counts(monkeypatch):
     # estimated above the pool gate, so at 2 workers it runs as prefix jobs
     d16 = lat.build_D16plus()
     g, _, _ = lat._lll_int(d16.gram)
-    assert lat._node_estimate(lat._float_gso(g)[1], 4) > lat._POOL_NODES
+    assert lat._node_estimate(lat._int_gso(g)[0], 4) > lat._POOL_NODES
     for l, expected in ((E8, {2: 240, 4: 2160}), (d16, {2: 480, 4: 61920})):
         monkeypatch.setenv("EXCEPTIA_THREADS", "1")
         serial = lat.short_vectors(l, 4)
@@ -256,18 +270,18 @@ def test_enumeration_agrees_across_thread_counts(monkeypatch):
 ], ids=["E8", "D12", "scrambled-A10"])
 def test_prefix_jobs_cover_every_vector_once(build, bound):
     g, _, _ = lat._lll_int(build().gram)
-    muf, bsf = lat._float_gso(g)
+    d, lam = lat._int_gso(g)
     serial: list = []
-    counts = lat._fp_run(g, muf, bsf, bound, collect=serial)
+    counts = lat._fp_run(d, lam, bound, collect=serial)
     for depth in (1, 2, lat._SPLIT_DEPTH):
         jobs: list = []
-        lat._fp_run(g, muf, bsf, bound, collect=jobs, split=depth)
+        lat._fp_run(d, lam, bound, collect=jobs, split=depth)
         assert len(jobs) > 1
         found: list = []
         total: dict = {}
         for prefix in jobs:
             part: list = []
-            for k, v in lat._fp_run(g, muf, bsf, bound, prefix=prefix,
+            for k, v in lat._fp_run(d, lam, bound, prefix=prefix,
                                     collect=part).items():
                 total[k] = total.get(k, 0) + v
             assert all(c[:-depth - 1:-1] == prefix for _, c in part)
@@ -288,6 +302,66 @@ def test_scaled_lattices_count_exactly(s):
                                                        lat.lattice_info(l)["kissing"])
         assert lat.short_vectors(big, bound * s * s) == {
             k * s * s: v for k, v in lat.short_vectors(l, bound).items()}
+
+
+def test_large_unstructured_gram_counts_exactly():
+    # E8 scaled by 10^8 plus A1 scaled by 10^8 + 1, flattened and scrambled:
+    # the Gram has content 2 and entries near 10^16, so dividing by the
+    # content does not shrink it; windows taken in floating point with an
+    # absolute slack lost 56 of the 240 minimal vectors here
+    s = 10**8
+    rows = ([tuple(v * s for v in r) + (0, 0) for r in E8.basis]
+            + [(0,) * 8 + tuple(v * (s + 1) for v in r)
+               for r in lat.build_An(1).basis])
+    l = scrambled(lat.Lattice(10, 9, tuple(rows)), 40, 0)
+    assert lat.short_vectors(l, 2 * s * s) == {2 * s * s: 240}
+    info = lat.lattice_info(l)
+    assert (info["min_norm"], info["kissing"]) == (2 * s * s, 240)
+
+
+def box_counts(g, bound):
+    """{norm: count} of the nonzero x with x g x^T <= bound, searched over
+    the box |x_i| <= isqrt(bound (g^-1)_ii) that holds all of them."""
+    n = len(g)
+    ginv = invert_fraction(g)
+    box = [math.isqrt(math.floor(bound * ginv[i][i])) for i in range(n)]
+    counts: dict = {}
+    for x in itertools.product(*(range(-b, b + 1) for b in box)):
+        nv = sum(x[i] * g[i][j] * x[j] for i in range(n) for j in range(n))
+        if 0 < nv <= bound:
+            counts[nv] = counts.get(nv, 0) + 1
+    return {k: counts[k] for k in sorted(counts)}
+
+
+@st.composite
+def large_even_grams(draw):
+    """(basis rows, bound): rows of an even lattice with coordinates up to
+    5 * 10^8, so Gram entries reach 10^18, and the norm of a short
+    combination of them as the bound, so some vector lies on it."""
+    r = draw(st.integers(1, 4))
+    m = draw(st.integers(r, 4))
+    size = draw(st.sampled_from((10, 10**4, 5 * 10**8)))
+    rows = []
+    for _ in range(r):
+        row = draw(st.lists(st.integers(-size, size), min_size=m, max_size=m))
+        row[-1] -= sum(row) % 2             # even coordinate sum
+        rows.append(row)
+    c = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+    v = [sum(ci * row[k] for ci, row in zip(c, rows)) for k in range(m)]
+    return rows, max(sum(t * t for t in v), 2)
+
+
+@given(data=large_even_grams())
+@settings(max_examples=60, deadline=None)
+def test_short_vectors_match_a_box_search_on_large_grams(data):
+    rows, bound = data
+    g = matmul(rows, list(zip(*rows)))
+    assume(det_fraction(g) != 0)
+    ginv = invert_fraction(g)
+    assume(math.prod(2 * math.isqrt(math.floor(bound * ginv[i][i])) + 1
+                     for i in range(len(g))) <= 3000)
+    l = lat.Lattice(len(rows[0]), len(rows), tuple(map(tuple, rows)))
+    assert lat.short_vectors(l, bound) == box_counts(g, bound)
 
 
 def brute_force_minimum(gram):
@@ -446,13 +520,14 @@ def test_lll_gram_matches_the_fraction_oracle(rows, den, delta):
     g_ref, u_ref, mu, bs = fraction_lll(g, delta)
     g_new, u_new = lat._lll_gram(g, delta)
     assert (g_new, u_new) == (g_ref, u_ref)
-    # the enumerator's float windows: bit for bit float(Fraction)
+    # the enumerator's windows rest on the fraction-free data of the
+    # reduced Gram: lam[i][j] = d[j+1] mu[i][j] and d[i+1] = d[i] |b*_i|^2
     n = len(g)
-    muf, bsf = lat._float_gso(g_new)
-    assert [[x.hex() for x in r] for r in muf] == [
-        [float(mu[j][i] if j > i else 0).hex() for j in range(n)]
-        for i in range(n)]
-    assert [x.hex() for x in bsf] == [float(b).hex() for b in bs]
+    d, lam = lat._int_gso(g_new)
+    assert len(d) == n + 1 and d[0] == 1
+    assert all(d[i + 1] == d[i] * bs[i] for i in range(n))
+    assert all(lam[i][j] == d[j + 1] * mu[i][j]
+               for i in range(n) for j in range(i))
     # a rational basis through lll_reduce takes the same decisions
     basis = [[Fraction(v, den) for v in r] for r in rows]
     _, u_rat, _, _ = fraction_lll(matmul(basis, list(zip(*basis))), delta)
