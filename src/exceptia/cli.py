@@ -58,10 +58,11 @@ class _Parser(argparse.ArgumentParser):
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|e(\d+)|([()+\-*,]))")
 # A level-L element has 2^L coordinates and a dense product costs 4^L
-# scalar products: level 8 (256 coordinates) takes about 0.5 s. Units e<n>,
-# pair results and --level are held to this cap. A pair of level-L elements
-# has level L + 1, so pairs may nest at most this deep, which also keeps the
-# recursive descent far inside Python's recursion limit.
+# scalar products: one dense level-8 product (256 coordinates) takes about
+# 0.3 s, and `hyper mul` on two dense level-8 operands about 0.9 s. Units
+# e<n>, pair results and --level are held to this cap. A pair of level-L
+# elements has level L + 1, so pairs may nest at most this deep, which also
+# keeps the recursive descent far inside Python's recursion limit.
 _MAX_LEVEL = 8
 
 
@@ -76,7 +77,11 @@ def _tokenize(text: str) -> List[Tuple[str, object]]:
             raise ValueError(f"cannot read element {text!r}: unexpected "
                              f"character {text[pos:].strip()[0]!r}")
         if m.group(1):
-            out.append(("num", Fraction(m.group(1))))
+            try:
+                out.append(("num", Fraction(m.group(1))))
+            except ZeroDivisionError:
+                raise ValueError(f"cannot read element {text!r}: {m.group(1)} "
+                                 "has a zero denominator") from None
         elif m.group(2) is not None:
             out.append(("unit", int(m.group(2))))
         else:
@@ -494,7 +499,13 @@ def _cmd_lattice_weyl(args):
 
 
 def _cmd_lattice_root(args):
-    coords = [Fraction(tok) for tok in args.coords]
+    coords = []
+    for tok in args.coords:
+        try:
+            coords.append(Fraction(tok))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"coordinate {tok} is not a rational "
+                             "number") from None
     v = lat.LorentzianVector.from_coords(coords)
     ok = lat.is_fundamental_root(v, args.dim)
     return _emit(args, lambda: "true" if ok else "false",

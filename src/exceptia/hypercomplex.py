@@ -6,8 +6,11 @@ quaternions), each doubling step builds pairs with
     (a, b)(c, d) = (ac - d*b, da + bc*)        (a, b)* = (a*, -b)
 
 which yields the complex numbers, quaternions, octonions and sedenions at
-levels 1 through 4. Alongside the recursive product this module carries the
-classical Fano-plane octonion table, the x-product deformation, the
+levels 1 through 4. The product is not computed by recursing on halves: the
+formula fixes e_i e_j = +-e_(i xor j) for the basis units, and `cd_mul` sums
+that unit sign rule over the nonzero coordinate pairs, as `fano_octonion_mul`
+does with the Fano table. Alongside the doubling product this module carries
+the classical Fano-plane octonion table, the x-product deformation, the
 permutation action on quaternion units, and the two famous unit rings: the 24
 Hurwitz quaternions and the 120 icosians with their rank-8 integer coordinate
 system.
@@ -135,32 +138,59 @@ def basis_element(level: int, index: int, field: str = RATIONAL) -> HyperNumber:
 # the doubling product, conjugation, norm, inverse
 
 
-def _mul(x: Tuple[Scalar, ...], y: Tuple[Scalar, ...]) -> Tuple[Scalar, ...]:
-    if len(x) == 1:
-        return (x[0] * y[0],)
-    h = len(x) // 2
-    a, b = x[:h], x[h:]
-    c, d = y[:h], y[h:]
-    ac = _mul(a, c)
-    db = _mul(_conj(d), b)
-    da = _mul(d, a)
-    bc = _mul(b, _conj(c))
-    return tuple(p - q for p, q in zip(ac, db)) + tuple(p + q for p, q in zip(da, bc))
+@functools.lru_cache(maxsize=1 << 16)
+def _cd_unit(i: int, j: int) -> Tuple[int, int]:
+    """e_i e_j = sign * e_(i ^ j) in the doubling algebras; returns
+    (i ^ j, sign).
+
+    Each pass reads one case of (a, b)(c, d) = (ac - d*b, da + bc*) off the
+    top bit h of i | j, with e_i = (e_i, 0) below h and (0, e_(i-h)) above:
+        (a, 0)(c, 0) = (ac, 0)        (a, 0)(0, d) = (0, da)
+        (0, b)(c, 0) = (0, bc*)       (0, b)(0, d) = (-d*b, 0)
+    and e_m* = -e_m for m != 0. That is O(level) steps, and the answer does
+    not depend on the level, so zero-padding to a higher level keeps every
+    product. The cache holds every pair through level 8.
+    """
+    k, sign = i ^ j, 1
+    while i and j:
+        h = 1 << ((i | j).bit_length() - 1)
+        if i & h and j & h:
+            i, j = j ^ h, i ^ h
+            if not i:
+                sign = -sign
+        elif j & h:
+            i, j = j ^ h, i
+        else:
+            i ^= h
+            sign = -sign
+    return k, sign
 
 
-def _conj(x: Tuple[Scalar, ...]) -> Tuple[Scalar, ...]:
-    return (x[0],) + tuple(-c for c in x[1:])
+def _product(x: HyperNumber, y: HyperNumber, unit) -> HyperNumber:
+    """The bilinear product of a unit rule unit(i, j) = (k, sign), meaning
+    e_i e_j = sign * e_k, over the nonzero coordinate pairs only."""
+    _check_compat(x, y)
+    z = [_zero_scalar(x.field)] * len(x.coords)
+    ys = [(j, b) for j, b in enumerate(y.coords) if b]
+    for i, a in enumerate(x.coords):
+        if a:
+            for j, b in ys:
+                k, s = unit(i, j)
+                z[k] = z[k] + a * b if s > 0 else z[k] - a * b
+    return HyperNumber(x.field, tuple(z))
 
 
 def cd_mul(x: HyperNumber, y: HyperNumber) -> HyperNumber:
-    """The recursive doubling product (exact, any level)."""
-    _check_compat(x, y)
-    return HyperNumber(x.field, _mul(x.coords, y.coords))
+    """The doubling product (exact, any level), built from the unit sign
+    rule e_i e_j = +-e_(i xor j) rather than by recursing on halves: the
+    cost is one sign lookup per pair of nonzero coordinates."""
+    return _product(x, y, _cd_unit)
 
 
 def cd_conj(x: HyperNumber) -> HyperNumber:
     """Conjugation: negate every non-real coordinate."""
-    return HyperNumber(x.field, _conj(x.coords))
+    return HyperNumber(x.field,
+                       (x.coords[0],) + tuple(-c for c in x.coords[1:]))
 
 
 def cd_norm(x: HyperNumber) -> Scalar:
@@ -214,27 +244,15 @@ def fano_lines() -> Tuple[Tuple[int, int, int], ...]:
     return _FANO_LINES
 
 
+def _fano_unit(i: int, j: int) -> Tuple[int, int]:
+    return fano_mul(i, j) if i and j else (i | j, 1)
+
+
 def fano_octonion_mul(x: HyperNumber, y: HyperNumber) -> HyperNumber:
-    """Octonion product using the Fano table rather than the recursion."""
-    _check_compat(x, y)
+    """Octonion product using the Fano table rather than the doubling rule."""
     if x.level != 3:
         raise ValueError("Fano multiplication is defined on octonions")
-    z = [_zero_scalar(x.field)] * 8
-    for i, a in enumerate(x.coords):
-        if not a:
-            continue
-        for j, b in enumerate(y.coords):
-            if not b:
-                continue
-            if i == 0:
-                z[j] = z[j] + a * b
-            elif j == 0:
-                z[i] = z[i] + a * b
-            else:
-                k, s = fano_mul(i, j)
-                term = a * b if s > 0 else -(a * b)
-                z[k] = z[k] + term
-    return HyperNumber(x.field, tuple(z))
+    return _product(x, y, _fano_unit)
 
 
 def xproduct(a: HyperNumber, b: HyperNumber, c: HyperNumber) -> HyperNumber:

@@ -1105,6 +1105,11 @@ def leech_from_icosians() -> Lattice:
 # ---------------------------------------------------------------------------
 # registry, info report, text format
 
+# `lattice info D128` takes about 4 s and D256 about 40 s, and the Gram of
+# A<n> holds n^2 entries, so larger names are refused.
+_MAX_NAMED_RANK = 128
+
+
 def named_lattice(name: str) -> Lattice:
     """Resolve the names accepted by the command line tool."""
     if name == "E8":
@@ -1124,10 +1129,12 @@ def named_lattice(name: str) -> Lattice:
         return leech_from_ii26()
     if name == "LeechIcosian":
         return leech_from_icosians()
-    if name.startswith("A") and name[1:].isdigit():
-        return build_An(int(name[1:]))
-    if name.startswith("D") and name[1:].isdigit():
-        return build_Dn(int(name[1:]))
+    if name[:1] in ("A", "D") and name[1:].isdigit():
+        n = int(name[1:])
+        if n > _MAX_NAMED_RANK:
+            raise LatticeError(f"{name} has rank {n}, above the cap of "
+                               f"{_MAX_NAMED_RANK} for A<n> and D<n>")
+        return build_An(n) if name[0] == "A" else build_Dn(n)
     raise LatticeError(
         f"unknown lattice name {name!r}; expected A<n>, D<n>, E6, E7, E8, "
         "D16+, 3E8, E8+D16+, LeechII or LeechIcosian")

@@ -105,14 +105,12 @@ def series_mul(a: LaurentSeries, b: LaurentSeries, N: int) -> LaurentSeries:
     if low > N:
         return ZERO_SERIES
     out = [0] * (N - low + 1)
-    for i, ai in enumerate(a.coeffs):
+    for i, ai in enumerate(a.coeffs[: N - low + 1]):
         if not ai:
             continue
-        ea = a.low + i
-        top = N - ea - b.low
-        for j, bj in enumerate(b.coeffs[: top + 1]):
+        for j, bj in enumerate(b.coeffs[: N - low - i + 1]):
             if bj:
-                out[ea + b.low + j - low] += ai * bj
+                out[i + j] += ai * bj
     return LaurentSeries(low, tuple(out))
 
 

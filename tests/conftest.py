@@ -1,4 +1,28 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load_script(name):
+    """Import a standalone reference script from scripts/ without putting
+    the directory on sys.path; the tests only read from it."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="session")
+def doubling_laws():
+    return _load_script("doubling_laws")
+
+
+@pytest.fixture(scope="session")
+def qseries_ref():
+    return _load_script("qseries_ref")
 
 
 def pytest_addoption(parser):

@@ -13,11 +13,14 @@ import os
 import shutil
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from exceptia import cli
+from exceptia import hypercomplex as hc
 
 HOPF = "1 1 0\n-1 1 0\n-1 -1 0\n1 -1 0\n\n0 0 1\n0 0 -1\n3 0 -1\n3 0 1\n"
 TOUCHING = "1 1 0\n-1 1 0\n-1 -1 0\n1 -1 0\n\n1 -1 0\n0 0 1\n0 0 -1\n"
@@ -53,6 +56,22 @@ def test_j_series_of_triple_e8(capsys):
 
 # ---------------------------------------------------------------------------
 # hyper group
+
+def test_many_term_level_eight_element_reads_fast(capsys, doubling_laws):
+    # each juxtaposed k e<n> is one product; the doubling recursion pays a
+    # dense level-8 product for each, the unit sign rule one term
+    x = "+".join(f"{k + 1}e{k}" for k in range(128, 160))
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "hyper", "mul", x, "e3")
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    coords = [Fraction(0)] * 256
+    for k in range(128, 160):
+        coords[k] = Fraction(k + 1)
+    ref = doubling_laws.cd_mul(tuple(coords), doubling_laws.basis(8, 3))
+    assert out == cli.format_hyper(hc.hyper(ref)) + "\n"
+    assert elapsed < 5.0
+
 
 def test_hyper_text_commands(capsys):
     assert run(capsys, "hyper", "norm", "3+4e1", "--level", "1")[1] == "25\n"
@@ -267,6 +286,13 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         (["hyper", "mul", "e100000", "e1"], "e100000 needs level 17"),
         (["hyper", "norm", "1", "--level", "40"], "--level needs level 40"),
         (["hyper", "mul", "(e128,0)", "1"], "the pair needs level 9"),
+        (["hyper", "mul", "1/0", "1"], "1/0 has a zero denominator"),
+        (["clifford", "mul", "--p", "1", "1/0", "e1"],
+         "1/0 has a zero denominator"),
+        (["lattice", "root", "--dim", "10", "1/0"] + ["0"] * 9,
+         "coordinate 1/0 is not a rational number"),
+        (["lattice", "info", "A99999999999"], "above the cap of 128"),
+        (["lattice", "info", "D3000"], "D3000 has rank 3000, above the cap"),
     ]
     for argv, needle in cases:
         rc, _, err = run(capsys, *argv)

@@ -94,6 +94,54 @@ def test_one_is_the_identity_through_level_four():
         assert hc.cd_mul(x, u) == x
 
 
+def test_every_unit_pair_matches_the_doubling_recursion(doubling_laws):
+    # e_i times y, where y has the distinct coefficients 1, 2, ..., 2^level:
+    # each output coordinate k is one term +-(i ^ k + 1), so equal rows
+    # mean equal signs for every pair (e_i, e_j)
+    for level in range(6):
+        n = 1 << level
+        y = tuple(Fraction(j + 1) for j in range(n))
+        for i in range(n):
+            x = doubling_laws.basis(level, i)
+            assert hc.cd_mul(hc.hyper(x), hc.hyper(y)).coords == \
+                doubling_laws.cd_mul(x, y), (level, i)
+
+
+def test_dense_products_match_the_doubling_recursion(doubling_laws):
+    rng = random.Random(23)
+    for level in range(7):
+        for _ in range(3):
+            x = rand_element(rng, level)
+            y = rand_element(rng, level)
+            assert hc.cd_mul(x, y).coords == \
+                doubling_laws.cd_mul(x.coords, y.coords), level
+    for _ in range(20):
+        x, y = (hc.hyper([GoldenRational(Fraction(rng.randint(-4, 4), 2),
+                                         Fraction(rng.randint(-4, 4), 2))
+                          for _ in range(4)], hc.GOLDEN) for _ in range(2))
+        assert hc.cd_mul(x, y).coords == \
+            doubling_laws.cd_mul(x.coords, y.coords)
+
+
+def test_unit_laws_at_level_seventeen():
+    # 2^17 coordinates: far past any dense product, cheap for sparse units
+    def terms(x):
+        return {k: c for k, c in enumerate(x.coords) if c}
+
+    rng = random.Random(17)
+    level = 17
+    picks = [1, (1 << level) - 1] + rng.sample(range(2, 1 << level), 2)
+    units = {i: e(level, i) for i in [0] + picks}
+    for i in picks:
+        assert terms(hc.cd_mul(units[i], units[i])) == {0: -1}
+        assert terms(hc.cd_mul(units[0], units[i])) == {i: 1}
+        assert terms(hc.cd_mul(units[i], units[0])) == {i: 1}
+    for i, j in zip(picks, picks[1:] + picks[:1]):
+        (k, s), = terms(hc.cd_mul(units[i], units[j])).items()
+        assert k == i ^ j and s in (1, -1)
+        assert terms(hc.cd_mul(units[j], units[i])) == {k: -s}
+
+
 # --------------------------------------------------------------------------
 # conjugation, norm, inverse
 

@@ -1,6 +1,7 @@
 """Integer Laurent series, eta^24, and the j-function from rank-24 lattices."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from exceptia import lattices as lat
 from exceptia import modular as mod
@@ -99,6 +100,29 @@ def test_series_mul_truncates():
     b = LaurentSeries(0, (1, 2, 3))
     prod = mod.series_mul(a, b, 2)
     assert prod == LaurentSeries(0, (1, 3, 5))
+
+
+series_coeffs = st.lists(st.integers(min_value=-5, max_value=5), max_size=10)
+
+
+@example(a=(0, [1, 1, 1, 1]), b=(0, [1, 1, 1]), n=1)
+@given(a=st.tuples(st.integers(-1, 2), series_coeffs),
+       b=st.tuples(st.integers(-1, 2), series_coeffs),
+       n=st.integers(-2, 6))
+def test_series_mul_matches_the_reference(qseries_ref, a, b, n):
+    # inputs may carry terms past the truncation, as long as they like
+    a, b = LaurentSeries(*a), LaurentSeries(*b)
+    low = a.low + b.low
+    if a.is_zero or b.is_zero or low > n:
+        expected = mod.ZERO_SERIES
+    elif low < -1:
+        with pytest.raises(mod.SeriesError):
+            mod.series_mul(a, b, n)
+        return
+    else:
+        expected = LaurentSeries(low, tuple(qseries_ref.series_mul(
+            list(a.coeffs), list(b.coeffs), n - low)))
+    assert mod.series_mul(a, b, n) == expected
 
 
 def test_series_inv_of_one_minus_q_is_geometric():
