@@ -58,8 +58,9 @@ class _Parser(argparse.ArgumentParser):
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|e(\d+)|([()+\-*,]))")
 # A level-L element has 2^L coordinates and a dense product costs 4^L
-# scalar products: one dense level-8 product (256 coordinates) takes about
-# 0.3 s, and `hyper mul` on two dense level-8 operands about 0.9 s. Units
+# integer products: one dense level-8 product (256 coordinates) takes about
+# 25 ms, or ~0.15 s as the first in a process (it fills the sign cache), and
+# `hyper mul` on two dense level-8 operands about 0.5 s, mostly parsing. Units
 # e<n>, pair results and --level are held to this cap. A pair of level-L
 # elements has level L + 1, so pairs may nest at most this deep, which also
 # keeps the recursive descent far inside Python's recursion limit.

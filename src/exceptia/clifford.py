@@ -3,10 +3,12 @@
 Elements are exact rational combinations of blades. A blade is a subset of
 the generators written in ascending order and stored as a bitmask; the first
 p generators square to -1, the remaining q square to +1, and distinct
-generators anticommute. The classification into matrix algebras over R, C, H
-is table-driven mod 8, and the spinor taxonomy (Dirac, Majorana, Weyl,
-Majorana-Weyl, and which dimensions admit the supersymmetric balance
-2(n-2)) is derived from it.
+generators anticommute. Products run on integer numerators over one
+denominator: each operand is cleared to integers once, and every blade pair
+costs one integer product and a sign read off a per-blade bitmask. The
+classification into matrix algebras over R, C, H is table-driven mod 8, and
+the spinor taxonomy (Dirac, Majorana, Weyl, Majorana-Weyl, and which
+dimensions admit the supersymmetric balance 2(n-2)) is derived from it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from fractions import Fraction
 from typing import Dict, Set, Tuple
 
 from .exactnum import Rat, rat
+from .intlinalg import clear_denominators
 
 MAX_GENERATORS = 24
 
@@ -104,40 +107,32 @@ def blade(sig: CliffordSignature, indices, c: Rat = 1) -> CliffordElement:
     return CliffordElement.from_dict(sig, {mask: c})
 
 
-def _blade_mul(sig: CliffordSignature, a: int, b: int) -> Tuple[int, int]:
-    """Product of two basis blades: returns (mask, sign)."""
-    sign = 1
-    # count transpositions moving each generator of b past the tail of a
-    rest = a
-    bb = b
-    while bb:
-        low = bb & -bb
-        i = low.bit_length() - 1
-        # generators of a strictly above position i must hop over e_i
-        above = rest >> (i + 1)
-        if bin(above).count("1") & 1:
-            sign = -sign
-        if rest & low:
-            # e_i e_i contracts to its square
-            if i < sig.p:
-                sign = -sign
-            rest ^= low
-        else:
-            rest |= low
-        bb ^= low
-    return rest, sign
-
-
 def clif_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
+    """The geometric product, on integer numerators over one denominator.
+
+    e_a e_b = (-1)^|q(a) & b| e_(a ^ b), where bit j of the sign mask q(a)
+    is the parity of the generators of a above j, which e_j hops over,
+    flipped when j < p and e_j is in a, where e_j e_j = -1 contracts.
+    """
     _check(x, y)
     sig = x.signature
-    acc: Dict[int, Fraction] = {}
-    for ma, ca in x.terms:
-        for mb, cb in y.terms:
-            mask, sign = _blade_mul(sig, ma, mb)
-            c = ca * cb if sign > 0 else -(ca * cb)
-            acc[mask] = acc.get(mask, Fraction(0)) + c
-    return CliffordElement.from_dict(sig, acc)
+    (xn,), dx = clear_denominators([[c for _, c in x.terms]])
+    (yn,), dy = clear_denominators([[c for _, c in y.terms]])
+    ys = [(mb, cb) for (mb, _), cb in zip(y.terms, yn)]
+    low = (1 << sig.p) - 1
+    acc: Dict[int, int] = {}
+    for (ma, _), ca in zip(x.terms, xn):
+        q = ma >> 1
+        for k in (1, 2, 4, 8, 16):      # suffix parities, up to 32 generators
+            q ^= q >> k
+        q ^= ma & low
+        for mb, cb in ys:
+            m = ma ^ mb
+            c = -ca * cb if (q & mb).bit_count() & 1 else ca * cb
+            acc[m] = acc.get(m, 0) + c
+    d = dx * dy
+    return CliffordElement(sig, tuple((m, Fraction(c, d))
+                                      for m, c in sorted(acc.items()) if c))
 
 
 def clif_reverse(x: CliffordElement) -> CliffordElement:

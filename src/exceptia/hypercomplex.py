@@ -9,11 +9,12 @@ which yields the complex numbers, quaternions, octonions and sedenions at
 levels 1 through 4. The product is not computed by recursing on halves: the
 formula fixes e_i e_j = +-e_(i xor j) for the basis units, and `cd_mul` sums
 that unit sign rule over the nonzero coordinate pairs, as `fano_octonion_mul`
-does with the Fano table. Alongside the doubling product this module carries
-the classical Fano-plane octonion table, the x-product deformation, the
-permutation action on quaternion units, and the two famous unit rings: the 24
-Hurwitz quaternions and the 120 icosians with their rank-8 integer coordinate
-system.
+does with the Fano table. Rational products run on integer numerators over
+one denominator per operand. Alongside the doubling product this module
+carries the classical Fano-plane octonion table, the x-product deformation,
+the permutation action on quaternion units, and the two famous unit rings:
+the 24 Hurwitz quaternions and the 120 icosians with their rank-8 integer
+coordinate system.
 """
 
 from __future__ import annotations
@@ -168,15 +169,29 @@ def _cd_unit(i: int, j: int) -> Tuple[int, int]:
 
 def _product(x: HyperNumber, y: HyperNumber, unit) -> HyperNumber:
     """The bilinear product of a unit rule unit(i, j) = (k, sign), meaning
-    e_i e_j = sign * e_k, over the nonzero coordinate pairs only."""
+    e_i e_j = sign * e_k, over the nonzero coordinate pairs only. Rational
+    coordinates are cleared to integer numerators over one denominator per
+    operand first; golden ones are multiplied as they are."""
     _check_compat(x, y)
+    xi = [i for i, a in enumerate(x.coords) if a]
+    yi = [j for j, b in enumerate(y.coords) if b]
+    xs, ys = [x.coords[i] for i in xi], [y.coords[j] for j in yi]
+    rational = x.field == RATIONAL
+    d, zero = 1, GOLDEN_ZERO
+    if rational:
+        (xs,), dx = intlinalg.clear_denominators([xs])
+        (ys,), dy = intlinalg.clear_denominators([ys])
+        d, zero = dx * dy, 0
+    ys = list(zip(yi, ys))
+    acc: Dict[int, Scalar] = {}
+    for i, a in zip(xi, xs):
+        for j, b in ys:
+            k, s = unit(i, j)
+            acc[k] = (acc.get(k, zero) + a * b if s > 0
+                      else acc.get(k, zero) - a * b)
     z = [_zero_scalar(x.field)] * len(x.coords)
-    ys = [(j, b) for j, b in enumerate(y.coords) if b]
-    for i, a in enumerate(x.coords):
-        if a:
-            for j, b in ys:
-                k, s = unit(i, j)
-                z[k] = z[k] + a * b if s > 0 else z[k] - a * b
+    for k, c in acc.items():
+        z[k] = Fraction(c, d) if rational else c
     return HyperNumber(x.field, tuple(z))
 
 

@@ -737,15 +737,18 @@ def theta_series(lat: Lattice, order: int) -> ThetaSeries:
 
     Costs a full enumeration up to norm 2*order, except that a remembered
     direct-sum structure is folded through the convolution identity, which
-    turns one large enumeration into small per-component ones.
+    turns one large enumeration into small per-component ones, each
+    distinct summand enumerated once.
     """
     if not isinstance(order, int) or order < 0:
         raise LatticeError("order must be a nonnegative integer")
     if len(lat.summands) > 1:
-        acc = theta_series(lat.summands[0], order)
-        for part in lat.summands[1:]:
-            acc = theta_product(acc, theta_series(part, order))
-        return acc
+        seen: Dict[Lattice, ThetaSeries] = {}
+        for part in lat.summands:
+            if part not in seen:
+                seen[part] = theta_series(part, order)
+        return functools.reduce(theta_product,
+                                (seen[part] for part in lat.summands))
     counts = short_vectors(lat, 2 * order) if order else {}
     return ThetaSeries(order, (1,) + tuple(counts.get(2 * m, 0)
                                            for m in range(1, order + 1)))

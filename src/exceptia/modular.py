@@ -70,31 +70,32 @@ ZERO_SERIES = LaurentSeries(0, ())
 
 
 def eta24(N: int) -> LaurentSeries:
-    """q * prod_{n=1..N} (1 - q^n)^24, carried through exponent N + 1."""
+    """q * prod_{n=1..N} (1 - q^n)^24, carried through exponent N + 1.
+
+    The product a = prod (1 - q^n) has only the O(sqrt N) terms of Euler's
+    pentagonal theorem, (-1)^k q^(k(3k - 1)/2) and (-1)^k q^(k(3k + 1)/2),
+    and b = a^24 follows from a b' = 24 a' b term by term:
+    n b_n = sum_j (25 j - n) a_j b_(n-j), an exact division (Knuth, TAOCP
+    vol. 2, 4.7).
+    """
     if N < 1:
         raise SeriesError("eta24 needs N >= 1")
-    # Euler product through exponent N, dense
-    p = [0] * (N + 1)
-    p[0] = 1
+    pent = []                             # (j, a_j) for j >= 1, ascending
+    k = 1
+    while k * (3 * k - 1) // 2 <= N:
+        for j in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if j <= N:
+                pent.append((j, -1 if k & 1 else 1))
+        k += 1
+    b = [1] + [0] * N
     for n in range(1, N + 1):
-        for i in range(N, n - 1, -1):
-            p[i] -= p[i - n]
-
-    def mul(a, b):
-        out = [0] * (N + 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(min(N - i, N) + 1):
-                    if b[j]:
-                        out[i + j] += ai * b[j]
-        return out
-
-    p2 = mul(p, p)
-    p4 = mul(p2, p2)
-    p8 = mul(p4, p4)
-    p16 = mul(p8, p8)
-    p24 = mul(p16, p8)
-    return LaurentSeries(1, tuple(p24))
+        acc = 0
+        for j, a in pent:
+            if j > n:
+                break
+            acc += a * (25 * j - n) * b[n - j]
+        b[n] = acc // n
+    return LaurentSeries(1, tuple(b))
 
 
 def series_mul(a: LaurentSeries, b: LaurentSeries, N: int) -> LaurentSeries:

@@ -124,6 +124,114 @@ def test_element_roundtrip_through_dict():
 
 
 # --------------------------------------------------------------------------
+# clif_mul against a slow product on index lists
+
+def slow_blade_mul(p, a, b):
+    """e_a e_b for ascending index tuples a, b (1-based): bubble the
+    concatenation into order by adjacent transpositions, each flipping the
+    sign, and contract each equal neighbour pair e_i e_i to -1 for i <= p
+    and +1 otherwise. Returns (index tuple, sign)."""
+    word, sign = list(a) + list(b), 1
+    done = False
+    while not done:
+        done = True
+        for t in range(len(word) - 1):
+            if word[t] > word[t + 1]:
+                word[t], word[t + 1] = word[t + 1], word[t]
+                sign, done = -sign, False
+            elif word[t] == word[t + 1]:
+                if word[t] <= p:
+                    sign = -sign
+                del word[t:t + 2]
+                done = False
+                break
+    return tuple(word), sign
+
+
+def indices(mask):
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def slow_mul(x, y):
+    acc = {}
+    for ma, ca in x.terms:
+        for mb, cb in y.terms:
+            word, sign = slow_blade_mul(x.signature.p, indices(ma), indices(mb))
+            mask = sum(1 << (i - 1) for i in word)
+            acc[mask] = acc.get(mask, 0) + sign * ca * cb
+    return tuple(sorted((m, c) for m, c in acc.items() if c))
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_every_blade_pair_matches_the_slow_product(n):
+    for p in range(n + 1):
+        sig = cl.CliffordSignature(p, n - p)
+        for a in range(1 << n):
+            x = cl.CliffordElement.from_dict(sig, {a: 1})
+            for b in range(1 << n):
+                y = cl.CliffordElement.from_dict(sig, {b: 1})
+                (mask, c), = cl.clif_mul(x, y).terms
+                word, sign = slow_blade_mul(p, indices(a), indices(b))
+                assert (mask, c) == (a ^ b, sign) and indices(mask) == word, \
+                    (p, n - p, a, b)
+
+
+MIXED = [Fraction(1, 2), Fraction(-1, 3), Fraction(7, 9), Fraction(5),
+         Fraction(-11, 6), Fraction(1, 2 ** 61 - 1), Fraction(13, 10 ** 12)]
+
+
+def test_random_products_at_ten_generators_match_the_slow_product():
+    rng = random.Random(97)
+    for _ in range(12):
+        p = rng.randint(0, 10)
+        sig = cl.CliffordSignature(p, 10 - p)
+        x, y = (cl.CliffordElement.from_dict(
+            sig, {m: rng.choice(MIXED) * rng.randint(-4, 4)
+                  for m in rng.sample(range(1 << 10), rng.randint(0, 24))})
+            for _ in range(2))
+        z = cl.clif_mul(x, y)
+        assert z.terms == slow_mul(x, y)
+        assert all(type(c) is Fraction and c for _, c in z.terms)
+
+
+def test_cancelled_blades_vanish_from_the_terms():
+    # e_A e_C and e_B e_D land on the same blade; choose d so they cancel
+    rng = random.Random(101)
+    for _ in range(40):
+        p = rng.randint(0, 10)
+        sig = cl.CliffordSignature(p, 10 - p)
+        a, b, c = rng.sample(range(1 << 10), 3)
+        d = a ^ b ^ c
+        ca, cb, cc = (rng.choice(MIXED) for _ in range(3))
+        s1 = slow_blade_mul(p, indices(a), indices(c))[1]
+        s2 = slow_blade_mul(p, indices(b), indices(d))[1]
+        cd = -s1 * ca * cc / (s2 * cb)
+        x = cl.CliffordElement.from_dict(sig, {a: ca, b: cb})
+        y = cl.CliffordElement.from_dict(sig, {c: cc, d: cd})
+        z = cl.clif_mul(x, y)
+        assert a ^ c not in z.as_dict()
+        assert z.terms == slow_mul(x, y)
+    # (e1 + e2)(e1 - e2) = -2 e1e2 in C(0,2): the scalars cancel
+    sig = cl.CliffordSignature(0, 2)
+    x = cl.CliffordElement.from_dict(sig, {1: 1, 2: 1})
+    y = cl.CliffordElement.from_dict(sig, {1: 1, 2: -1})
+    assert cl.clif_mul(x, y).terms == ((3, Fraction(-2)),)
+    # (1 + e1)(1 - e1) = 1 - e1e1 = 0 in C(0,1): every blade cancels
+    sig = cl.CliffordSignature(0, 1)
+    x = cl.CliffordElement.from_dict(sig, {0: Fraction(1, 2), 1: Fraction(1, 2)})
+    y = cl.CliffordElement.from_dict(sig, {0: Fraction(1, 3), 1: Fraction(-1, 3)})
+    assert cl.clif_mul(x, y).terms == ()
+
+
+def test_products_with_the_empty_element_are_empty():
+    sig = cl.CliffordSignature(4, 6)
+    empty = cl.CliffordElement(sig, ())
+    x = cl.CliffordElement.from_dict(sig, {5: Fraction(1, 3), 700: Fraction(-7, 9)})
+    for a, b in ((empty, x), (x, empty), (empty, empty)):
+        assert cl.clif_mul(a, b).terms == ()
+
+
+# --------------------------------------------------------------------------
 # classification against the standard tables
 
 CN_TABLE = ["R", "C", "H", "H+H", "H(2)", "C(4)", "R(8)", "R(8)+R(8)",

@@ -123,6 +123,66 @@ def test_dense_products_match_the_doubling_recursion(doubling_laws):
             doubling_laws.cd_mul(x.coords, y.coords)
 
 
+def test_products_of_mixed_denominators_match_the_doubling_recursion(
+        doubling_laws):
+    rng = random.Random(29)
+    big = 2 ** 61 - 1
+    for level in range(6):
+        n = 1 << level
+        for dx, dy in ((2, 3), (big, 3), (big, big), (1, 10 ** 30)):
+            x = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, dx)))
+                      for _ in range(n))
+            y = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, dy)))
+                      for _ in range(n))
+            z = hc.cd_mul(hc.hyper(x), hc.hyper(y)).coords
+            assert z == doubling_laws.cd_mul(x, y), (level, dx, dy)
+            assert all(type(c) is Fraction for c in z)
+
+
+def test_zero_operands_and_cancelled_products(doubling_laws):
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    x = hc.hyper([half, third, -half, 7])
+    for a, b in ((x, hc.zero(2)), (hc.zero(2), x), (hc.zero(2), hc.zero(2))):
+        z = hc.cd_mul(a, b)
+        assert z == hc.zero(2) and all(type(c) is Fraction for c in z.coords)
+    # (e1 + e2)^2 = -2: the e3 terms of e1 e2 and e2 e1 cancel
+    u = hc.hyper([0, half, half, 0])
+    assert hc.cd_mul(u, u).coords == (Fraction(-1, 2), 0, 0, 0)
+    # sedenion zero divisors: (e1 + e10)(e4 - e15) = 0
+    a = hc.hyper([Fraction(1, 3) if i in (1, 10) else 0 for i in range(16)])
+    b = hc.hyper([{4: half, 15: -half}.get(i, 0) for i in range(16)])
+    z = hc.cd_mul(a, b)
+    assert z.is_zero() and z.coords == doubling_laws.cd_mul(a.coords, b.coords)
+    assert all(type(c) is Fraction for c in z.coords)
+
+
+def test_golden_products_match_the_doubling_recursion(doubling_laws):
+    rng = random.Random(31)
+
+    def golden():
+        return GoldenRational(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))),
+                              Fraction(rng.randint(-4, 4), rng.choice((1, 2, 7))))
+
+    for level in (0, 1, 2, 3):
+        for _ in range(10):
+            x, y = ([golden() for _ in range(1 << level)] for _ in range(2))
+            z = hc.cd_mul(hc.hyper(x, hc.GOLDEN), hc.hyper(y, hc.GOLDEN))
+            assert z.coords == doubling_laws.cd_mul(tuple(x), tuple(y))
+            assert all(type(c) is GoldenRational for c in z.coords)
+    # golden cancellation: (i + j)(i + j) = -2, and a zero operand
+    ij = hc.hyper([GOLDEN_ZERO, PHI, PHI, GOLDEN_ZERO], hc.GOLDEN)
+    assert hc.cd_mul(ij, ij).coords == (-2 * PHI * PHI, GOLDEN_ZERO,
+                                        GOLDEN_ZERO, GOLDEN_ZERO)
+    assert hc.cd_mul(ij, hc.zero(2, hc.GOLDEN)) == hc.zero(2, hc.GOLDEN)
+    # the icosian closure still reaches exactly the 120 units, each of
+    # which the recursion multiplies the same way
+    units = sorted(hc.icosian_units(), key=lambda u: u.certificate)
+    assert len(units) == 120
+    for p, q in zip(units, units[7:] + units[:7]):
+        assert hc.cd_mul(p.q, q.q).coords == \
+            doubling_laws.cd_mul(p.q.coords, q.q.coords)
+
+
 def test_unit_laws_at_level_seventeen():
     # 2^17 coordinates: far past any dense product, cheap for sparse units
     def terms(x):

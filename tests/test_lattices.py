@@ -196,6 +196,29 @@ def test_theta_3E8_prefix():
     assert th.counts == (1, 720, 179280)
 
 
+def test_theta_3E8_enumerates_E8_once_and_equals_its_cube(monkeypatch):
+    e8, a2 = lat.theta_series(E8, 3), lat.theta_series(lat.build_An(2), 3)
+    calls = []
+    real = lat.short_vectors
+
+    def counting(l, bound):
+        calls.append(l.rank)
+        return real(l, bound)
+
+    monkeypatch.setattr(lat, "short_vectors", counting)
+    th = lat.theta_series(lat.direct_sum(E8, E8, E8), 3)
+    assert th == lat.theta_product(lat.theta_product(e8, e8), e8)
+    assert th.counts == (1, 720, 179280, 16954560)
+    assert calls == [8]
+    # each distinct summand is enumerated once, and the order of the
+    # summands is kept in the fold
+    calls.clear()
+    mixed = lat.direct_sum(lat.build_An(2), E8, lat.build_An(2))
+    assert lat.theta_series(mixed, 3) == \
+        lat.theta_product(lat.theta_product(a2, e8), a2)
+    assert calls == [2, 8]
+
+
 @pytest.mark.slow
 def test_theta_3E8_against_flat_enumeration():
     s = lat.direct_sum(E8, E8, E8)

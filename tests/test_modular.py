@@ -71,7 +71,8 @@ def test_eta24_validates_order():
 
 
 def test_eta24_repeated_squaring_agrees_with_sequential_powers():
-    """Self-check of the power ladder: multiply (eta)^1 out 24 times."""
+    """An independent route to the pentagonal power recurrence: the dense
+    Euler product multiplied out 24 times by plain convolution."""
     n = 50
     # Euler product of eta / q^{1/24}, dense through exponent n + 1
     euler = [0] * (n + 2)
@@ -90,6 +91,14 @@ def test_eta24_repeated_squaring_agrees_with_sequential_powers():
         acc = nxt
     expected = LaurentSeries(1, tuple(acc[:n + 1]))
     assert mod.eta24(n) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 12, 15, 22, 26, 35, 40, 120])
+def test_eta24_matches_the_reference_script(qseries_ref, n):
+    # n straddles generalized pentagonal numbers (1, 2, 5, 7, 12, 15, 22, 26,
+    # 35, 40) and their neighbours, where a term enters the recurrence
+    expected = qseries_ref.eta24_over_q(n)
+    assert mod.eta24(n) == LaurentSeries(1, tuple(expected))
 
 
 # --------------------------------------------------------------------------
