@@ -60,8 +60,9 @@ _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|e(\d+)|([()+\-*,]))")
 # A level-L element has 2^L coordinates and a dense product costs 4^L
 # integer products: one dense level-8 product (256 coordinates) takes about
 # 25 ms, or ~0.15 s as the first in a process (it fills the sign cache), and
-# `hyper mul` on two dense level-8 operands about 0.5 s, mostly parsing. Units
-# e<n>, pair results and --level are held to this cap. A pair of level-L
+# `hyper mul` on two dense level-8 operands about 0.4 s, mostly interpreter
+# start-up and that first product (reading a 256-term operand takes ~15 ms).
+# Units e<n>, pair results and --level are held to this cap. A pair of level-L
 # elements has level L + 1, so pairs may nest at most this deep, which also
 # keeps the recursive descent far inside Python's recursion limit.
 _MAX_LEVEL = 8
@@ -198,6 +199,11 @@ def _h_add(x, y):
 
 
 def _h_mul(x, y):
+    # a level-0 factor is a rational scalar, central in every level
+    if x.level == 0:
+        return y.scale(x.coords[0])
+    if y.level == 0:
+        return x.scale(y.coords[0])
     x, y = _h_common(x, y)
     return hc.cd_mul(x, y)
 

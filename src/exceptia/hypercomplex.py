@@ -20,6 +20,8 @@ coordinate system.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple, Union
@@ -57,20 +59,18 @@ class HyperNumber:
 
     def __add__(self, other: "HyperNumber") -> "HyperNumber":
         _check_compat(self, other)
-        return HyperNumber(self.field,
-                           tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _where_nonzero(self, other, operator.add)
 
     def __sub__(self, other: "HyperNumber") -> "HyperNumber":
         _check_compat(self, other)
-        return HyperNumber(self.field,
-                           tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _where_nonzero(self, other, operator.sub)
 
     def __neg__(self) -> "HyperNumber":
-        return HyperNumber(self.field, tuple(-a for a in self.coords))
+        return _where_nonzero(self, self, lambda a, _: -a)
 
     def scale(self, s: Scalar) -> "HyperNumber":
         s = _as_scalar(s, self.field)
-        return HyperNumber(self.field, tuple(s * a for a in self.coords))
+        return _where_nonzero(self, self, lambda a, _: s * a)
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -83,6 +83,16 @@ class HyperNumber:
             parts.append(f"{c}*e{i}" if i else f"{c}")
         body = " + ".join(parts) if parts else "0"
         return f"hyper[{self.field}]({body})"
+
+
+def _where_nonzero(x: HyperNumber, y: HyperNumber, op) -> HyperNumber:
+    """x with op(x_i, y_i) in place of x_i wherever y_i is nonzero. Only
+    those coordinates cost an exact operation, so adding, negating or
+    scaling a sparse element stays cheap at any level."""
+    z = list(x.coords)
+    for i in itertools.compress(range(len(z)), y.coords):
+        z[i] = op(z[i], y.coords[i])
+    return HyperNumber(x.field, tuple(z))
 
 
 def _check_compat(x: HyperNumber, y: HyperNumber) -> None:

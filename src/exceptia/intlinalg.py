@@ -2,8 +2,11 @@
 
 One audited core: Hermite-style row reduction over the integers, with the
 unimodular transform tracked. Kernels, membership certificates, sublattices
-and quotients are all phrased through it. Determinants are computed
-fraction-free on the matrix cleared to integers.
+and quotients are all phrased through it. Rational matrices are cleared to
+integers once (`clear_denominators`): determinants and inverses run
+fraction-free on the cleared matrix (Bareiss elimination, every division
+exact), products multiply the cleared operands in ints, and each result
+entry becomes one Fraction at the end.
 
 Conventions: matrices are lists of rows; vectors act on the left (x @ A is a
 row vector), so "the lattice of A" means the set of integer combinations of
@@ -13,6 +16,7 @@ A's rows.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -112,9 +116,19 @@ def solve_left(a: Sequence[Sequence[int]], t: Sequence[int]) -> Optional[List[in
 
 
 def matmul(a, b):
-    """Plain matrix product; entries may be int or Fraction."""
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """Exact matrix product; entries may be int or Fraction.
+
+    Each operand is cleared to integers once, the product runs in ints, and
+    each entry becomes one Fraction over the two denominators. The product
+    of two int matrices stays int."""
+    ai, s = clear_denominators(a)
+    bi, t = clear_denominators(b)
+    bt = list(zip(*bi))
+    prod = [[sum(map(operator.mul, row, col)) for col in bt] for row in ai]
+    if all(type(x) is int for m in (a, b) for row in m for x in row):
+        return prod
+    st = s * t
+    return [[Fraction(v, st) for v in row] for row in prod]
 
 
 def clear_denominators(m: Sequence[Sequence]) -> Tuple[IntMatrix, int]:
@@ -150,19 +164,29 @@ def det_fraction(m: Sequence[Sequence]) -> Fraction:
 
 
 def invert_fraction(m: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Exact inverse by Gauss-Jordan; raises ZeroDivisionError if singular."""
-    n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(m)]
+    """Exact inverse by fraction-free Gauss-Jordan elimination (Bareiss) of
+    [s m | I], s m the matrix cleared to integers; raises ZeroDivisionError
+    if singular.
+
+    Every row update (piv x - f y) // prev is an exact division, and at the
+    end each diagonal entry is the last pivot D = +-det(s m) and the right
+    half is D (s m)^-1, so m^-1 = s v / D entrywise."""
+    a, s = clear_denominators(m)
+    n = len(a)
+    for i, row in enumerate(a):
+        row += [0] * n
+        row[n + i] = 1
+    prev = 1
     for c in range(n):
         p = next((r for r in range(c, n) if a[r][c]), None)
         if p is None:
             raise ZeroDivisionError("singular matrix")
         a[c], a[p] = a[p], a[c]
-        inv = a[c][c]
-        a[c] = [x / inv for x in a[c]]
+        ac = a[c]
+        piv = ac[c]
         for r in range(n):
-            if r != c and a[r][c]:
+            if r != c:
                 f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
+                a[r] = [(piv * x - f * y) // prev for x, y in zip(a[r], ac)]
+        prev = piv
+    return [[Fraction(s * v, prev) for v in row[n:]] for row in a]

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -268,12 +269,6 @@ def build_D16plus() -> Lattice:
     return Lattice(16, 16, _hnf_basis_halved(gens, 16, "D16+"))
 
 
-def _norm2_vectors_sorted(e8: Lattice) -> List[Tuple[Fraction, ...]]:
-    vecs = [v for _, v in short_vector_list(e8, 2)]
-    vecs.sort()
-    return vecs
-
-
 def _check_e8_input(e8: Lattice, caller: str) -> None:
     if e8.rank != 8 or not (is_even(e8) and is_unimodular(e8)):
         raise LatticeError(f"{caller} expects the rank-8 even unimodular "
@@ -283,15 +278,9 @@ def _check_e8_input(e8: Lattice, caller: str) -> None:
 def _complement_in(e8: Lattice, conditions: Sequence[Sequence[Fraction]],
                    rank: int, what: str) -> Lattice:
     # columns: exact form against each condition vector, cleared to integers
-    cols = []
-    for v in conditions:
-        col = [e8.form_dot(row, v) for row in e8.basis]
-        lcm = 1
-        for c in col:
-            lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-        cols.append([int(c * lcm) for c in col])
-    mat = [[cols[j][i] for j in range(len(cols))] for i in range(8)]
-    kern = left_kernel(mat)
+    cols = [clear_denominators([[e8.form_dot(r, v) for r in e8.basis]])[0][0]
+            for v in conditions]
+    kern = left_kernel(list(zip(*cols)))
     if len(kern) != rank:
         raise LatticeConstructionError(
             f"{what}: kernel rank {len(kern)}, expected {rank}")
@@ -302,14 +291,16 @@ def _complement_in(e8: Lattice, conditions: Sequence[Sequence[Fraction]],
 def build_E7(e8: Lattice) -> Lattice:
     """Orthogonal complement in E8 of its lexicographically least root."""
     _check_e8_input(e8, "build_E7")
-    v = _norm2_vectors_sorted(e8)[0]
+    # every nonzero vector of norm <= 2 is a root, so the list is sorted by
+    # coordinates alone
+    v = short_vector_list(e8, 2)[0][1]
     return _complement_in(e8, [v], 7, "E7")
 
 
 def build_E6(e8: Lattice) -> Lattice:
     """Orthogonal complement in E8 of an explicit A2 root pair."""
     _check_e8_input(e8, "build_E6")
-    roots = _norm2_vectors_sorted(e8)
+    roots = [v for _, v in short_vector_list(e8, 2)]
     v1 = roots[0]
     v2 = next((r for r in roots if e8.form_dot(v1, r) == -1), None)
     if v2 is None:
@@ -684,15 +675,17 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
     gr, u, c = _reduced_even_gram(lat, max_norm, "short_vector_list")
     found: list = []
     _enumerate_int_gram(gr, max_norm // c, collect=found)
-    rows = intlinalg.matmul(u, [list(r) for r in lat.basis])
+    # ambient coordinates t x of the basis cleared by t, in ints; t > 0, so
+    # sorting the integer tuples sorts the coordinates
+    b, t = clear_denominators(lat.basis)
+    cols = list(zip(*intlinalg.matmul(u, b)))
     out = []
     for nrm, coeffs in found:
-        amb = tuple(sum(coeffs[i] * rows[i][k] for i in range(lat.rank))
-                    for k in range(lat.ambient_dim))
+        amb = tuple(sum(map(operator.mul, coeffs, col)) for col in cols)
         out.append((c * nrm, amb))
         out.append((c * nrm, tuple(-v for v in amb)))
     out.sort()
-    return out
+    return [(nrm, tuple(Fraction(v, t) for v in amb)) for nrm, amb in out]
 
 
 def _minimal_norm(gram: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -58,8 +58,8 @@ def test_j_series_of_triple_e8(capsys):
 # hyper group
 
 def test_many_term_level_eight_element_reads_fast(capsys, doubling_laws):
-    # each juxtaposed k e<n> is one product; the doubling recursion pays a
-    # dense level-8 product for each, the unit sign rule one term
+    # each juxtaposed k e<n> scales a unit and each + adds one coordinate;
+    # a dense level-8 product per term once took ~14 s for these 32 terms
     x = "+".join(f"{k + 1}e{k}" for k in range(128, 160))
     start = time.perf_counter()
     rc, out, _ = run(capsys, "hyper", "mul", x, "e3")
@@ -71,6 +71,22 @@ def test_many_term_level_eight_element_reads_fast(capsys, doubling_laws):
     ref = doubling_laws.cd_mul(tuple(coords), doubling_laws.basis(8, 3))
     assert out == cli.format_hyper(hc.hyper(ref)) + "\n"
     assert elapsed < 5.0
+
+
+def test_dense_256_term_operands_multiply_like_the_reference(capsys,
+                                                             doubling_laws):
+    # every term of a sum or difference is added into the dense level-8
+    # element read so far; the product is the doubling recursion's
+    x = "+".join(f"{k + 1}/{k + 1}e{k}" for k in range(256))
+    y = "-".join(f"{k + 3}/{k + 2}e{k}" for k in range(256))
+    rc, out, _ = run(capsys, "hyper", "mul", x, y)
+    assert rc == 0
+    xs = (Fraction(1),) * 256
+    ys = tuple(Fraction(k + 3, k + 2) * (1 if k == 0 else -1)
+               for k in range(256))
+    assert cli.parse_hyper(x) == hc.hyper(xs)
+    assert cli.parse_hyper(y) == hc.hyper(ys)
+    assert out == cli.format_hyper(hc.hyper(doubling_laws.cd_mul(xs, ys))) + "\n"
 
 
 def test_hyper_text_commands(capsys):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from exceptia import intlinalg as la
 
@@ -88,3 +88,100 @@ def test_invert_singular_raises():
     with pytest.raises(ZeroDivisionError):
         la.invert_fraction([[Fraction(1), Fraction(2)],
                             [Fraction(2), Fraction(4)]])
+
+
+# --------------------------------------------------------------------------
+# the fraction-free inverse and product against plain Fraction arithmetic
+
+def fraction_inverse(m):
+    """Gauss-Jordan over Fractions, the reference for `la.invert_fraction`."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for c in range(n):
+        p = next((r for r in range(c, n) if a[r][c]), None)
+        if p is None:
+            raise ZeroDivisionError("singular matrix")
+        a[c], a[p] = a[p], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+def fraction_matmul(a, b):
+    return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0))
+             for col in zip(*b)] for row in a]
+
+
+# numerators up to 10^18 over mixed denominators, with small ones mixed in
+# so that zero pivots, row swaps and singular matrices come up often
+rationals = st.builds(
+    Fraction,
+    st.integers(-3, 3) | st.integers(-10**18, 10**18),
+    st.sampled_from((1, 2, 3, 2**61 - 1)))
+
+
+@st.composite
+def square_rationals(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    row = st.lists(rationals, min_size=n, max_size=n)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@given(square_rationals())
+# zero leading pivot (row swap, determinant -1), a zero pivot reached only
+# after the first elimination step, a 1x1 matrix, and a singular one
+@example([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])
+@example([[Fraction(v) for v in row]
+          for row in ((1, 1, 0), (1, 1, 1), (0, 1, 1))])
+@example([[Fraction(-7, 2**61 - 1)]])
+@example([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]])
+@settings(max_examples=150, deadline=None)
+def test_invert_fraction_matches_fraction_gauss_jordan(m):
+    try:
+        ref = fraction_inverse(m)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            la.invert_fraction(m)
+        return
+    inv = la.invert_fraction(m)
+    assert inv == ref
+    assert all(type(x) is Fraction for row in inv for x in row)
+
+
+@given(square_rationals(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_invert_fraction_rejects_dependent_rows(m, data):
+    # the last row becomes an integer combination of the others (zero when
+    # there are none)
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(m) - 1,
+                                max_size=len(m) - 1))
+    m[-1] = [sum((c * row[k] for c, row in zip(coeffs, m)), Fraction(0))
+             for k in range(len(m))]
+    with pytest.raises(ZeroDivisionError):
+        la.invert_fraction(m)
+
+
+@st.composite
+def product_pairs(draw):
+    p, q, r = (draw(st.integers(1, 5)) for _ in range(3))
+    ints = st.integers(-10**18, 10**18)
+    entry = draw(st.sampled_from((ints, ints | rationals)))
+    a = draw(st.lists(st.lists(entry, min_size=q, max_size=q),
+                      min_size=p, max_size=p))
+    b = draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                      min_size=q, max_size=q))
+    return a, b
+
+
+@given(product_pairs())
+@settings(max_examples=100, deadline=None)
+def test_matmul_matches_the_naive_product(ab):
+    a, b = ab
+    prod = la.matmul(a, b)
+    assert prod == fraction_matmul(a, b)
+    ints = all(type(x) is int for m in (a, b) for row in m for x in row)
+    assert all((type(x) is int) == ints for row in prod for x in row)

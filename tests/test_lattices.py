@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -11,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from exceptia import hypercomplex as hc
 from exceptia import lattices as lat
 from exceptia.intlinalg import det_fraction, invert_fraction, matmul
+from test_intlinalg import fraction_inverse, fraction_matmul
 
 
 E8 = lat.build_E8()
@@ -588,6 +590,74 @@ def test_positive_definite_agrees_with_sylvester(kind, rows, den, ops):
                     signature=lat.LORENTZIAN)
     assert lat.is_positive_definite(l) == sylvester(l.gram) == (
         kind == "definite")
+
+
+# --------------------------------------------------------------------------
+# basis changes against the Fraction route
+
+def reflected(l, v):
+    """l under the rational reflection x -> x - 2 (x.v / v.v) v: the same
+    Gram, with denominators v.v in the basis."""
+    vv = sum(a * a for a in v)
+    rows = [tuple(Fraction(x) - Fraction(2 * sum(map(mul, r, v)), vv) * a
+                  for x, a in zip(r, v)) for r in l.basis]
+    return lat.Lattice(l.ambient_dim, l.rank, tuple(rows))
+
+
+def ii_9_1():
+    """II_{9,1}: even-sum vectors of Z^10 or of (Z + 1/2)^10, Lorentzian,
+    scrambled."""
+    doubled = [[-1] + [1] * 9, [0, 2, 2] + [0] * 7]
+    for i in range(1, 9):
+        r = [0] * 10
+        r[i], r[i + 1] = 2, -2
+        doubled.append(r)
+    l = scrambled(lat.Lattice(10, 10, lat._half_rows(doubled)), 30, 7)
+    return lat.Lattice(10, 10, l.basis, signature=lat.LORENTZIAN)
+
+
+def fraction_vector_list(l, bound):
+    """`short_vector_list` with every coordinate computed in Fractions."""
+    gr, u, c = lat._lll_int(l.gram)
+    found: list = []
+    lat._enumerate_int_gram(gr, bound // c, collect=found)
+    rows = fraction_matmul(u, l.basis)
+    out = []
+    for nrm, x in found:
+        v = tuple(sum((a * r[k] for a, r in zip(x, rows)), Fraction(0))
+                  for k in range(l.ambient_dim))
+        out += [(c * nrm, v), (c * nrm, tuple(-a for a in v))]
+    return sorted(out)
+
+
+BASIS_CHANGE_CASES = {
+    "scrambled-D16+": (lambda: scrambled(lat.build_D16plus(), 40, 5), 2),
+    "E8-times-10^8": (lambda: lat.Lattice(8, 8, tuple(
+        tuple(v * 10**8 for v in r) for r in scrambled(E8, 32, 2).basis)),
+        2 * 10**16),
+    "rational-A7": (lambda: reflected(scrambled(lat.build_An(7), 24, 4),
+                                      range(1, 9)), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(BASIS_CHANGE_CASES))
+def test_basis_changes_match_the_fraction_route(name):
+    build, bound = BASIS_CHANGE_CASES[name]
+    l = build()
+    dual = fraction_matmul(fraction_inverse(l.gram), l.basis)
+    assert lat.dual_lattice(l) == lat.Lattice(l.ambient_dim, l.rank,
+                                              tuple(map(tuple, dual)))
+    _, u, _, _ = fraction_lll(l.gram, lat.DEFAULT_LLL_DELTA)
+    assert lat.lll_reduce(l).basis == tuple(map(tuple, fraction_matmul(u, l.basis)))
+    assert lat.short_vector_list(l, bound) == fraction_vector_list(l, bound)
+
+
+def test_dual_of_a_lorentzian_span_matches_the_fraction_route():
+    l = ii_9_1()
+    assert lat.gram_determinant(l) == -1
+    dual = fraction_matmul(fraction_inverse(l.gram), l.basis)
+    assert lat.dual_lattice(l) == lat.Lattice(
+        10, 10, tuple(map(tuple, dual)), signature=lat.LORENTZIAN)
 
 
 # --------------------------------------------------------------------------
