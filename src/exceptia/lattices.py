@@ -13,6 +13,9 @@ that same data, so a window holds exactly the coordinates that keep the
 norm within the bound. Counts are exact for every positive-definite Gram,
 whatever the size of its entries. Floating point appears only in a
 node-count estimate that decides whether a search runs in a process pool.
+A count-only query on a lattice whose Gram, divided by the gcd of its
+entries, is even unimodular of rank n searches that Gram only up to norm
+2 * (n // 24) and reads the higher counts off the modular forms E4^a Delta^b.
 """
 
 from __future__ import annotations
@@ -644,6 +647,29 @@ def _lll_int(g: Sequence[Sequence]):
     return gr, u, c
 
 
+def _norm_counts(g: Sequence[Sequence[int]], bound: int) -> Dict[int, int]:
+    """Counts {norm: count} of the nonzero vectors with norm <= bound over a
+    reduced primitive Gram g, as `_enumerate_int_gram` gives them.
+
+    When g is even unimodular (even diagonal, determinant 1) of rank n, its
+    theta series is fixed by the counts up to norm 2 * (n // 24)
+    (`modular.even_unimodular_theta`), so only those are enumerated and
+    every higher count is read off E4^a Delta^b.
+    """
+    n = len(g)
+    head = n // 24
+    if (bound <= 2 * head or any(g[i][i] % 2 for i in range(n))
+            or _int_gso(g)[0][-1] != 1):
+        return _enumerate_int_gram(g, bound)
+    # modular imports this module, so the solver is imported at call time
+    from .modular import even_unimodular_theta
+    counts = _enumerate_int_gram(g, 2 * head)
+    theta = even_unimodular_theta(
+        n, [1] + [counts.get(2 * k, 0) for k in range(1, head + 1)],
+        bound // 2)
+    return {2 * k: t for k, t in enumerate(theta) if k and t}
+
+
 def _reduced_even_gram(lat: Lattice, max_norm: int, what: str):
     """Check an enumeration request; return `_lll_int` of its Gram."""
     if not isinstance(max_norm, int) or max_norm < 0:
@@ -659,10 +685,13 @@ def short_vectors(lat: Lattice, max_norm: int) -> Dict[int, int]:
     """Exact counts of nonzero lattice vectors with norm <= max_norm.
 
     The map omits norms with zero count; an even lattice only ever shows even
-    keys. Deterministic, including under EXCEPTIA_THREADS parallelism.
+    keys. Deterministic, including under EXCEPTIA_THREADS parallelism. A
+    lattice whose Gram divided by its content is even unimodular of rank n
+    is enumerated only up to that content times 2 * (n // 24); its higher
+    counts come from its theta series as a modular form (`_norm_counts`).
     """
     gr, _, c = _reduced_even_gram(lat, max_norm, "short_vectors")
-    counts = _enumerate_int_gram(gr, max_norm // c)
+    counts = _norm_counts(gr, max_norm // c)
     return {c * k: counts[k] for k in sorted(counts)}
 
 
@@ -694,7 +723,7 @@ def _minimal_norm(gram: Sequence[Sequence[Fraction]]) -> Fraction:
     gr, _, c = _lll_int(gi)
     # cap is a basis vector's norm, so only shorter vectors need a search
     cap = min(gr[i][i] for i in range(len(gr)))
-    return Fraction(c * min(_enumerate_int_gram(gr, cap - 1), default=cap),
+    return Fraction(c * min(_norm_counts(gr, cap - 1), default=cap),
                     scale)
 
 
@@ -728,10 +757,11 @@ def theta_product(a: ThetaSeries, b: ThetaSeries) -> ThetaSeries:
 def theta_series(lat: Lattice, order: int) -> ThetaSeries:
     """Vector counts by half-norm up to the given order.
 
-    Costs a full enumeration up to norm 2*order, except that a remembered
-    direct-sum structure is folded through the convolution identity, which
-    turns one large enumeration into small per-component ones, each
-    distinct summand enumerated once.
+    Takes the counts of `short_vectors` up to norm 2*order, so an even
+    unimodular lattice of rank n is enumerated only up to norm 2 * (n // 24).
+    A remembered direct-sum structure is folded through the convolution
+    identity, which turns one large query into small per-component ones,
+    each distinct summand queried once.
     """
     if not isinstance(order, int) or order < 0:
         raise LatticeError("order must be a nonnegative integer")
@@ -1137,7 +1167,13 @@ def named_lattice(name: str) -> Lattice:
 
 
 def lattice_info(lat: Lattice) -> dict:
-    """Summary facts: rank, parity, unimodularity, minimum, kissing number."""
+    """Summary facts: rank, parity, unimodularity, minimum, kissing number.
+
+    The minimum and kissing number come from the counts up to the least
+    diagonal entry of the reduced Gram (`_norm_counts`), so an even
+    unimodular lattice of rank below 24 enumerates nothing and the Leech
+    lattice only up to norm 2.
+    """
     info = {
         "rank": lat.rank,
         "even": is_even(lat),
@@ -1145,7 +1181,7 @@ def lattice_info(lat: Lattice) -> dict:
     }
     if info["even"] and is_positive_definite(lat):
         gr, _, c = _lll_int(lat.gram)
-        counts = _enumerate_int_gram(gr, min(gr[i][i] for i in range(lat.rank)))
+        counts = _norm_counts(gr, min(gr[i][i] for i in range(lat.rank)))
         mn = min(counts)
         info["min_norm"] = c * mn
         info["kissing"] = counts[mn]

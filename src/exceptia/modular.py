@@ -1,4 +1,5 @@
-"""Integer q-series arithmetic: eta^24, truncated products and inverses,
+"""Integer q-series arithmetic: E4, eta^24, truncated products and inverses,
+the theta series of an even unimodular lattice from its first few counts,
 and the j-function of a rank-24 even unimodular lattice.
 
 Only the 24th power of eta is ever represented, so every exponent is an
@@ -10,7 +11,7 @@ leading coefficient 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 from .lattices import Lattice, is_even, is_unimodular, theta_series
 
@@ -98,6 +99,17 @@ def eta24(N: int) -> LaurentSeries:
     return LaurentSeries(1, tuple(b))
 
 
+def e4(N: int) -> LaurentSeries:
+    """The Eisenstein series E4 = 1 + 240 sum sigma3(n) q^n through q^N."""
+    if N < 0:
+        raise SeriesError("e4 needs N >= 0")
+    sigma3 = [0] * (N + 1)
+    for d in range(1, N + 1):
+        for n in range(d, N + 1, d):
+            sigma3[n] += d ** 3
+    return LaurentSeries(0, (1,) + tuple(240 * s for s in sigma3[1:]))
+
+
 def series_mul(a: LaurentSeries, b: LaurentSeries, N: int) -> LaurentSeries:
     """Cauchy product truncated at exponent N."""
     if a.is_zero or b.is_zero:
@@ -158,12 +170,53 @@ def series_sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     return LaurentSeries(low, tuple(out))
 
 
+def even_unimodular_theta(rank: int, head: Sequence[int],
+                          N: int) -> Tuple[int, ...]:
+    """Theta coefficients through q^N (q^k counting norm 2k) of an even
+    unimodular lattice of the given rank, from its counts head[k] of norm 2k
+    for k = 0..rank // 24.
+
+    By Hecke's theorem such a theta series is a modular form of weight
+    rank / 2 = 4m, and that space is spanned by the forms
+    F_b = E4^(m - 3b) Delta^b, 0 <= b <= m // 3 (Serre, A Course in
+    Arithmetic, ch. VII; Conway-Sloane, SPLAG, ch. 2 section 6 and ch. 7).
+    F_b = q^b + O(q^(b+1)), so head fixes the coefficients of theta over the
+    F_b by a unit-triangular system, solved here in integers.
+    """
+    m, s = rank // 8, rank // 24
+    if rank <= 0 or rank % 8 or len(head) != s + 1 or head[0] != 1:
+        raise SeriesError("an even unimodular lattice has rank 8m > 0 and "
+                          "its head counts norms 0, 2, ..., 2 (rank // 24), "
+                          "starting with 1")
+    if N < s:
+        raise SeriesError("truncation order lies below the head")
+    one = LaurentSeries(0, (1,))
+    e_pow, d_pow = [one], [one]
+    e = e4(N)
+    for _ in range(m):
+        e_pow.append(series_mul(e_pow[-1], e, N))
+    if s:
+        delta = eta24(N)
+        for _ in range(s):
+            d_pow.append(series_mul(d_pow[-1], delta, N))
+    forms = [series_mul(e_pow[m - 3 * b], d_pow[b], N) for b in range(s + 1)]
+    c: list = []
+
+    def at(k):                  # q^k of the combination found so far
+        return sum(cb * f.coefficient(k) for cb, f in zip(c, forms))
+
+    for k in range(s + 1):
+        c.append(head[k] - at(k))
+    return tuple(at(k) for k in range(N + 1))
+
+
 def j_from_lattice(lat: Lattice, N: int = 5) -> LaurentSeries:
     """j as theta(L)/eta^24, through exponent N, for rank-24 even unimodular L.
 
-    theta at order N+1 requires enumerating lattice vectors with norm up to
-    2N+2, which dominates the runtime once the lattice has no direct-sum
-    structure to exploit (for the Leech lattice this is minutes, not seconds).
+    theta through order N+1 comes from `theta_series`, which enumerates
+    only up to norm 2 and reads the higher counts off E4^3 and Delta, so
+    at any N the lattice costs an LLL and that short search, not an
+    enumeration up to norm 2N+2.
     """
     if lat.rank != 24 or not (is_even(lat) and is_unimodular(lat)):
         raise SeriesError("j_from_lattice needs a rank-24 even unimodular "

@@ -203,15 +203,25 @@ def brute_count_norm4_e8():
     return count
 
 
+def enumerated(l, bound):
+    """Counts {norm: count} up to bound by the library's enumerator alone,
+    on the reduced primitive Gram, never through modular forms."""
+    g, _, c = lat._lll_int(l.gram)
+    counts = lat._enumerate_int_gram(g, bound // c)
+    return {c * k: counts[k] for k in sorted(counts)}
+
+
 def test_criterion_06_e8_theta_series():
     t0 = time.perf_counter()
     e8 = lat.build_E8()
     assert lat.is_even(e8) and lat.is_unimodular(e8)
     theta = lat.theta_series(e8, 2)
     assert theta.counts == (1, 240, 2160)
+    assert enumerated(e8, 4) == {2: 240, 4: 2160}
     brute = brute_count_norm4_e8()
-    print(f"E8: even unimodular, theta (1, 240, 2160); independent "
-          f"coordinate scan finds {brute} norm-4 vectors")
+    print(f"E8: even unimodular, theta (1, 240, 2160) from E4 and by "
+          f"enumeration; independent coordinate scan finds {brute} norm-4 "
+          "vectors")
     assert brute == 2160
     elapsed = time.perf_counter() - t0
     print(f"elapsed {elapsed:.2f}s (budget 5s)")
@@ -288,8 +298,8 @@ def test_criterion_09_leech_lattice():
     leech = lat.leech_from_ii26()
     assert leech.rank == 24
     assert lat.is_even(leech) and lat.is_unimodular(leech)
-    counts_a = lat.short_vectors(leech, 4)
-    counts_b = lat.short_vectors(leech, 4)
+    counts_a = enumerated(leech, 4)
+    counts_b = enumerated(leech, 4)
     assert counts_a == counts_b, "enumeration is not stable across runs"
     assert counts_a.get(2, 0) == 0
     assert counts_a[4] == 196560
@@ -309,8 +319,13 @@ def test_criterion_09_leech_lattice():
     modular = tuple(x - 720 * y for x, y in zip(e4_cubed, delta))
     assert modular == (1, 0, 196560, 16773120, 398034000)
     assert prefix == modular[:3]
+    # short_vectors reads the counts past norm 2 off those same forms
+    assert lat.short_vectors(leech, 8) == {4: counts_a[4], 6: modular[3],
+                                           8: modular[4]}
     print(f"icosian construction: rank 24, even, unimodular, theta {prefix} "
-          f"by enumeration; E4^3 - 720 Delta = {modular} through q^4")
+          f"from its norm-2 count and modular forms; E4^3 - 720 Delta = "
+          f"{modular} through q^4, as short_vectors gives for the quotient "
+          "construction")
     elapsed = time.perf_counter() - t0
     print(f"elapsed {elapsed:.1f}s (budget 900s)")
     assert elapsed < 900.0
@@ -405,8 +420,10 @@ def test_criterion_12_algebraic_and_lattice_selfchecks():
     for name, L in (("E8", e8), ("Leech", leech)):
         red = lat.lll_reduce(L)
         assert lat.gram_determinant(red) == lat.gram_determinant(L)
-        assert lat.short_vectors(red, 4) == lat.short_vectors(L, 4)
-        print(f"LLL on {name}: determinant and norm counts unchanged")
+        counts = enumerated(red, 4)
+        assert counts == enumerated(L, 4) == lat.short_vectors(L, 4)
+        print(f"LLL on {name}: determinant and enumerated norm counts "
+              "unchanged")
     print("dual(E8) = E8")
     elapsed = time.perf_counter() - t0
     print(f"elapsed {elapsed:.1f}s (budget 120s)")

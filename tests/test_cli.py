@@ -21,6 +21,10 @@ import pytest
 
 from exceptia import cli
 from exceptia import hypercomplex as hc
+from exceptia import modular as mod
+from exceptia.modular import LaurentSeries
+from test_acceptance import e4_cubed_and_delta
+from test_lattices import power_counts, squares
 
 HOPF = "1 1 0\n-1 1 0\n-1 -1 0\n1 -1 0\n\n0 0 1\n0 0 -1\n3 0 -1\n3 0 1\n"
 TOUCHING = "1 1 0\n-1 1 0\n-1 -1 0\n1 -1 0\n\n1 -1 0\n0 0 1\n0 0 -1\n"
@@ -52,6 +56,37 @@ def test_j_series_of_triple_e8(capsys):
     rc, out, _ = run(capsys, "modular", "j", "--lattice", "3E8", "--order", "2")
     assert rc == 0
     assert out == "q^-1 + 744 + 196884 q + 21493760 q^2\n"
+
+
+def test_leech_j_through_q50_within_budget(capsys):
+    # theta(Leech) = E4^3 - 720 Delta and theta(3E8) = E4^3, so j(LeechII)
+    # is E4^3 / Delta - 720 and j(LeechII) - j(3E8) is the constant -720
+    e4_cubed, delta = e4_cubed_and_delta(52)
+    quotient = []               # E4^3 / Delta by long division through q^50
+    for k in range(52):
+        quotient.append(e4_cubed[k] - sum(quotient[i] * delta[k + 1 - i]
+                                          for i in range(k)))
+    leech = list(quotient)
+    leech[1] -= 720
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "modular", "j", "--lattice", "LeechII",
+                     "--order", "50")
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    assert out == mod.format_series(LaurentSeries(-1, tuple(leech))) + "\n"
+    assert run(capsys, "modular", "j", "--lattice", "3E8", "--order", "50")[1] \
+        == mod.format_series(LaurentSeries(-1, tuple(quotient))) + "\n"
+    assert elapsed < 1.0, f"{elapsed:.2f}s (budget 1s)"
+
+
+def test_leech_info_within_budget(capsys):
+    start = time.perf_counter()
+    rc, out, _ = run(capsys, "lattice", "info", "LeechII")
+    elapsed = time.perf_counter() - start
+    assert rc == 0
+    assert json.loads(out) == {"rank": 24, "even": True, "unimodular": True,
+                               "min_norm": 4, "kissing": 196560}
+    assert elapsed < 1.0, f"{elapsed:.2f}s (budget 1s)"
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +385,14 @@ def test_console_script_runs():
 
 
 def test_output_is_deterministic_across_runs_and_thread_counts():
-    # E8 stays in-process; D16+ at norm 4 is big enough for the pool
-    for name, expected in (("E8", ["2 240", "4 2160"]),
-                           ("D16+", ["2 480", "4 61920"])):
+    # E8 stays in-process; D12 at norm 6 is enumerated (it is not
+    # unimodular) and big enough for the pool. Its counts are r_12(2k)
+    r12 = power_counts(squares(6), 12, 6)
+    for name, bound, expected in (
+            ("E8", 4, ["2 240", "4 2160"]),
+            ("D12", 6, [f"{k} {r12[k]}" for k in (2, 4, 6)])):
         argv = [sys.executable, "-m", "exceptia.cli",
-                "lattice", "shortvec", name, "--max-norm", "4"]
+                "lattice", "shortvec", name, "--max-norm", str(bound)]
         outs = []
         for threads in (None, None, 1, 2):
             proc = subprocess.run(argv, capture_output=True,

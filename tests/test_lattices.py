@@ -12,6 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from exceptia import hypercomplex as hc
 from exceptia import lattices as lat
 from exceptia.intlinalg import det_fraction, invert_fraction, matmul
+from test_acceptance import enumerated
 from test_intlinalg import fraction_inverse, fraction_matmul
 
 
@@ -176,9 +177,50 @@ def test_direct_sum_shapes():
     assert len(s.summands) == 3
 
 
+def enumerated_theta(l, order):
+    counts = enumerated(l, 2 * order)
+    return lat.ThetaSeries(order, (1,) + tuple(counts.get(2 * m, 0)
+                                               for m in range(1, order + 1)))
+
+
+def power_counts(values, n, top):
+    """Coefficients of q^0..q^top in (sum of q^v over values)^n: with the
+    squares j^2 as values, r_n(k), the number of x in Z^n with norm k."""
+    one = [0] * (top + 1)
+    for v in values:
+        if v <= top:
+            one[v] += 1
+    out = [1] + [0] * top
+    for _ in range(n):
+        out = [sum(out[i] * one[k - i] for i in range(k + 1))
+               for k in range(top + 1)]
+    return out
+
+
+def squares(top):
+    r = math.isqrt(top)
+    return [j * j for j in range(-r, r + 1)]
+
+
+def d16plus_theta(order):
+    """theta of D16+ = (theta2^16 + theta3^16 + theta4^16) / 2 through q^order
+    (SPLAG ch. 4 section 7.4), counted in quarter-norm units: the integer
+    vectors of even norm all lie in D16, and half of the vectors of
+    (Z + 1/2)^16 of each norm have an even coordinate sum."""
+    top = 8 * order
+    whole = power_counts([4 * v for v in squares(top // 4)], 16, top)
+    half = power_counts([(2 * j + 1) ** 2 for j in range(-4 * order, 4 * order)],
+                        16, top)
+    return lat.ThetaSeries(order, tuple(whole[8 * m] + half[8 * m] // 2
+                                        for m in range(order + 1)))
+
+
 def test_theta_E8_matches_the_eisenstein_expansion():
+    # theta_series reads E8 off E4 = 1 + 240 sum sigma3(n) q^n, so the
+    # enumerator checks the same expansion independently
     th = lat.theta_series(E8, 4)
     assert th.counts == (1, 240, 2160, 6720, 17520)
+    assert enumerated_theta(E8, 4) == th
 
 
 def test_theta_of_sums_is_the_product_of_thetas():
@@ -225,7 +267,8 @@ def test_theta_3E8_enumerates_E8_once_and_equals_its_cube(monkeypatch):
 def test_theta_3E8_against_flat_enumeration():
     s = lat.direct_sum(E8, E8, E8)
     plain = lat.Lattice(s.ambient_dim, s.rank, s.basis)
-    assert lat.theta_series(plain, 2) == lat.theta_series(s, 2)
+    assert enumerated_theta(plain, 2) == lat.theta_series(plain, 2) == \
+        lat.theta_series(s, 2)
 
 
 def test_theta_D16plus_agrees_with_E8_squared():
@@ -233,6 +276,77 @@ def test_theta_D16plus_agrees_with_E8_squared():
     th = lat.theta_series(d16, 2)
     e8sq = lat.theta_product(lat.theta_series(E8, 2), lat.theta_series(E8, 2))
     assert th == e8sq == lat.ThetaSeries(2, (1, 480, 61920))
+    # both sides above come from E4^2; the enumerator and the Jacobi theta
+    # form of D16+ check them independently
+    e8 = enumerated_theta(E8, 2)
+    assert enumerated_theta(d16, 2) == lat.theta_product(e8, e8) == th
+    assert d16plus_theta(4) == lat.theta_series(d16, 4)
+
+
+def scrambled_flat(l, ops, seed):
+    """``l`` with its summands forgotten and its basis scrambled."""
+    return scrambled(lat.Lattice(l.ambient_dim, l.rank, l.basis), ops, seed)
+
+
+def test_flattened_sums_follow_the_theta_of_their_parts():
+    # no summands are remembered, so theta_series takes the modular route on
+    # the whole rank-24 Gram: it enumerates norm 2 and solves for the rest.
+    # D16+ to norm 8 comes from its Jacobi theta form (enumerating it takes
+    # seconds; test_theta_D16plus_agrees_with_E8_squared ties the two)
+    e8 = enumerated_theta(E8, 4)
+    for parts, expected, seed in (
+            ((E8, E8, E8), lat.theta_product(lat.theta_product(e8, e8), e8), 5),
+            ((E8, lat.build_D16plus()), lat.theta_product(e8, d16plus_theta(4)),
+             6)):
+        flat = scrambled_flat(lat.direct_sum(*parts), 48, seed)
+        assert lat.theta_series(flat, 4) == expected
+
+
+def test_odd_unimodular_primitive_grams_keep_enumerating():
+    # e_2k +- e_2k+1 span an even lattice with Gram 2 I_8; divided by its
+    # content the Gram is I_8, unimodular but odd, so it must be enumerated:
+    # its counts are r_8(k) at norm 2k
+    rows = []
+    for k in range(4):
+        for sign in (1, -1):
+            row = [0] * 8
+            row[2 * k], row[2 * k + 1] = 1, sign
+            rows.append(tuple(row))
+    l = lat.Lattice(8, 8, tuple(rows))
+    assert lat.is_even(l) and not lat.is_unimodular(l)
+    r8 = power_counts(squares(4), 8, 4)
+    assert r8[1:] == [16, 112, 448, 1136]
+    expected = {2 * k: r8[k] for k in range(1, 5)}
+    assert lat.short_vectors(l, 8) == enumerated(l, 8) == expected
+    assert lat.lattice_info(l)["kissing"] == 16
+
+
+@pytest.mark.parametrize("build,s,bound", [
+    (lambda: E8, 10**8, 8),
+    (lat.leech_from_ii26, 3, 4),
+], ids=["E8x10^8", "Leechx3"])
+def test_scaled_unimodular_lattices_take_the_route(build, s, bound):
+    l = build()
+    big = lat.Lattice(l.ambient_dim, l.rank,
+                      tuple(tuple(v * s for v in r) for r in l.basis),
+                      signature=l.signature)
+    scaled = {k * s * s: v for k, v in lat.short_vectors(l, bound).items()}
+    assert lat.short_vectors(big, bound * s * s) == scaled == \
+        enumerated(big, bound * s * s)
+
+
+@pytest.mark.slow
+def test_rank_48_flattened_sum_matches_the_theta_product():
+    # rank 48 takes the route with a three-form basis (E4^6, E4^3 Delta,
+    # Delta^2), enumerating the flattened Gram to norm 4 first
+    d16 = lat.build_D16plus()
+    flat = scrambled_flat(lat.direct_sum(E8, d16, E8, E8, E8), 48, 7)
+    e8 = enumerated_theta(E8, 5)
+    expected = lat.theta_product(d16plus_theta(5), e8)
+    for _ in range(3):
+        expected = lat.theta_product(expected, e8)
+    assert expected.counts[:3] == (1, 1440, 876960)
+    assert lat.theta_series(flat, 5) == expected
 
 
 def test_theta_series_validates_order():
@@ -275,16 +389,20 @@ def scrambled(l, ops, seed):
 
 
 def test_enumeration_agrees_across_thread_counts(monkeypatch):
-    # E8 at norm 4 stays in-process at any setting; D16+ at norm 4 is
-    # estimated above the pool gate, so at 2 workers it runs as prefix jobs
-    d16 = lat.build_D16plus()
-    g, _, _ = lat._lll_int(d16.gram)
-    assert lat._node_estimate(lat._int_gso(g)[0], 4) > lat._POOL_NODES
-    for l, expected in ((E8, {2: 240, 4: 2160}), (d16, {2: 480, 4: 61920})):
+    # E8 at norm 4 stays in-process at any setting; D12 at norm 6 is not
+    # unimodular, so short_vectors enumerates it, and it is estimated above
+    # the pool gate, so at 2 workers it runs as prefix jobs. D12 holds the
+    # x in Z^12 with even sum, so its count at norm 2k is r_12(2k)
+    d12 = lat.build_Dn(12)
+    g, _, _ = lat._lll_int(d12.gram)
+    assert lat._node_estimate(lat._int_gso(g)[0], 6) > lat._POOL_NODES
+    r12 = power_counts(squares(6), 12, 6)
+    for l, bound, expected in ((E8, 4, {2: 240, 4: 2160}),
+                               (d12, 6, {k: r12[k] for k in (2, 4, 6)})):
         monkeypatch.setenv("EXCEPTIA_THREADS", "1")
-        serial = lat.short_vectors(l, 4)
+        serial = lat.short_vectors(l, bound)
         monkeypatch.setenv("EXCEPTIA_THREADS", "2")
-        parallel = lat.short_vectors(l, 4)
+        parallel = lat.short_vectors(l, bound)
         assert serial == parallel == expected
 
 

@@ -104,6 +104,49 @@ def test_eta24_matches_the_reference_script(qseries_ref, n):
 # --------------------------------------------------------------------------
 # multiplication and inversion
 
+def sigma(k, n):
+    return sum(d ** k for d in range(1, n + 1) if n % d == 0)
+
+
+def test_e4_is_the_divisor_sum_series():
+    assert mod.e4(12) == LaurentSeries(
+        0, (1,) + tuple(240 * sigma(3, n) for n in range(1, 13)))
+    assert mod.e4(0) == LaurentSeries(0, (1,))
+    with pytest.raises(mod.SeriesError):
+        mod.e4(-1)
+
+
+def test_e4_squared_is_e8():
+    # M8 is one-dimensional, so E4^2 = E8 = 1 + 480 sum sigma7(n) q^n
+    n = 30
+    assert mod.series_mul(mod.e4(n), mod.e4(n), n) == LaurentSeries(
+        0, (1,) + tuple(480 * sigma(7, k) for k in range(1, n + 1)))
+
+
+def test_even_unimodular_theta_from_the_head():
+    # rank 8 and 16 need no counts past norm 0; rank 24 needs norm 2
+    assert mod.even_unimodular_theta(8, [1], 4) == (1, 240, 2160, 6720, 17520)
+    assert mod.even_unimodular_theta(16, [1], 2) == (1, 480, 61920)
+    assert mod.even_unimodular_theta(24, [1, 720], 3) == E4_CUBED_PREFIX
+    assert mod.even_unimodular_theta(24, [1, 0], 4) == \
+        (1, 0, 196560, 16773120, 398034000)
+    # rank 48: E4^6, E4^3 Delta and Delta^2, with the head of 6E8
+    e8 = LaurentSeries(0, (1, 240, 2160, 6720))
+    e8_6 = LaurentSeries(0, (1,))
+    for _ in range(6):
+        e8_6 = mod.series_mul(e8_6, e8, 3)
+    assert mod.even_unimodular_theta(48, list(e8_6.coeffs[:3]), 3) == \
+        e8_6.coeffs
+
+
+@pytest.mark.parametrize("rank,head,n", [
+    (12, [1], 3), (0, [1], 3), (24, [1], 3), (8, [2], 3), (48, [1, 0, 0], 1),
+])
+def test_even_unimodular_theta_validates(rank, head, n):
+    with pytest.raises(mod.SeriesError):
+        mod.even_unimodular_theta(rank, head, n)
+
+
 def test_series_mul_truncates():
     a = LaurentSeries(0, (1, 1))
     b = LaurentSeries(0, (1, 2, 3))
@@ -224,9 +267,21 @@ def test_j_is_lattice_independent_up_to_the_constant():
 @pytest.mark.slow
 def test_j_difference_stays_constant_at_order_three():
     e8 = lat.build_E8()
+    d16 = lat.build_D16plus()
     a = mod.j_from_lattice(lat.direct_sum(e8, e8, e8), 3)
-    b = mod.j_from_lattice(lat.direct_sum(e8, lat.build_D16plus()), 3)
+    b = mod.j_from_lattice(lat.direct_sum(e8, d16), 3)
     assert mod.series_sub(a, b).is_zero
+    # both thetas come from E4 powers; enumerating D16+ and E8 to norm 8
+    # (the counts j needs at order 3) checks that route
+    counts = {}
+    for l in (e8, d16):
+        g, _, _ = lat._lll_int(l.gram)
+        found = lat._enumerate_int_gram(g, 8)
+        counts[l] = LaurentSeries(0, (1,) + tuple(found[k] for k in (2, 4, 6, 8)))
+    e8_squared = mod.series_mul(counts[e8], counts[e8], 4)
+    assert counts[d16] == e8_squared
+    assert mod.series_mul(e8_squared, counts[e8], 4) == \
+        LaurentSeries(0, lat.theta_series(lat.direct_sum(e8, d16), 4).counts)
 
 
 def test_j_from_the_leech_lattice_counts_coset_states():
