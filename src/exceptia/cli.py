@@ -34,7 +34,6 @@ usage: exceptia <group> <command> [arguments]
 
 named lattices: A<n> D<n> E6 E7 E8 D16+ 3E8 E8+D16+ LeechII LeechIcosian
 common flags:   --order N   --max-norm M   --limit L   --json   --input FILE
-environment:    EXCEPTIA_THREADS caps internal parallelism
 run `exceptia <group> <command> --help` for the arguments of one command
 """
 
@@ -411,7 +410,16 @@ def _cmd_clifford_classify(args):
     })
 
 
+# `clifford spinors` prints 2^(n // 2) in decimal, which has 4300 digits at
+# n = 28569; one more digit passes Python's default cap on int-to-str
+# conversion (sys.get_int_max_str_digits), so larger n are refused here.
+_MAX_SPINOR_DIM = 28569
+
+
 def _cmd_clifford_spinors(args):
+    if args.n > _MAX_SPINOR_DIM:
+        raise ValueError(f"dimension {args.n} is above the cap of "
+                         f"{_MAX_SPINOR_DIM} for clifford spinors")
     prof = cl.spinor_taxonomy(args.n)
     fields = [("n", prof.n),
               ("dirac_complex_dim", prof.dirac_complex_dim),
@@ -713,6 +721,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(exc, file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("out of memory: the request is too large", file=sys.stderr)
         return 1
 
 

@@ -11,11 +11,11 @@ fraction-free (leading minors d and scaled coefficients lam = d mu), and the
 enumerator takes each coordinate's window as an integer square root over
 that same data, so a window holds exactly the coordinates that keep the
 norm within the bound. Counts are exact for every positive-definite Gram,
-whatever the size of its entries. Floating point appears only in a
-node-count estimate that decides whether a search runs in a process pool.
-A count-only query on a lattice whose Gram, divided by the gcd of its
-entries, is even unimodular of rank n searches that Gram only up to norm
-2 * (n // 24) and reads the higher counts off the modular forms E4^a Delta^b.
+whatever the size of its entries; no floating point is used. Every search
+runs in the calling process. A count-only query on a lattice whose Gram,
+divided by the gcd of its entries, is even unimodular of rank n searches
+that Gram only up to norm 2 * (n // 24) and reads the higher counts off the
+modular forms E4^a Delta^b.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -470,72 +469,20 @@ def lll_reduce(lat: Lattice, delta: Fraction = DEFAULT_LLL_DELTA) -> Lattice:
 # representative of each +-v pair is visited (its top nonzero coordinate is
 # positive); counts are incremented by two.
 
-# A search whose Gaussian-heuristic node estimate (_node_estimate) passes
-# this bound runs as prefix jobs in a process pool; a smaller one stays
-# in-process. Measured on 2 vCPUs, a node costs ~1.3-1.8 us in-process and
-# the estimate is within 2x of the real count, so the bound sits near 60 ms
-# of search: E8 at norm 8 (estimate 17k, 11k nodes, ~18 ms) and A10 at norm
-# 8 (29k, 21k nodes, ~38 ms) stay in-process, where starting and feeding a
-# two-worker pool (~20 ms) would eat the gain; D16+ at norm 4 (48k, 72k
-# nodes, ~90 ms) and Leech at norm 4 (1.9M nodes, ~3.3 s) are pooled. The
-# estimate is the only float code here and decides only where the work
-# runs.
-_POOL_NODES = 40000
-# prefix jobs fix this many top coordinates (Leech at norm 4: 97 jobs, the
-# largest ~10% of the work)
-_SPLIT_DEPTH = 3
+def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
+                        collect: Optional[list] = None) -> Dict[int, int]:
+    """Counts {norm: count} of the x with 0 < x g x^T <= bound over an
+    LLL-reduced positive-definite int Gram g.
 
-
-def _thread_count() -> int:
-    raw = os.environ.get("EXCEPTIA_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise LatticeError(f"EXCEPTIA_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise LatticeError("EXCEPTIA_THREADS must be at least 1")
-    return n
-
-
-def _node_estimate(d: Sequence[int], bound: int) -> float:
-    """Gaussian-heuristic node count of a search to ``bound``: the sum over
-    k of the volume of the k-ball of radius sqrt(bound) divided by the top k
-    Gram-Schmidt lengths, halved for the +-v symmetry. The lengths multiply
-    to sqrt(d[n] / d[n-k])."""
-    n = len(d) - 1
-    total = 0.0
-    log_r = 0.5 * math.log(bound)
-    log_top = 0.5 * math.log(d[n])
-    for k in range(1, n + 1):
-        total += math.exp(k * (0.5 * math.log(math.pi) + log_r)
-                          - math.lgamma(k / 2 + 1)
-                          - log_top + 0.5 * math.log(d[n - k]))
-    return total / 2
-
-
-def _fp_run(d: Sequence[int], lam: Sequence[Sequence[int]], bound: int,
-            prefix: Sequence[int] = (), collect: Optional[list] = None,
-            split: int = 0) -> Dict[int, int]:
-    """Enumerate x with 0 < x g x^T <= bound over a reduced Gram g.
-
-    Returns {norm: count}; (d, lam) is `_int_gso(g)`. ``prefix`` pins
-    (x[n-1], x[n-2], ...) to its values, so the run covers one prefix job.
-    With ``collect`` a list, appends (norm, coefficient tuple) for one
-    representative of each +-v pair. With ``split`` = k > 0 the search
-    instead stops k levels below the top and appends to ``collect`` every
-    prefix (x[n-1], ..., x[n-k]) whose next window is nonempty; these are the
-    jobs, and together they cover every vector exactly once, because a
-    window depends only on the coordinates above it.
+    With ``collect`` a list, also appends (norm, coefficient tuple) for one
+    representative of each +-v pair.
     """
+    d, lam = _int_gso(g)
     n = len(d) - 1
     counts: Dict[int, int] = {}
     if bound <= 0:
         return counts
     top = n - 1
-    stop = top - split if split else 0    # the row where a branch ends
-    pin = n - len(prefix)              # rows >= pin are fixed by the prefix
     isqrt = math.isqrt
     room = [bound * d[k + 1] for k in range(n)]
     col = [[lam[j][k] for j in range(n)] for k in range(n)]
@@ -572,16 +519,11 @@ def _fp_run(d: Sequence[int], lam: Sequence[Sequence[int]], bound: int,
         b = (s - c) // dr
         if z and a < 1:
             a = 1 if r == 0 else 0     # x = 0 is not counted
-        if r >= pin:
-            p = prefix[top - r]
-            a, b = max(a, p), min(b, p)
         if a <= b:
-            if r != stop:
+            if r:
                 es[r], cs[r], zp[r] = e, c, z
                 x[r], hi[r] = a - 1, b
                 i = r
-            elif split:
-                collect.append(tuple(x[top:r:-1]))
             else:
                 # the last level: d[0] = 1 and d[1] = g[0][0], so the norm
                 # is (E_0 + w^2) // d[1], stepped along the window
@@ -607,33 +549,6 @@ def _fp_run(d: Sequence[int], lam: Sequence[Sequence[int]], bound: int,
         z = zp[i] and not v
         r = i - 1
         h = stale[r] if stale[r] > i else i
-
-
-def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
-                        collect: Optional[list] = None) -> Dict[int, int]:
-    """Counts {norm: count} for an LLL-reduced positive-definite int Gram.
-
-    A search estimated above _POOL_NODES nodes runs as prefix jobs on a pool
-    of EXCEPTIA_THREADS workers, merged in submission order, so the result
-    is the same at any setting.
-    """
-    workers = _thread_count()
-    d, lam = _int_gso(g)
-    if (collect is not None or workers == 1 or len(g) <= _SPLIT_DEPTH
-            or bound <= 0 or _node_estimate(d, bound) < _POOL_NODES):
-        return _fp_run(d, lam, bound, collect=collect)
-    jobs: list = []
-    _fp_run(d, lam, bound, collect=jobs, split=_SPLIT_DEPTH)
-    if len(jobs) < 2:
-        return _fp_run(d, lam, bound)
-    from concurrent.futures import ProcessPoolExecutor
-    merged: Dict[int, int] = {}
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as ex:
-        for part in ex.map(functools.partial(_fp_run, d, lam, bound),
-                           jobs, chunksize=1):
-            for k, v in part.items():
-                merged[k] = merged.get(k, 0) + v
-    return merged
 
 
 def _lll_int(g: Sequence[Sequence]):
@@ -685,7 +600,7 @@ def short_vectors(lat: Lattice, max_norm: int) -> Dict[int, int]:
     """Exact counts of nonzero lattice vectors with norm <= max_norm.
 
     The map omits norms with zero count; an even lattice only ever shows even
-    keys. Deterministic, including under EXCEPTIA_THREADS parallelism. A
+    keys. Deterministic: the search runs in one process, in a fixed order. A
     lattice whose Gram divided by its content is even unimodular of rank n
     is enumerated only up to that content times 2 * (n // 24); its higher
     counts come from its theta series as a modular form (`_norm_counts`).

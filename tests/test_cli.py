@@ -9,7 +9,6 @@ interpreter per run.
 
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
@@ -195,6 +194,31 @@ def test_clifford_spinors_block(capsys):
                    "majorana_weyl false\nminimal_real_components 4\n")
 
 
+def test_clifford_spinors_cap(capsys):
+    # the cap is the largest n whose 2^(n // 2) still converts to decimal
+    cap = cli._MAX_SPINOR_DIM
+    for flags in ((), ("--json",)):
+        rc, out, _ = run(capsys, "clifford", "spinors", str(cap), *flags)
+        assert rc == 0
+        assert str(1 << cap // 2) in out
+        rc, out, err = run(capsys, "clifford", "spinors", str(cap + 1), *flags)
+        assert (rc, out) == (1, "")
+        assert err == (f"dimension {cap + 1} is above the cap of {cap} "
+                       "for clifford spinors\n")
+
+
+def test_out_of_memory_exits_1(capsys, monkeypatch):
+    # `lattice shortvec E8 --max-norm 10^12` asks e4 for 5 * 10^11
+    # coefficients; the test raises the MemoryError without allocating
+    def exhausted(N):
+        raise MemoryError
+    monkeypatch.setattr(mod, "e4", exhausted)
+    rc, out, err = run(capsys, "lattice", "shortvec", "E8",
+                       "--max-norm", str(10**12))
+    assert (rc, out) == (1, "")
+    assert err == "out of memory: the request is too large\n"
+
+
 def test_clifford_superym(capsys):
     assert run(capsys, "clifford", "superym", "3", "12")[1] == "3 4 6 10\n"
 
@@ -354,14 +378,6 @@ def test_domain_errors_exit_1(capsys, tmp_path):
 # ---------------------------------------------------------------------------
 # the installed script, and determinism
 
-def script_env(threads=None):
-    env = dict(os.environ)
-    env.pop("EXCEPTIA_THREADS", None)
-    if threads is not None:
-        env["EXCEPTIA_THREADS"] = str(threads)
-    return env
-
-
 def console_script_command():
     """The installed ``exceptia`` script, or else the entry point that
     pyproject.toml declares for it, run the way pip's wrapper runs it."""
@@ -379,14 +395,14 @@ def console_script_command():
 
 def test_console_script_runs():
     proc = subprocess.run(console_script_command() + ["lattice", "info", "E8"],
-                          capture_output=True, text=True, env=script_env())
+                          capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kissing"] == 240
 
 
-def test_output_is_deterministic_across_runs_and_thread_counts():
-    # E8 stays in-process; D12 at norm 6 is enumerated (it is not
-    # unimodular) and big enough for the pool. Its counts are r_12(2k)
+def test_output_is_deterministic_across_runs():
+    # D12 at norm 6 is enumerated (it is not unimodular); its counts are
+    # r_12(2k)
     r12 = power_counts(squares(6), 12, 6)
     for name, bound, expected in (
             ("E8", 4, ["2 240", "4 2160"]),
@@ -394,10 +410,9 @@ def test_output_is_deterministic_across_runs_and_thread_counts():
         argv = [sys.executable, "-m", "exceptia.cli",
                 "lattice", "shortvec", name, "--max-norm", str(bound)]
         outs = []
-        for threads in (None, None, 1, 2):
-            proc = subprocess.run(argv, capture_output=True,
-                                  env=script_env(threads))
+        for _ in range(2):
+            proc = subprocess.run(argv, capture_output=True)
             assert proc.returncode == 0
             outs.append(proc.stdout)
-        assert outs[0] == outs[1] == outs[2] == outs[3]
+        assert outs[0] == outs[1]
         assert outs[0].decode().splitlines() == expected

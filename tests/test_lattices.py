@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import multiprocessing.process
 import random
 from fractions import Fraction
 from operator import mul
@@ -388,49 +389,22 @@ def scrambled(l, ops, seed):
     return lat.Lattice(l.ambient_dim, l.rank, tuple(map(tuple, rows)))
 
 
-def test_enumeration_agrees_across_thread_counts(monkeypatch):
-    # E8 at norm 4 stays in-process at any setting; D12 at norm 6 is not
-    # unimodular, so short_vectors enumerates it, and it is estimated above
-    # the pool gate, so at 2 workers it runs as prefix jobs. D12 holds the
-    # x in Z^12 with even sum, so its count at norm 2k is r_12(2k)
-    d12 = lat.build_Dn(12)
-    g, _, _ = lat._lll_int(d12.gram)
-    assert lat._node_estimate(lat._int_gso(g)[0], 6) > lat._POOL_NODES
+def test_enumeration_matches_closed_forms_on_e8_and_d12():
+    # D12 at norm 6 is not unimodular, so short_vectors enumerates it. D12
+    # holds the x in Z^12 with even sum, so its count at norm 2k is r_12(2k)
     r12 = power_counts(squares(6), 12, 6)
-    for l, bound, expected in ((E8, 4, {2: 240, 4: 2160}),
-                               (d12, 6, {k: r12[k] for k in (2, 4, 6)})):
-        monkeypatch.setenv("EXCEPTIA_THREADS", "1")
-        serial = lat.short_vectors(l, bound)
-        monkeypatch.setenv("EXCEPTIA_THREADS", "2")
-        parallel = lat.short_vectors(l, bound)
-        assert serial == parallel == expected
+    assert lat.short_vectors(E8, 4) == {2: 240, 4: 2160}
+    assert lat.short_vectors(lat.build_Dn(12), 6) == {k: r12[k]
+                                                      for k in (2, 4, 6)}
 
 
-@pytest.mark.parametrize("build,bound", [
-    (lambda: E8, 8),
-    (lambda: lat.build_Dn(12), 4),
-    (lambda: scrambled(lat.build_An(10), 32, 3), 4),
-], ids=["E8", "D12", "scrambled-A10"])
-def test_prefix_jobs_cover_every_vector_once(build, bound):
-    g, _, _ = lat._lll_int(build().gram)
-    d, lam = lat._int_gso(g)
-    serial: list = []
-    counts = lat._fp_run(d, lam, bound, collect=serial)
-    for depth in (1, 2, lat._SPLIT_DEPTH):
-        jobs: list = []
-        lat._fp_run(d, lam, bound, collect=jobs, split=depth)
-        assert len(jobs) > 1
-        found: list = []
-        total: dict = {}
-        for prefix in jobs:
-            part: list = []
-            for k, v in lat._fp_run(d, lam, bound, prefix=prefix,
-                                    collect=part).items():
-                total[k] = total.get(k, 0) + v
-            assert all(c[:-depth - 1:-1] == prefix for _, c in part)
-            found += part
-        assert sorted(found) == sorted(serial)
-        assert total == counts
+def test_enumeration_starts_no_process(monkeypatch):
+    # D12 at norm 6 is a search of about 80 ms; every search, however large,
+    # runs in the calling process
+    def refuse(self):
+        raise AssertionError("the enumerator started a process")
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse)
+    assert lat.short_vectors(lat.build_Dn(12), 6)[2] == 264
 
 
 @pytest.mark.parametrize("s", [1, 10**4, 10**8, 10**12])
@@ -546,15 +520,6 @@ SKEW = ((4, -2, 4, -2), (-2, -2, 2, -2), (-6, 4, 1, 2), (-2, 4, -3, 4))
 def test_minimal_norm_matches_brute_force(build, expected):
     gram = build().gram
     assert lat._minimal_norm(gram) == brute_force_minimum(gram) == expected
-
-
-def test_thread_env_validation(monkeypatch):
-    monkeypatch.setenv("EXCEPTIA_THREADS", "0")
-    with pytest.raises(lat.LatticeError):
-        lat.short_vectors(E8, 2)
-    monkeypatch.setenv("EXCEPTIA_THREADS", "soon")
-    with pytest.raises(lat.LatticeError):
-        lat.short_vectors(E8, 2)
 
 
 # --------------------------------------------------------------------------
