@@ -3,13 +3,15 @@ spin-network areas, and the Gauss linking number of lattice polygons.
 
 Nothing here depends on machine floating point for a tested result. The BBP
 digit extractor works in fixed-point integer arithmetic, the cannonball
-search uses exact integer square roots, areas are kept as exact multisets
+search sieves n by quadratic residues and checks each survivor with an exact
+integer square root, areas are kept as exact multisets
 next to a float evaluation, and linking numbers come from signed crossing
 counts decided in rational arithmetic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -24,8 +26,50 @@ class IdentityError(ValueError):
 # ---------------------------------------------------------------------------
 # pi in hexadecimal
 
-BBP_POSITION_LIMIT = 10 ** 6
-_BBP_GUARD = 16          # guard hex digits; see the error budget below
+BBP_POSITION_LIMIT = 10 ** 6     # position 10^6 takes ~7 s
+BBP_COUNT_LIMIT = 4096           # the tail's cost grows as count^2
+
+
+def _bbp_error_bound(terms: int) -> int:
+    """Bound on |exact - computed| in ulp for a pass over ``terms`` values of n.
+
+    Each n adds four floored quotients with coefficients 4, -2, -1, -1, so
+    the floors lose less than 8 ulp per n; the terms after the tail add
+    less than 1 ulp in all.
+    """
+    return 8 * terms + 1
+
+
+def _bbp_start_guard(d: int, count: int) -> int:
+    """ceil(log16 E) + 2 guard digits, E the error bound of the first pass."""
+    guard = 2
+    while 16 ** (guard - 2) < _bbp_error_bound(d + 1 + count + guard):
+        guard += 1
+    return guard
+
+
+def _bbp_pass(d: int, prec: int) -> int:
+    """16^prec * frac(16^d pi), up to _bbp_error_bound(d + 1 + prec) ulp,
+    reduced mod 16^prec.
+
+    One walk over n: a single pow modulo the product of the four
+    denominators 8n+1, 8n+4, 8n+5, 8n+6 gives all four residues of 16^(d-n).
+    """
+    s = 4 * prec                  # 16^prec = 2^s
+    total = 0
+    for n in range(d + 1):
+        m1 = 8 * n + 1
+        m4, m5, m6 = m1 + 3, m1 + 4, m1 + 5
+        r = pow(16, d - n, m1 * m4 * m5 * m6)
+        total += (4 * ((r % m1 << s) // m1) - 2 * ((r % m4 << s) // m4)
+                  - (r % m5 << s) // m5 - (r % m6 << s) // m6)
+    # tail: 16^(d-n) for n > d; stops once the shift exhausts prec
+    for n in range(d + 1, d + prec + 1):
+        m1 = 8 * n + 1
+        one = 1 << (s - 4 * (n - d))
+        total += (4 * (one // m1) - 2 * (one // (m1 + 3))
+                  - one // (m1 + 4) - one // (m1 + 5))
+    return total & ((1 << s) - 1)
 
 
 def bbp_pi_hex(start: int, count: int) -> str:
@@ -36,36 +80,31 @@ def bbp_pi_hex(start: int, count: int) -> str:
     sum 16^-n (4/(8n+1) - 2/(8n+4) - 1/(8n+5) - 1/(8n+6)) is evaluated at
     offset start-1 by splitting each term at n = start-1: the head is summed
     with modular exponentiation, the tail converges after a few terms. All
-    accumulation is fixed-point with ``_BBP_GUARD`` guard digits.
+    accumulation is fixed-point with guard digits below the requested ones.
 
-    Error budget: each of the ~4*(start + precision) summands contributes
-    less than one unit in the last place through its floor division, so the
-    total error stays below 16^7 ulp for positions up to the documented
-    limit of 10^6; with 16 guard digits that leaves a margin of 16^9, and
-    the reported digits are unaffected unless a carry would have to travel
-    across nine hex places.
+    The digits are certified: the pass's floor divisions put the exact
+    value within E = ``_bbp_error_bound`` ulp of the computed total, and
+    digits are returned only when total - E and total + E agree on them.
+    Otherwise the guard widens and the pass runs again.
     """
     if start < 1 or count < 1:
         raise IdentityError("start and count must be at least 1")
+    if count > BBP_COUNT_LIMIT:
+        raise IdentityError(f"count {count} is above the cap of "
+                            f"{BBP_COUNT_LIMIT} digits")
     if start + count - 1 > BBP_POSITION_LIMIT:
         raise IdentityError(
-            f"positions beyond {BBP_POSITION_LIMIT} exceed the guard-digit "
-            "error budget")
+            f"positions beyond {BBP_POSITION_LIMIT} exceed the time budget")
     d = start - 1
-    prec = count + _BBP_GUARD
-    mod = 1 << (4 * prec)         # 16^prec
-    total = 0
-    for coeff, k in ((4, 1), (-2, 4), (-1, 5), (-1, 6)):
-        acc = 0
-        for n in range(d + 1):
-            m = 8 * n + k
-            acc = (acc + pow(16, d - n, m) * mod // m) % mod
-        # tail: 16^{d-n} for n > d; stops once the shift exhausts prec
-        for n in range(d + 1, d + prec + 1):
-            m = 8 * n + k
-            acc = (acc + (mod >> (4 * (n - d))) // m) % mod
-        total = (total + coeff * acc) % mod
-    return format(total, f"0{prec}x")[:count].upper()
+    guard = _bbp_start_guard(d, count)
+    while True:
+        prec = count + guard
+        total = _bbp_pass(d, prec)
+        err = _bbp_error_bound(d + 1 + prec)
+        shift = 4 * guard
+        if (total - err) >> shift == (total + err) >> shift:
+            return format(total >> shift, f"0{count}x").upper()
+        guard += 8
 
 
 # ---------------------------------------------------------------------------
@@ -78,17 +117,47 @@ def square_pyramid(n: int) -> int:
     return n * (n + 1) * (2 * n + 1) // 6
 
 
+# Moduli of the cannonball sieve and its block length. P(n) = square_pyramid(n)
+# mod q depends only on n mod q * gcd(6, q), a divisor of 6q (6 P(n) mod 6q
+# depends only on n mod 6q); the 12 moduli leave ~1e-4 of all n.
+_SIEVE_MODULI = (64, 27, 49, 53, 61, 37, 31, 23, 19, 11, 17, 43)
+_SIEVE_BLOCK = 1 << 16
+
+
+@functools.cache
+def _struck_classes(q: int) -> Tuple[int, Tuple[int, ...]]:
+    """(period, residues r mod period with P(r) a non-square mod q)."""
+    period = q * math.gcd(6, q)
+    squares = {k * k % q for k in range(q)}
+    return period, tuple(r for r in range(period)
+                         if square_pyramid(r) % q not in squares)
+
+
 def cannonball_search(limit: int) -> set:
-    """All n in 1..limit whose square-pyramid number is a perfect square."""
+    """All n in 1..limit whose square-pyramid number is a perfect square.
+
+    A residue sieve: in each block of n, every class whose P(n) is a
+    non-square modulo one of ``_SIEVE_MODULI`` is struck out, and each
+    survivor is checked with an exact integer square root.
+    """
     if limit < 1:
         raise IdentityError("limit must be at least 1")
     hits = set()
-    total = 0
-    for n in range(1, limit + 1):
-        total += n * n
-        r = math.isqrt(total)
-        if r * r == total:
-            hits.add(n)
+    for lo in range(1, limit + 1, _SIEVE_BLOCK):
+        size = min(_SIEVE_BLOCK, limit + 1 - lo)
+        alive = bytearray(b"\1") * size
+        for q in _SIEVE_MODULI:
+            period, struck = _struck_classes(q)
+            for r in struck:
+                i = (r - lo) % period
+                alive[i::period] = bytes(len(range(i, size, period)))
+        i = alive.find(1)
+        while i >= 0:
+            p = square_pyramid(lo + i)
+            r = math.isqrt(p)
+            if r * r == p:
+                hits.add(lo + i)
+            i = alive.find(1, i + 1)
     return hits
 
 

@@ -629,7 +629,9 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
         out.append((c * nrm, amb))
         out.append((c * nrm, tuple(-v for v in amb)))
     out.sort()
-    return [(nrm, tuple(Fraction(v, t) for v in amb)) for nrm, amb in out]
+    # t is shared, so each distinct coordinate becomes a Fraction once
+    frac = {v: Fraction(v, t) for v in {v for _, amb in out for v in amb}}
+    return [(nrm, tuple(map(frac.__getitem__, amb))) for nrm, amb in out]
 
 
 def _minimal_norm(gram: Sequence[Sequence[Fraction]]) -> Fraction:

@@ -11,6 +11,7 @@ leading coefficient 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence, Tuple
 
 from .lattices import Lattice, is_even, is_unimodular, theta_series
@@ -147,13 +148,15 @@ def series_inv(a: LaurentSeries, N: int) -> LaurentSeries:
         raise SeriesError(
             f"series carried through exponent {a.order} cannot determine its "
             f"inverse through exponent {N}; extend it to exponent {m_top + a.low}")
-    u = a.coeffs
-    v = [0] * (m_top + 1)
-    v[0] = lead
-    for m in range(1, m_top + 1):
-        s = sum(u[k] * v[m - k] for k in range(1, m + 1))
-        v[m] = -lead * s
-    return LaurentSeries(-a.low, tuple(v))
+    # v[m] = -lead * sum(u[k] v[m-k], k = 1..m), with the result kept
+    # reversed (w[m_top - m] = v[m]) so that each sum is one C-level dot
+    # product of u[1:] with a slice of w
+    u1 = a.coeffs[1:m_top + 1]
+    w = [0] * (m_top + 1)
+    w[m_top] = lead
+    for i in range(m_top - 1, -1, -1):
+        w[i] = -lead * sum(map(mul, u1, w[i + 1:]))
+    return LaurentSeries(-a.low, tuple(reversed(w)))
 
 
 def series_sub(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:

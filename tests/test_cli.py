@@ -20,6 +20,7 @@ import pytest
 
 from exceptia import cli
 from exceptia import hypercomplex as hc
+from exceptia import identities as ident
 from exceptia import modular as mod
 from exceptia.modular import LaurentSeries
 from test_acceptance import e4_cubed_and_delta
@@ -296,6 +297,18 @@ def test_id_pihex(capsys):
     assert run(capsys, "id", "pihex", "1", "10")[1] == "243F6A8885\n"
     rc, out, _ = run(capsys, "id", "pihex", "3", "6", "--json")
     assert json.loads(out) == {"start": 3, "count": 6, "digits": "3F6A88"}
+
+
+def test_id_pihex_count_cap(capsys):
+    # the tail of the digit extractor costs ~count^2, so counts are capped
+    cap = ident.BBP_COUNT_LIMIT
+    for flags in ((), ("--json",)):
+        rc, out, _ = run(capsys, "id", "pihex", "1", str(cap), *flags)
+        assert rc == 0
+        assert ident.bbp_pi_hex(1, cap) in out
+        rc, out, err = run(capsys, "id", "pihex", "1", str(cap + 1), *flags)
+        assert (rc, out) == (1, "")
+        assert err == f"count {cap + 1} is above the cap of {cap} digits\n"
 
 
 def test_id_cannonball(capsys):

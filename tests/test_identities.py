@@ -93,8 +93,72 @@ def test_position_gates():
         bbp_pi_hex(3, 0)
     with pytest.raises(IdentityError):
         bbp_pi_hex(-1, 4)
-    with pytest.raises(IdentityError, match="error budget"):
+    with pytest.raises(IdentityError, match="time budget"):
         bbp_pi_hex(ident.BBP_POSITION_LIMIT, 2)
+
+
+def test_count_cap():
+    cap = ident.BBP_COUNT_LIMIT
+    assert bbp_pi_hex(1, cap).startswith(PI_HEX_72)
+    with pytest.raises(IdentityError, match=f"above the cap of {cap} digits"):
+        bbp_pi_hex(1, cap + 1)
+
+
+def bbp_four_pass(start: int, count: int) -> str:
+    """A second extractor for the same series: one walk over n per series
+    term, one small modulus per pow, 16 guard digits, reduced mod 16^prec
+    after every term."""
+    d = start - 1
+    prec = count + 16
+    mod = 1 << (4 * prec)
+    total = 0
+    for coeff, k in ((4, 1), (-2, 4), (-1, 5), (-1, 6)):
+        acc = 0
+        for n in range(d + 1):
+            m = 8 * n + k
+            acc = (acc + pow(16, d - n, m) * mod // m) % mod
+        for n in range(d + 1, d + prec + 1):
+            m = 8 * n + k
+            acc = (acc + (mod >> (4 * (n - d))) // m) % mod
+        total = (total + coeff * acc) % mod
+    return format(total, f"0{prec}x")[:count].upper()
+
+
+def test_one_pass_matches_four_pass_on_every_early_window():
+    for start in range(1, 501):
+        assert bbp_pi_hex(start, 8) == bbp_four_pass(start, 8), start
+
+
+def test_one_pass_matches_four_pass_at_seeded_depths():
+    rng = random.Random(2024)
+    for lo, hi in ((10 ** 3, 10 ** 4), (10 ** 4, 5 * 10 ** 4),
+                   (5 * 10 ** 4, 10 ** 5 - 16)):
+        start, count = rng.randrange(lo, hi), rng.randint(1, 16)
+        assert bbp_pi_hex(start, count) == bbp_four_pass(start, count)
+
+
+def test_narrow_guard_forces_a_certified_retry(monkeypatch):
+    # with no guard digits the first pass cannot certify its last digit,
+    # so the extractor must widen the guard and run again
+    passes = []
+    one_pass = ident._bbp_pass
+
+    def counted(d, prec):
+        passes.append(prec)
+        return one_pass(d, prec)
+
+    monkeypatch.setattr(ident, "_bbp_start_guard", lambda d, count: 0)
+    monkeypatch.setattr(ident, "_bbp_pass", counted)
+    assert bbp_pi_hex(9995, 8) == bbp_four_pass(9995, 8)
+    assert bbp_pi_hex(1, 40) == pi_hex_oracle(40)
+    assert passes[0] == 8 and len(passes) >= 2
+
+
+def test_start_guard_is_log16_of_the_error_bound_plus_two():
+    for d, count in ((0, 1), (19999, 16), (10 ** 6, 4096)):
+        g = ident._bbp_start_guard(d, count)
+        bound = ident._bbp_error_bound(d + 1 + count + g)
+        assert 16 ** (g - 3) < bound <= 16 ** (g - 2)
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +194,40 @@ def test_cannonball_search_small_limits():
 def test_cannonball_search_rejects_bad_limits():
     with pytest.raises(IdentityError):
         cannonball_search(0)
+
+
+def cannonball_loop(limit: int) -> set:
+    """The search as a plain loop: every n, one exact square root each."""
+    hits = set()
+    total = 0
+    for n in range(1, limit + 1):
+        total += n * n
+        r = math.isqrt(total)
+        if r * r == total:
+            hits.add(n)
+    return hits
+
+
+@pytest.mark.parametrize("q", ident._SIEVE_MODULI)
+def test_sieve_strikes_only_non_square_classes(q):
+    period, struck = ident._struck_classes(q)
+    assert (6 * q) % period == 0
+    squares = {k * k % q for k in range(q)}
+    # P(n) mod q is constant on each class mod the period, so on each class
+    # mod 6q; two periods of 6q cover every class twice
+    for n in range(2 * 6 * q):
+        assert square_pyramid(n) % q == square_pyramid(n % period) % q
+    for r in struck:
+        assert 0 <= r < period and square_pyramid(r) % q not in squares
+
+
+def test_cannonball_sieve_matches_the_plain_loop():
+    block = ident._SIEVE_BLOCK
+    rng = random.Random(7)
+    limits = [*range(1, 201), block - 1, block, block + 1,
+              *(rng.randint(block + 2, 3 * block) for _ in range(3))]
+    for limit in limits:
+        assert cannonball_search(limit) == cannonball_loop(limit), limit
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,30 @@ def test_series_inv_really_inverts_eta24():
     assert all(prod.coefficient(k) == 0 for k in range(1, n + 1))
 
 
+def plain_series_inv(u, m_top):
+    """The unit part of the inverse by the recurrence, one product at a time."""
+    v = [u[0]]
+    for m in range(1, m_top + 1):
+        v.append(-u[0] * sum(u[k] * v[m - k] for k in range(1, m + 1)))
+    return v
+
+
+@given(st.integers(min_value=-2, max_value=2), st.sampled_from((1, -1)),
+       st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                max_size=40),
+       st.data())
+def test_series_inv_matches_the_plain_recurrence(low, lead, tail, data):
+    coeffs = (lead, *tail)
+    N = data.draw(st.integers(min_value=-low, max_value=len(tail) - low))
+    if low not in (-1, 0, 1):
+        # q^-2 is not representable, so neither a nor its inverse is
+        with pytest.raises(mod.SeriesError):
+            mod.series_inv(LaurentSeries(low, coeffs), N)
+        return
+    inv = mod.series_inv(LaurentSeries(low, coeffs), N)
+    assert inv == LaurentSeries(-low, tuple(plain_series_inv(coeffs, N + low)))
+
+
 def test_inverse_eta24_has_nonnegative_coefficients():
     inv = mod.series_inv(mod.eta24(51), 50)
     assert inv.low == -1
