@@ -15,12 +15,13 @@ whatever the size of its entries; no floating point is used. Every search
 runs in the calling process. A count-only query on a lattice whose Gram,
 divided by the gcd of its entries, is even unimodular of rank n searches
 that Gram only up to norm 2 * (n // 24) and reads the higher counts off the
-modular forms E4^a Delta^b.
+modular forms E4^a Delta^b. Otherwise a reduced Gram whose nonzero pattern
+falls into several blocks is counted one block at a time, and the counts of
+the orthogonal sum are convolved from theirs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -86,9 +87,9 @@ class Lattice:
     ``signature`` names the ambient form: the identity for ``euclidean``,
     diag(-1, +1, ..., +1) with the first coordinate timelike for
     ``lorentzian``. The Gram matrix is derived from the basis and the form at
-    construction time. ``summands`` remembers direct-sum structure when a
-    lattice was assembled blockwise, which lets the theta series use the
-    convolution identity instead of enumerating the full-rank sum.
+    construction time. ``summands`` records the parts a lattice was assembled
+    from by `direct_sum`; it is informational only, since every count finds
+    the orthogonal blocks of the reduced Gram itself (`_norm_counts`).
     """
 
     ambient_dim: int
@@ -562,27 +563,77 @@ def _lll_int(g: Sequence[Sequence]):
     return gr, u, c
 
 
+def _components(g: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Index sets of the connected components of the nonzero pattern of a
+    symmetric matrix, each sorted, in the order of their least index."""
+    n = len(g)
+    seen = [False] * n
+    out = []
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        comp, stack = [], [s]
+        while stack:
+            i = stack.pop()
+            comp.append(i)
+            for j, v in enumerate(g[i]):
+                if v and not seen[j]:
+                    seen[j] = True
+                    stack.append(j)
+        out.append(sorted(comp))
+    return out
+
+
 def _norm_counts(g: Sequence[Sequence[int]], bound: int) -> Dict[int, int]:
     """Counts {norm: count} of the nonzero vectors with norm <= bound over a
     reduced primitive Gram g, as `_enumerate_int_gram` gives them.
 
     When g is even unimodular (even diagonal, determinant 1) of rank n, its
     theta series is fixed by the counts up to norm 2 * (n // 24)
-    (`modular.even_unimodular_theta`), so only those are enumerated and
-    every higher count is read off E4^a Delta^b.
+    (`modular.even_unimodular_theta`), so only those are counted and every
+    higher count is read off E4^a Delta^b.
+
+    Otherwise, when the nonzero pattern of g has several connected
+    components, the basis splits into mutually orthogonal blocks and the
+    lattice is their orthogonal sum, whose theta series is the product of
+    theirs. Each block, divided by its own content c, is counted up to
+    bound // c by this function (so every even unimodular block takes the
+    route above), and the counts are convolved up to the bound. The other
+    blocks are orthogonal to a block, so it keeps its Gram-Schmidt data
+    from g and stays size-reduced. A single component is enumerated whole.
     """
+    if bound <= 0:
+        return {}
     n = len(g)
     head = n // 24
-    if (bound <= 2 * head or any(g[i][i] % 2 for i in range(n))
-            or _int_gso(g)[0][-1] != 1):
+    if (bound > 2 * head and not any(g[i][i] % 2 for i in range(n))
+            and _int_gso(g)[0][-1] == 1):
+        # modular imports this module, so the solver is imported at call time
+        from .modular import even_unimodular_theta
+        counts = _norm_counts(g, 2 * head)
+        theta = even_unimodular_theta(
+            n, [1] + [counts.get(2 * k, 0) for k in range(1, head + 1)],
+            bound // 2)
+        return {2 * k: t for k, t in enumerate(theta) if k and t}
+    blocks = _components(g)
+    if len(blocks) == 1:
         return _enumerate_int_gram(g, bound)
-    # modular imports this module, so the solver is imported at call time
-    from .modular import even_unimodular_theta
-    counts = _enumerate_int_gram(g, 2 * head)
-    theta = even_unimodular_theta(
-        n, [1] + [counts.get(2 * k, 0) for k in range(1, head + 1)],
-        bound // 2)
-    return {2 * k: t for k, t in enumerate(theta) if k and t}
+    total = {0: 1}
+    for idx in blocks:
+        block = [[g[i][j] for j in idx] for i in idx]
+        c = math.gcd(*(v for row in block for v in row))
+        part = _norm_counts([[v // c for v in row] for row in block],
+                            bound // c)
+        part = {0: 1, **{c * k: v for k, v in part.items()}}
+        prod: Dict[int, int] = {}
+        for a, x in total.items():
+            for b, y in part.items():
+                if a + b <= bound:
+                    prod[a + b] = prod.get(a + b, 0) + x * y
+        total = prod
+    del total[0]
+    return total
 
 
 def _reduced_even_gram(lat: Lattice, max_norm: int, what: str):
@@ -603,7 +654,9 @@ def short_vectors(lat: Lattice, max_norm: int) -> Dict[int, int]:
     keys. Deterministic: the search runs in one process, in a fixed order. A
     lattice whose Gram divided by its content is even unimodular of rank n
     is enumerated only up to that content times 2 * (n // 24); its higher
-    counts come from its theta series as a modular form (`_norm_counts`).
+    counts come from its theta series as a modular form. Any other lattice
+    whose reduced Gram splits into orthogonal blocks is counted block by
+    block, whatever its basis (`_norm_counts`).
     """
     gr, _, c = _reduced_even_gram(lat, max_norm, "short_vectors")
     counts = _norm_counts(gr, max_norm // c)
@@ -675,20 +728,12 @@ def theta_series(lat: Lattice, order: int) -> ThetaSeries:
     """Vector counts by half-norm up to the given order.
 
     Takes the counts of `short_vectors` up to norm 2*order, so an even
-    unimodular lattice of rank n is enumerated only up to norm 2 * (n // 24).
-    A remembered direct-sum structure is folded through the convolution
-    identity, which turns one large query into small per-component ones,
-    each distinct summand queried once.
+    unimodular lattice of rank n is enumerated only up to norm 2 * (n // 24),
+    and an orthogonal sum, remembered or not, is counted one component at a
+    time and convolved (`_norm_counts`).
     """
     if not isinstance(order, int) or order < 0:
         raise LatticeError("order must be a nonnegative integer")
-    if len(lat.summands) > 1:
-        seen: Dict[Lattice, ThetaSeries] = {}
-        for part in lat.summands:
-            if part not in seen:
-                seen[part] = theta_series(part, order)
-        return functools.reduce(theta_product,
-                                (seen[part] for part in lat.summands))
     counts = short_vectors(lat, 2 * order) if order else {}
     return ThetaSeries(order, (1,) + tuple(counts.get(2 * m, 0)
                                            for m in range(1, order + 1)))

@@ -230,7 +230,7 @@ def test_theta_of_sums_is_the_product_of_thetas():
     th = lat.theta_series(square, 3)
     single = lat.theta_series(a1, 3)
     assert th == lat.theta_product(single, single)
-    # convolution path agrees with direct enumeration of the same lattice
+    # the same basis without remembered summands gives the same series
     plain = lat.Lattice(square.ambient_dim, square.rank, square.basis)
     assert lat.theta_series(plain, 3) == th
 
@@ -241,27 +241,33 @@ def test_theta_3E8_prefix():
     assert th.counts == (1, 720, 179280)
 
 
+def recorded_ranks(monkeypatch):
+    """Patch the enumerator to append the rank of every Gram it searches."""
+    ranks = []
+    real = lat._enumerate_int_gram
+
+    def recording(g, bound, collect=None):
+        ranks.append(len(g))
+        return real(g, bound, collect)
+
+    monkeypatch.setattr(lat, "_enumerate_int_gram", recording)
+    return ranks
+
+
 def test_theta_3E8_enumerates_E8_once_and_equals_its_cube(monkeypatch):
+    # the per-summand fold is the oracle; the library counts the whole sum
+    # and splits its reduced Gram, so no search sees more than one summand
     e8, a2 = lat.theta_series(E8, 3), lat.theta_series(lat.build_An(2), 3)
-    calls = []
-    real = lat.short_vectors
-
-    def counting(l, bound):
-        calls.append(l.rank)
-        return real(l, bound)
-
-    monkeypatch.setattr(lat, "short_vectors", counting)
+    ranks = recorded_ranks(monkeypatch)
     th = lat.theta_series(lat.direct_sum(E8, E8, E8), 3)
     assert th == lat.theta_product(lat.theta_product(e8, e8), e8)
     assert th.counts == (1, 720, 179280, 16954560)
-    assert calls == [8]
-    # each distinct summand is enumerated once, and the order of the
-    # summands is kept in the fold
-    calls.clear()
+    assert max(ranks, default=0) <= 8
+    ranks.clear()
     mixed = lat.direct_sum(lat.build_An(2), E8, lat.build_An(2))
     assert lat.theta_series(mixed, 3) == \
         lat.theta_product(lat.theta_product(a2, e8), a2)
-    assert calls == [2, 8]
+    assert ranks and max(ranks) <= 8
 
 
 @pytest.mark.slow
@@ -290,10 +296,11 @@ def scrambled_flat(l, ops, seed):
 
 
 def test_flattened_sums_follow_the_theta_of_their_parts():
-    # no summands are remembered, so theta_series takes the modular route on
-    # the whole rank-24 Gram: it enumerates norm 2 and solves for the rest.
-    # D16+ to norm 8 comes from its Jacobi theta form (enumerating it takes
-    # seconds; test_theta_D16plus_agrees_with_E8_squared ties the two)
+    # no summands are remembered; the whole rank-24 Gram is even unimodular,
+    # so theta_series counts norm 2 (block by block once the reduced Gram
+    # splits) and solves for the rest. D16+ to norm 8 comes from its Jacobi
+    # theta form (enumerating it takes seconds;
+    # test_theta_D16plus_agrees_with_E8_squared ties the two)
     e8 = enumerated_theta(E8, 4)
     for parts, expected, seed in (
             ((E8, E8, E8), lat.theta_product(lat.theta_product(e8, e8), e8), 5),
@@ -305,8 +312,9 @@ def test_flattened_sums_follow_the_theta_of_their_parts():
 
 def test_odd_unimodular_primitive_grams_keep_enumerating():
     # e_2k +- e_2k+1 span an even lattice with Gram 2 I_8; divided by its
-    # content the Gram is I_8, unimodular but odd, so it must be enumerated:
-    # its counts are r_8(k) at norm 2k
+    # content the Gram is I_8, unimodular but odd, so it must be counted (as
+    # eight blocks of rank 1), not read off modular forms: its counts are
+    # r_8(k) at norm 2k
     rows = []
     for k in range(4):
         for sign in (1, -1):
@@ -339,7 +347,8 @@ def test_scaled_unimodular_lattices_take_the_route(build, s, bound):
 @pytest.mark.slow
 def test_rank_48_flattened_sum_matches_the_theta_product():
     # rank 48 takes the route with a three-form basis (E4^6, E4^3 Delta,
-    # Delta^2), enumerating the flattened Gram to norm 4 first
+    # Delta^2), counting the flattened Gram to norm 4 first, one block at a
+    # time where its reduced Gram splits
     d16 = lat.build_D16plus()
     flat = scrambled_flat(lat.direct_sum(E8, d16, E8, E8, E8), 48, 7)
     e8 = enumerated_theta(E8, 5)
@@ -434,6 +443,110 @@ def test_large_unstructured_gram_counts_exactly():
     assert lat.short_vectors(l, 2 * s * s) == {2 * s * s: 240}
     info = lat.lattice_info(l)
     assert (info["min_norm"], info["kissing"]) == (2 * s * s, 240)
+    # the queries above split the reduced Gram into two small blocks; the
+    # enumerator must also count the whole primitive Gram exactly
+    gr, _, c = lat._lll_int(l.gram)
+    assert c == 2 and max(abs(v) for row in gr for v in row) >= 10**15
+    assert lat._enumerate_int_gram(gr, s * s) == {s * s: 240}
+
+
+def scaled_basis(l, s):
+    return lat.Lattice(l.ambient_dim, l.rank,
+                       tuple(tuple(v * s for v in r) for r in l.basis))
+
+
+FLAT_SUMS = {
+    "E8+D6": ((E8, lat.build_Dn(6)), 4, 2),
+    "E8+A4": ((E8, lat.build_An(4)), 6, 3),
+    "A2+E8+A2": ((lat.build_An(2), E8, lat.build_An(2)), 6, 3),
+    "D4+D4": ((lat.build_Dn(4), lat.build_Dn(4)), 6, 3),
+    "E8+E8x2": ((E8, scaled_basis(E8, 2)), 8, 4),
+}
+
+
+@pytest.mark.parametrize("name", list(FLAT_SUMS))
+def test_flat_sums_split_and_match_the_whole_enumeration(name):
+    parts, bound, order = FLAT_SUMS[name]
+    l = scrambled_flat(lat.direct_sum(*parts), 48, 3)
+    gr, _, _ = lat._lll_int(l.gram)
+    assert len(lat._components(gr)) == len(parts)
+    whole = enumerated(l, bound)
+    assert lat.short_vectors(l, bound) == whole
+    assert lat.theta_series(l, order) == enumerated_theta(l, order)
+    info = lat.lattice_info(l)
+    mn = min(whole)
+    assert (info["min_norm"], info["kissing"]) == (mn, whole[mn])
+
+
+def test_blocks_with_different_contents_split_exactly():
+    # E8 * 10^8 + A1 * (10^8 + 1): the whole Gram has content 2, its blocks
+    # 10^16 and 2 (10^8 + 1)^2
+    s = 10**8
+    l = scrambled_flat(lat.direct_sum(scaled_basis(E8, s),
+                                      scaled_basis(lat.build_An(1), s + 1)),
+                       40, 1)
+    gr, _, c = lat._lll_int(l.gram)
+    assert c == 2 and len(lat._components(gr)) == 2
+    bound = 2 * (s + 1) ** 2
+    expected = {2 * s * s: 240, 2 * (s + 1) ** 2: 2}
+    assert lat.short_vectors(l, bound) == enumerated(l, bound) == expected
+    info = lat.lattice_info(l)
+    assert (info["min_norm"], info["kissing"]) == (2 * s * s, 240)
+
+
+def test_flat_E8_D6_never_searches_more_than_one_block(monkeypatch):
+    flat = scrambled_flat(lat.direct_sum(E8, lat.build_Dn(6)), 48, 1)
+    ranks = recorded_ranks(monkeypatch)
+    # E8 has 240 roots and 2160 vectors of norm 4, D6 has 60 and 252
+    assert lat.short_vectors(flat, 4) == {2: 300, 4: 2160 + 252 + 240 * 60}
+    assert ranks and max(ranks) <= 8
+
+
+@st.composite
+def block_sums(draw):
+    """(blocks, rows, scrambled, bound): the rows of 2-3 even blocks of rank
+    <= 4 in orthogonal coordinates, the same rows permuted and scrambled by
+    seeded row operations, and a bound up to 8."""
+    blocks = []
+    for _ in range(draw(st.integers(2, 3))):
+        r = draw(st.integers(1, 4))
+        m = draw(st.integers(r, 4))
+        rows = []
+        for _ in range(r):
+            row = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+            row[-1] -= sum(row) % 2             # even coordinate sum
+            rows.append(row)
+        blocks.append(rows)
+    ambient = sum(len(b[0]) for b in blocks)
+    rows, offset = [], 0
+    for b in blocks:
+        m = len(b[0])
+        rows += [[0] * offset + row + [0] * (ambient - offset - m) for row in b]
+        offset += m
+    mixed = list(rows)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rng.shuffle(mixed)
+    for _ in range(rng.randrange(3 * len(mixed))):
+        i, j = rng.sample(range(len(mixed)), 2)
+        c = rng.choice((-1, 1))
+        mixed[i] = [a + c * b for a, b in zip(mixed[i], mixed[j])]
+    return len(blocks), rows, mixed, draw(st.integers(0, 8))
+
+
+@given(data=block_sums())
+@settings(max_examples=60, deadline=None)
+def test_block_diagonal_grams_split_exactly(data):
+    blocks, rows, mixed, bound = data
+    g = matmul(rows, list(zip(*rows)))
+    assume(det_fraction(g) != 0)
+    l = lat.Lattice(len(rows[0]), len(rows), tuple(map(tuple, mixed)))
+    assert lat.short_vectors(l, bound) == enumerated(l, bound)
+    # the unscrambled block-diagonal Gram, divided by its content, splits
+    # whatever LLL makes of the scramble
+    c = math.gcd(*(v for row in g for v in row))
+    g = [[v // c for v in row] for row in g]
+    assert len(lat._components(g)) >= blocks
+    assert lat._norm_counts(g, bound) == lat._enumerate_int_gram(g, bound)
 
 
 def box_counts(g, bound):
