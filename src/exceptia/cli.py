@@ -56,12 +56,14 @@ class _Parser(argparse.ArgumentParser):
 # the left, which matters once multiplication is non-associative.
 
 _TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|e(\d+)|([()+\-*,]))")
-# A level-L element has 2^L coordinates and a dense product costs 4^L
-# integer products: one dense level-8 product (256 coordinates) takes about
-# 25 ms, or ~0.15 s as the first in a process (it fills the sign cache), and
-# `hyper mul` on two dense level-8 operands about 0.4 s, mostly interpreter
-# start-up and that first product (reading a 256-term operand takes ~15 ms).
-# Units e<n>, pair results and --level are held to this cap. A pair of level-L
+# Elements are stored as their nonzero terms, so a unit costs the same at any
+# level, but a level-L element has up to 2^L terms (--json prints all 2^L
+# coordinates) and a dense product costs 4^L integer products: one dense
+# level-8 product (256 coordinates) takes 13-25 ms, or 80-135 ms as the first
+# in a process (it fills the sign cache), and `hyper mul` on two dense
+# level-8 operands about 0.3 s, mostly interpreter start-up and that first
+# product (reading a 256-term operand takes ~10 ms). Units e<n>, pair
+# results and --level are held to this cap. A pair of level-L
 # elements has level L + 1, so pairs may nest at most this deep, which also
 # keeps the recursive descent far inside Python's recursion limit.
 _MAX_LEVEL = 8
@@ -178,13 +180,12 @@ def _check_level(level: int, what: str) -> None:
 
 
 def _h_lift(x: hc.HyperNumber, level: int) -> hc.HyperNumber:
+    # the unit sign rule does not depend on the level, so a lift keeps the
+    # terms and only changes the level
     if x.level > level:
         raise ValueError(f"element needs level {x.level}, which exceeds "
                          f"level {level}")
-    if x.level == level:
-        return x
-    pad = (Fraction(0),) * ((1 << level) - len(x.coords))
-    return hc.HyperNumber(x.field, x.coords + pad)
+    return hc.HyperNumber(x.field, level, x.terms)
 
 
 def _h_common(x, y):
@@ -198,11 +199,6 @@ def _h_add(x, y):
 
 
 def _h_mul(x, y):
-    # a level-0 factor is a rational scalar, central in every level
-    if x.level == 0:
-        return y.scale(x.coords[0])
-    if y.level == 0:
-        return x.scale(y.coords[0])
     x, y = _h_common(x, y)
     return hc.cd_mul(x, y)
 
@@ -213,19 +209,21 @@ def _h_neg(x):
 
 def _h_atom(kind, val, p: _ExprParser):
     if kind == "num":
-        return hc.HyperNumber(hc.RATIONAL, (val,))
+        return hc.hyper([val])
     if kind == "unit":
         level = val.bit_length()
         _check_level(level, f"e{val}")
         return hc.basis_element(level, val)
-    # pair: '(' already consumed
+    # pair: '(' already consumed; b's units sit 2^level above a's
     a = p.expr(_h_atom, _h_add, _h_mul, _h_neg)
     p.expect(",")
     b = p.expr(_h_atom, _h_add, _h_mul, _h_neg)
     p.expect(")")
     a, b = _h_common(a, b)
     _check_level(a.level + 1, "the pair")
-    return hc.HyperNumber(a.field, a.coords + b.coords)
+    shift = 1 << a.level
+    return hc.HyperNumber(a.field, a.level + 1,
+                          a.terms + tuple((k + shift, c) for k, c in b.terms))
 
 
 def parse_hyper(text: str, level: Optional[int] = None) -> hc.HyperNumber:
@@ -264,35 +262,26 @@ def _join_terms(parts: List[Tuple[int, str]]) -> str:
     return " ".join(out)
 
 
-def format_hyper(x: hc.HyperNumber) -> str:
+def _format_terms(terms, name) -> str:
+    """(index, coefficient) terms as ``3 - e1 + 1/2 e5``, with name(index)
+    naming every basis element but the unit at index 0."""
     parts = []
-    for k, c in enumerate(x.coords):
-        if not c:
-            continue
+    for k, c in terms:
         mag = abs(c)
         if k == 0:
             body = str(mag)
         else:
-            body = f"e{k}" if mag == 1 else f"{mag} e{k}"
+            body = name(k) if mag == 1 else f"{mag} {name(k)}"
         parts.append((1 if c > 0 else -1, body))
     return _join_terms(parts)
+
+
+def format_hyper(x: hc.HyperNumber) -> str:
+    return _format_terms(x.terms, lambda k: f"e{k}")
 
 
 def _blade_name(mask: int) -> str:
     return "*".join(f"e{i + 1}" for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def format_clifford(x: cl.CliffordElement) -> str:
-    parts = []
-    for mask, c in x.terms:
-        mag = abs(c)
-        if mask == 0:
-            body = str(mag)
-        else:
-            name = _blade_name(mask)
-            body = name if mag == 1 else f"{mag} {name}"
-        parts.append((1 if c > 0 else -1, body))
-    return _join_terms(parts)
 
 
 def _emit(args, text_fn, json_obj_fn) -> int:
@@ -394,7 +383,7 @@ def _cmd_clifford_mul(args):
     x = parse_clifford(args.x, sig)
     y = parse_clifford(args.y, sig)
     z = cl.clif_mul(x, y)
-    return _emit(args, lambda: format_clifford(z), lambda: {
+    return _emit(args, lambda: _format_terms(z.terms, _blade_name), lambda: {
         "p": sig.p, "q": sig.q,
         "terms": [{"blade": [i + 1 for i in range(m.bit_length()) if m >> i & 1],
                    "coeff": str(c)} for m, c in z.terms],

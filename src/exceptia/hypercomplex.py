@@ -6,22 +6,24 @@ quaternions), each doubling step builds pairs with
     (a, b)(c, d) = (ac - d*b, da + bc*)        (a, b)* = (a*, -b)
 
 which yields the complex numbers, quaternions, octonions and sedenions at
-levels 1 through 4. The product is not computed by recursing on halves: the
-formula fixes e_i e_j = +-e_(i xor j) for the basis units, and `cd_mul` sums
-that unit sign rule over the nonzero coordinate pairs, as `fano_octonion_mul`
-does with the Fano table. Rational products run on integer numerators over
-one denominator per operand. Alongside the doubling product this module
-carries the classical Fano-plane octonion table, the x-product deformation,
-the permutation action on quaternion units, and the two famous unit rings:
-the 24 Hurwitz quaternions and the 120 icosians with their rank-8 integer
-coordinate system.
+levels 1 through 4. An element is stored sparsely, as its nonzero
+coordinates in ascending unit order (the layout `clifford.CliffordElement`
+uses), so sums, scaling, conjugation and unit products cost what the nonzero
+terms cost at any level; `.coords` builds the dense tuple of all 2^level
+coordinates on request. The product is not computed by recursing on halves:
+the formula fixes e_i e_j = +-e_(i xor j) for the basis units, and `cd_mul`
+sums that unit sign rule over the pairs of nonzero terms, as
+`fano_octonion_mul` does with the Fano table. Rational products run on
+integer numerators over one denominator per operand. Alongside the doubling
+product this module carries the classical Fano-plane octonion table, the
+x-product deformation, the permutation action on quaternion units, and the
+two famous unit rings: the 24 Hurwitz quaternions and the 120 icosians with
+their rank-8 integer coordinate system.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple, Union
@@ -37,68 +39,68 @@ GOLDEN = "golden"
 
 @dataclass(frozen=True)
 class HyperNumber:
-    """An element of the level-k doubling algebra: 2^k coordinates.
+    """An element of the level-k doubling algebra, which has 2^k coordinates.
 
-    Coordinates are Fractions (field="rational") or GoldenRationals
-    (field="golden"). Values are immutable and hashable.
+    `terms` holds (unit index, coefficient) pairs in ascending index order,
+    with no zero coefficient, so equal values have equal terms. Coefficients
+    are Fractions (field="rational") or GoldenRationals (field="golden").
+    Values are immutable and hashable.
     """
 
     field: str
-    coords: Tuple[Scalar, ...]
+    level: int
+    terms: Tuple[Tuple[int, Scalar], ...]
 
     def __post_init__(self):
-        n = len(self.coords)
-        if n == 0 or n & (n - 1):
-            raise ValueError("coordinate count must be a power of two")
         if self.field not in (RATIONAL, GOLDEN):
             raise ValueError(f"unknown field {self.field!r}")
+        if self.level < 0:
+            raise ValueError(f"negative level {self.level}")
 
     @property
-    def level(self) -> int:
-        return len(self.coords).bit_length() - 1
+    def coords(self) -> Tuple[Scalar, ...]:
+        """All 2^level coordinates, zeros included."""
+        z = [_zero_scalar(self.field)] * (1 << self.level)
+        for k, c in self.terms:
+            z[k] = c
+        return tuple(z)
 
     def __add__(self, other: "HyperNumber") -> "HyperNumber":
         _check_compat(self, other)
-        return _where_nonzero(self, other, operator.add)
+        acc = dict(self.terms)
+        for k, c in other.terms:
+            c = acc.pop(k) + c if k in acc else c
+            if c:
+                acc[k] = c
+        return HyperNumber(self.field, self.level, tuple(sorted(acc.items())))
 
     def __sub__(self, other: "HyperNumber") -> "HyperNumber":
-        _check_compat(self, other)
-        return _where_nonzero(self, other, operator.sub)
+        return self + -other
 
     def __neg__(self) -> "HyperNumber":
-        return _where_nonzero(self, self, lambda a, _: -a)
+        return HyperNumber(self.field, self.level,
+                           tuple((k, -c) for k, c in self.terms))
 
     def scale(self, s: Scalar) -> "HyperNumber":
         s = _as_scalar(s, self.field)
-        return _where_nonzero(self, self, lambda a, _: s * a)
+        if not s:
+            return zero(self.level, self.field)
+        return HyperNumber(self.field, self.level,
+                           tuple((k, s * c) for k, c in self.terms))
 
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.terms
 
     def __repr__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coords):
-            if not c:
-                continue
-            parts.append(f"{c}*e{i}" if i else f"{c}")
+        parts = [f"{c}*e{k}" if k else f"{c}" for k, c in self.terms]
         body = " + ".join(parts) if parts else "0"
         return f"hyper[{self.field}]({body})"
-
-
-def _where_nonzero(x: HyperNumber, y: HyperNumber, op) -> HyperNumber:
-    """x with op(x_i, y_i) in place of x_i wherever y_i is nonzero. Only
-    those coordinates cost an exact operation, so adding, negating or
-    scaling a sparse element stays cheap at any level."""
-    z = list(x.coords)
-    for i in itertools.compress(range(len(z)), y.coords):
-        z[i] = op(z[i], y.coords[i])
-    return HyperNumber(x.field, tuple(z))
 
 
 def _check_compat(x: HyperNumber, y: HyperNumber) -> None:
     if x.field != y.field:
         raise ValueError(f"field mismatch: {x.field} vs {y.field}")
-    if len(x.coords) != len(y.coords):
+    if x.level != y.level:
         raise ValueError(f"level mismatch: {x.level} vs {y.level}")
 
 
@@ -116,33 +118,30 @@ def _zero_scalar(field: str) -> Scalar:
     return GOLDEN_ZERO if field == GOLDEN else Fraction(0)
 
 
-def _one_scalar(field: str) -> Scalar:
-    return GOLDEN_ONE if field == GOLDEN else Fraction(1)
-
-
 def hyper(coords, field: str = RATIONAL) -> HyperNumber:
-    """Build a HyperNumber from any iterable of exact scalars."""
-    return HyperNumber(field, tuple(_as_scalar(c, field) for c in coords))
+    """Build a HyperNumber from all 2^level of its coordinates, given as
+    any iterable of exact scalars."""
+    cs = [_as_scalar(c, field) for c in coords]
+    n = len(cs)
+    if n == 0 or n & (n - 1):
+        raise ValueError("coordinate count must be a power of two")
+    return HyperNumber(field, n.bit_length() - 1,
+                       tuple((k, c) for k, c in enumerate(cs) if c))
 
 
 def zero(level: int, field: str = RATIONAL) -> HyperNumber:
-    return HyperNumber(field, (_zero_scalar(field),) * (1 << level))
+    return HyperNumber(field, level, ())
 
 
 def one(level: int, field: str = RATIONAL) -> HyperNumber:
-    z = _zero_scalar(field)
-    return HyperNumber(field, (_one_scalar(field),) + (z,) * ((1 << level) - 1))
+    return basis_element(level, 0, field)
 
 
 def basis_element(level: int, index: int, field: str = RATIONAL) -> HyperNumber:
     """e_index at the given level; e_0 is the multiplicative identity."""
-    n = 1 << level
-    if not 0 <= index < n:
+    if not 0 <= index < 1 << level:
         raise ValueError(f"index {index} out of range for level {level}")
-    z = _zero_scalar(field)
-    coords = [z] * n
-    coords[index] = _one_scalar(field)
-    return HyperNumber(field, tuple(coords))
+    return HyperNumber(field, level, ((index, _as_scalar(1, field)),))
 
 
 # --------------------------------------------------------------------------
@@ -159,8 +158,8 @@ def _cd_unit(i: int, j: int) -> Tuple[int, int]:
         (a, 0)(c, 0) = (ac, 0)        (a, 0)(0, d) = (0, da)
         (0, b)(c, 0) = (0, bc*)       (0, b)(0, d) = (-d*b, 0)
     and e_m* = -e_m for m != 0. That is O(level) steps, and the answer does
-    not depend on the level, so zero-padding to a higher level keeps every
-    product. The cache holds every pair through level 8.
+    not depend on the level, so the same terms read at a higher level keep
+    every product. The cache holds every pair through level 8.
     """
     k, sign = i ^ j, 1
     while i and j:
@@ -179,30 +178,28 @@ def _cd_unit(i: int, j: int) -> Tuple[int, int]:
 
 def _product(x: HyperNumber, y: HyperNumber, unit) -> HyperNumber:
     """The bilinear product of a unit rule unit(i, j) = (k, sign), meaning
-    e_i e_j = sign * e_k, over the nonzero coordinate pairs only. Rational
-    coordinates are cleared to integer numerators over one denominator per
-    operand first; golden ones are multiplied as they are."""
+    e_i e_j = sign * e_k, over the pairs of terms. Rational coefficients are
+    cleared to integer numerators over one denominator per operand first;
+    golden ones are multiplied as they are."""
     _check_compat(x, y)
-    xi = [i for i, a in enumerate(x.coords) if a]
-    yi = [j for j, b in enumerate(y.coords) if b]
-    xs, ys = [x.coords[i] for i in xi], [y.coords[j] for j in yi]
+    xs, ys = [a for _, a in x.terms], [b for _, b in y.terms]
     rational = x.field == RATIONAL
     d, zero = 1, GOLDEN_ZERO
     if rational:
         (xs,), dx = intlinalg.clear_denominators([xs])
         (ys,), dy = intlinalg.clear_denominators([ys])
         d, zero = dx * dy, 0
-    ys = list(zip(yi, ys))
+    ys = [(j, b) for (j, _), b in zip(y.terms, ys)]
     acc: Dict[int, Scalar] = {}
-    for i, a in zip(xi, xs):
+    for (i, _), a in zip(x.terms, xs):
         for j, b in ys:
             k, s = unit(i, j)
             acc[k] = (acc.get(k, zero) + a * b if s > 0
                       else acc.get(k, zero) - a * b)
-    z = [_zero_scalar(x.field)] * len(x.coords)
-    for k, c in acc.items():
-        z[k] = Fraction(c, d) if rational else c
-    return HyperNumber(x.field, tuple(z))
+    terms = sorted((k, c) for k, c in acc.items() if c)
+    if rational:
+        terms = [(k, Fraction(c, d)) for k, c in terms]
+    return HyperNumber(x.field, x.level, tuple(terms))
 
 
 def cd_mul(x: HyperNumber, y: HyperNumber) -> HyperNumber:
@@ -214,14 +211,14 @@ def cd_mul(x: HyperNumber, y: HyperNumber) -> HyperNumber:
 
 def cd_conj(x: HyperNumber) -> HyperNumber:
     """Conjugation: negate every non-real coordinate."""
-    return HyperNumber(x.field,
-                       (x.coords[0],) + tuple(-c for c in x.coords[1:]))
+    return HyperNumber(x.field, x.level,
+                       tuple((k, -c if k else c) for k, c in x.terms))
 
 
 def cd_norm(x: HyperNumber) -> Scalar:
     """The scalar x x* = x* x, i.e. the sum of squared coordinates."""
     acc = _zero_scalar(x.field)
-    for c in x.coords:
+    for _, c in x.terms:
         acc = acc + c * c
     return acc
 
@@ -325,10 +322,8 @@ def ijk_permute(p: PermutationIJK, q: HyperNumber) -> HyperNumber:
     coefficient of q becomes the j coefficient of the result."""
     if q.level != 2:
         raise ValueError("unit permutation acts on quaternions")
-    out = [q.coords[0]] * 4
-    for t in (1, 2, 3):
-        out[p.images[t - 1]] = q.coords[t]
-    return HyperNumber(q.field, tuple(out))
+    return HyperNumber(q.field, 2, tuple(sorted(
+        (p.images[k - 1] if k else 0, c) for k, c in q.terms)))
 
 
 ALL_IJK_PERMUTATIONS = tuple(PermutationIJK(im) for im in _PARITY)
@@ -374,22 +369,18 @@ class IcosianElement:
 _CLOSURE_BOUND = 10_000
 
 
-def _golden_quat(coords) -> HyperNumber:
-    return HyperNumber(GOLDEN, tuple(coords))
-
-
 @functools.cache
 def _build_icosian_state():
     half = Fraction(1, 2)
     gi = basis_element(2, 1, GOLDEN)
     gj = basis_element(2, 2, GOLDEN)
     phi_inv = GOLDEN_ONE / PHI
-    seed3 = _golden_quat((
+    seed3 = hyper((
         phi_inv * GoldenRational(half),
         GoldenRational(half),
         PHI * GoldenRational(half),
         GOLDEN_ZERO,
-    ))
+    ), GOLDEN)
     # breadth-first search over right multiplication by the generators; the
     # group is finite, so the monoid they generate is the whole group
     gens = (gi, gj, seed3)

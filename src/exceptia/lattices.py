@@ -29,6 +29,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import intlinalg
+from .exactnum import GoldenRational, rat
 from .intlinalg import (clear_denominators, det_fraction, invert_fraction,
                         left_kernel, solve_left)
 
@@ -55,14 +56,6 @@ class LatticeConstructionError(LatticeError):
         super().__init__(message)
         for key, value in payload.items():
             setattr(self, key, value)
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
 
 def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
@@ -102,7 +95,7 @@ class Lattice:
     def __post_init__(self):
         if self.signature not in _SIGNATURES:
             raise LatticeError(f"unknown signature {self.signature!r}")
-        rows = tuple(tuple(_frac(v) for v in row) for row in self.basis)
+        rows = tuple(tuple(rat(v) for v in row) for row in self.basis)
         if len(rows) != self.rank:
             raise LatticeError("rank does not match the number of basis rows")
         if self.rank < 1 or self.rank > self.ambient_dim:
@@ -127,8 +120,8 @@ class Lattice:
 
     def form_dot(self, a: Sequence, b: Sequence) -> Fraction:
         """Ambient bilinear form applied to two coordinate vectors."""
-        av = [_frac(x) for x in a]
-        bv = [_frac(x) for x in b]
+        av = [rat(x) for x in a]
+        bv = [rat(x) for x in b]
         if len(av) != self.ambient_dim or len(bv) != self.ambient_dim:
             raise LatticeError("vector length differs from ambient_dim")
         s = sum(x * y for x, y in zip(av, bv))
@@ -170,7 +163,7 @@ def is_unimodular(lat: Lattice) -> bool:
 
 def lattice_contains(lat: Lattice, vector: Sequence) -> bool:
     """Exact membership of an ambient coordinate vector."""
-    v = [_frac(x) for x in vector]
+    v = [rat(x) for x in vector]
     if len(v) != lat.ambient_dim:
         raise LatticeError("vector length differs from ambient_dim")
     return _coefficients_of(lat, v) is not None
@@ -436,7 +429,7 @@ def lll_reduce(lat: Lattice, delta: Fraction = DEFAULT_LLL_DELTA) -> Lattice:
 
     The transform is verified unimodular before the new lattice is returned.
     """
-    delta = _frac(delta)
+    delta = rat(delta)
     if not (Fraction(1, 4) < delta < 1):
         raise LatticeError("delta must lie strictly between 1/4 and 1")
     if not is_positive_definite(lat):
@@ -775,7 +768,7 @@ class LorentzianVector:
     def from_coords(cls, coords: Sequence) -> "LorentzianVector":
         doubled = []
         for c in coords:
-            d = 2 * _frac(c)
+            d = 2 * rat(c)
             if d.denominator != 1:
                 raise LatticeError("coordinates must be halves of integers")
             doubled.append(int(d))
@@ -804,7 +797,7 @@ _II_DIMS = (10, 18, 26)
 
 def ii_member(vector: Sequence) -> bool:
     """Membership in II_{8k+1,1}: integer or half-integer type, even sum."""
-    v = [_frac(c) for c in vector]
+    v = [rat(c) for c in vector]
     if len(v) not in _II_DIMS:
         raise LatticeError(f"unsupported length {len(v)}; "
                            f"expected one of {_II_DIMS}")
@@ -930,13 +923,12 @@ def _ring_mult_matrix(hc, basis8, factor, side: str) -> List[List[int]]:
 
 
 def _quat_from_quadrupled(hc, row: Sequence[int]):
-    from .exactnum import GoldenRational
     coords = []
     for t in range(4):
         u = Fraction(row[2 * t], 4)
         v = Fraction(row[2 * t + 1], 4)
         coords.append(GoldenRational(u, v))
-    return hc.HyperNumber(hc.GOLDEN, tuple(coords))
+    return hc.hyper(coords, hc.GOLDEN)
 
 
 def _icosian_flat_rows(basis8) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -1011,14 +1003,13 @@ def _icosian_triple_lattice(side: str) -> Lattice:
     x + y + z = 0 mod h-bar, embedded with the twisted norm: a quaternion
     norm a + b sqrt5 counts as a + b (see _icosian_twisted_rows)."""
     hc, basis8 = _icosian_ring_data()
-    from .exactnum import GoldenRational
     half = Fraction(1, 2)
-    h = hc.HyperNumber(hc.GOLDEN, (
+    h = hc.hyper((
         GoldenRational(0, -half),            # the rational part is -sqrt5/2
         GoldenRational(half),
         GoldenRational(half),
         GoldenRational(half),
-    ))
+    ), hc.GOLDEN)
     hbar = hc.cd_conj(h)
     H = _ring_mult_matrix(hc, basis8, h, side)
     Hbar = _ring_mult_matrix(hc, basis8, hbar, side)
@@ -1064,30 +1055,13 @@ def leech_from_icosians() -> Lattice:
     a + b sqrt5 of each coordinate counts as a + b, which the embedding
     u + v sqrt5 -> (u + v, 2v) realizes as a plain dot product. The
     congruence u = v mod h is read as u - v in I*h (multiples of h from the
-    right); if the rescaling check fails, the left-handed reading h*I is
-    tried before giving up, and the failure carries both raw Grams.
+    right). That lattice is already even unimodular with minimal norm 4, so
+    the rescaling check passes with factor 1. The left-handed reading h*I
+    (`_icosian_triple_lattice("left")`) is even unimodular with minimal
+    norm 4 as well; the tests check it as an independent route.
     """
-    errors = []
-    raws = {}
-    for side in ("right", "left"):
-        raw = _icosian_triple_lattice(side)
-        raws[side] = raw
-        try:
-            return _rescale_to_min_norm(raw, 4, f"icosian Leech ({side})")
-        except LatticeConstructionError as exc:
-            errors.append((side, exc))
-    lines = ["icosian triple lattice admits no even unimodular rescaling "
-             "under either congruence convention:"]
-    for side, exc in errors:
-        lines.append(f"  {side}: {exc}")
-    lines.append("raw Gram (right-handed convention) follows, one row per line:")
-    for row in raws["right"].gram:
-        lines.append("  " + " ".join(str(v) for v in row))
-    raise LatticeConstructionError(
-        "\n".join(lines),
-        raw_gram=raws["right"].gram,
-        raw_gram_left=raws["left"].gram,
-        details={side: str(exc) for side, exc in errors})
+    return _rescale_to_min_norm(_icosian_triple_lattice("right"), 4,
+                                "icosian Leech")
 
 
 # ---------------------------------------------------------------------------

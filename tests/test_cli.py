@@ -132,6 +132,9 @@ def test_hyper_text_commands(capsys):
         "1 - e1 - 2 e3\n"
     # without --level the operands fix the smallest level that fits
     assert run(capsys, "hyper", "mul", "e1", "e2")[1] == "e3\n"
+    # a pair's second half sits 2^level above its first, at every nesting
+    assert run(capsys, "hyper", "conj", "((1,2),(3,e1))")[1] == \
+        "1 - 2 e1 - 3 e4 - e7\n"
 
 
 def test_hyper_json_coords(capsys):
@@ -142,6 +145,9 @@ def test_hyper_json_coords(capsys):
     assert doc["level"] == 4
     assert doc["coords"][1] == "-2"
     assert all(c == "0" for i, c in enumerate(doc["coords"]) if i != 1)
+    rc, out, _ = run(capsys, "hyper", "conj", "((1,2),(3,e1))", "--json")
+    assert json.loads(out) == {
+        "level": 3, "coords": ["1", "-2", "0", "0", "-3", "0", "0", "-1"]}
 
 
 def test_fano_table(capsys):

@@ -107,6 +107,16 @@ def test_every_unit_pair_matches_the_doubling_recursion(doubling_laws):
                 doubling_laws.cd_mul(x, y), (level, i)
 
 
+def sparse_element(rng, level, count=3):
+    # a sum of scaled units, some repeated or scaled by 0, so terms merge
+    # and cancel on the way
+    x = hc.zero(level)
+    for _ in range(count):
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        x = x + e(level, rng.randrange(1 << level)).scale(c)
+    return x
+
+
 def test_dense_products_match_the_doubling_recursion(doubling_laws):
     rng = random.Random(23)
     for level in range(7):
@@ -115,6 +125,14 @@ def test_dense_products_match_the_doubling_recursion(doubling_laws):
             y = rand_element(rng, level)
             assert hc.cd_mul(x, y).coords == \
                 doubling_laws.cd_mul(x.coords, y.coords), level
+        for _ in range(6):
+            x, y = sparse_element(rng, level), sparse_element(rng, level)
+            assert hc.cd_mul(x, y).coords == \
+                doubling_laws.cd_mul(x.coords, y.coords), level
+            # equal values built different ways are equal and hash equal
+            for a, b in ((hc.hyper(x.coords), x), (x - x, hc.zero(level)),
+                         (x + y, y + x)):
+                assert a == b and hash(a) == hash(b), level
     for _ in range(20):
         x, y = (hc.hyper([GoldenRational(Fraction(rng.randint(-4, 4), 2),
                                          Fraction(rng.randint(-4, 4), 2))
@@ -186,7 +204,7 @@ def test_golden_products_match_the_doubling_recursion(doubling_laws):
 def test_unit_laws_at_level_seventeen():
     # 2^17 coordinates: far past any dense product, cheap for sparse units
     def terms(x):
-        return {k: c for k, c in enumerate(x.coords) if c}
+        return dict(x.terms)
 
     rng = random.Random(17)
     level = 17
@@ -200,6 +218,21 @@ def test_unit_laws_at_level_seventeen():
         (k, s), = terms(hc.cd_mul(units[i], units[j])).items()
         assert k == i ^ j and s in (1, -1)
         assert terms(hc.cd_mul(units[j], units[i])) == {k: -s}
+
+
+def test_units_at_level_sixty_four_stay_one_term():
+    # 2^64 coordinates could never be stored; a unit product and a sum cost
+    # what their terms cost
+    level = 64
+    a, b = e(level, 1 << 63), e(level, (1 << level) - 1)
+    ab = hc.cd_mul(a, b)
+    assert ab.level == level and len(ab.terms) == 1
+    (k, s), = ab.terms
+    assert k == (1 << 63) ^ ((1 << level) - 1) and s in (1, -1)
+    assert hc.cd_mul(b, a) == -ab
+    assert hc.cd_mul(a, a) == -hc.one(level)
+    total = a + a.scale(2)
+    assert total.level == level and total.terms == ((1 << 63, 3),)
 
 
 # --------------------------------------------------------------------------
@@ -546,9 +579,8 @@ def test_icosian_membership_certificates():
     gi = hc.basis_element(2, 1, hc.GOLDEN)
     elem = hc.to_icosian(gi)
     assert len(elem.certificate) == 8
-    outside = hc.HyperNumber(hc.GOLDEN, (GoldenRational(Fraction(1, 3)),
-                                         GOLDEN_ZERO, GOLDEN_ZERO,
-                                         GOLDEN_ZERO))
+    outside = hc.hyper((GoldenRational(Fraction(1, 3)), GOLDEN_ZERO,
+                        GOLDEN_ZERO, GOLDEN_ZERO), hc.GOLDEN)
     with pytest.raises(ValueError):
         hc.to_icosian(outside)
     with pytest.raises(ValueError):
@@ -556,6 +588,6 @@ def test_icosian_membership_certificates():
 
 
 def test_icosian_r8_split():
-    q = hc.HyperNumber(hc.GOLDEN, (PHI, GOLDEN_ONE, GOLDEN_ZERO, GOLDEN_ZERO))
+    q = hc.hyper((PHI, GOLDEN_ONE, GOLDEN_ZERO, GOLDEN_ZERO), hc.GOLDEN)
     flat = hc.icosian_to_r8_raw(q)
     assert flat == (Fraction(1, 2), Fraction(1, 2), 1, 0, 0, 0, 0, 0)
