@@ -11,7 +11,6 @@ stderr), 2 usage error (the grammar is printed).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -229,6 +228,8 @@ def _h_atom(kind, val, p: _ExprParser):
 def parse_hyper(text: str, level: Optional[int] = None) -> hc.HyperNumber:
     """Read a doubling-algebra element; lift it to `level` when given."""
     if level is not None:
+        if level < 0:
+            raise ValueError(f"--level must be at least 0, not {level}")
         _check_level(level, "--level")
     x = _ExprParser(text, pairs=True).parse(_h_atom, _h_add, _h_mul, _h_neg)
     if level is not None:
@@ -286,6 +287,7 @@ def _blade_name(mask: int) -> str:
 
 def _emit(args, text_fn, json_obj_fn) -> int:
     if args.json:
+        import json  # imported here so that text output skips its cost
         print(json.dumps(json_obj_fn()))
     else:
         print(text_fn())
@@ -453,6 +455,7 @@ def _cmd_lattice_build(args):
 def _cmd_lattice_info(args):
     l = _resolve_lattice(args)
     info = lat.lattice_info(l)
+    import json
     print(json.dumps(info))
     return 0
 

@@ -14,36 +14,40 @@ dimensions admit the supersymmetric balance 2(n-2)) is derived from it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Set, Tuple
 
-from .exactnum import Rat, rat
+from .exactnum import Rat, Value, rat
 from .intlinalg import clear_denominators
 
 MAX_GENERATORS = 24
 
 
-@dataclass(frozen=True)
-class CliffordSignature:
-    p: int  # generators squaring to -1
-    q: int  # generators squaring to +1
+class CliffordSignature(Value):
+    __slots__ = ("p", "q")
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0 or self.p + self.q > MAX_GENERATORS:
+    def __init__(self, p: int, q: int):
+        # p generators square to -1, q to +1
+        if p < 0 or q < 0 or p + q > MAX_GENERATORS:
             raise ValueError("signature out of supported range")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     @property
     def n(self) -> int:
         return self.p + self.q
 
 
-@dataclass(frozen=True)
-class CliffordElement:
+class CliffordElement(Value):
     """Map from blade bitmask to nonzero rational coefficient."""
 
-    signature: CliffordSignature
-    terms: Tuple[Tuple[int, Fraction], ...]  # sorted by bitmask, no zeros
+    __slots__ = ("signature", "terms")
+
+    def __init__(self, signature: CliffordSignature,
+                 terms: Tuple[Tuple[int, Fraction], ...]):
+        # terms are sorted by bitmask, with no zero coefficient
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def from_dict(sig: CliffordSignature, d: Dict[int, Rat]) -> "CliffordElement":
@@ -150,11 +154,15 @@ def clif_reverse(x: CliffordElement) -> CliffordElement:
 # --------------------------------------------------------------------------
 # classification
 
-@dataclass(frozen=True)
-class MatrixAlgebraClass:
-    ring: str      # "R", "C", or "H"
-    size: int      # matrices are size x size
-    summands: int  # 1, or 2 for a direct sum of two equal blocks
+class MatrixAlgebraClass(Value):
+    __slots__ = ("ring", "size", "summands")
+
+    def __init__(self, ring: str, size: int, summands: int):
+        # ring is "R", "C" or "H", the matrices are size x size, and summands
+        # is 1, or 2 for a direct sum of two equal blocks
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "summands", summands)
 
     def __str__(self) -> str:
         one = self.ring if self.size == 1 else f"{self.ring}({self.size})"
@@ -205,14 +213,20 @@ def periodicity_check(sig: CliffordSignature) -> bool:
 # --------------------------------------------------------------------------
 # spinor taxonomy
 
-@dataclass(frozen=True)
-class SpinorProfile:
-    n: int
-    dirac_complex_dim: int
-    majorana: bool
-    weyl: bool
-    majorana_weyl: bool
-    minimal_real_components: int
+class SpinorProfile(Value):
+    __slots__ = ("n", "dirac_complex_dim", "majorana", "weyl",
+                 "majorana_weyl", "minimal_real_components")
+
+    def __init__(self, n: int, dirac_complex_dim: int, majorana: bool,
+                 weyl: bool, majorana_weyl: bool,
+                 minimal_real_components: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "dirac_complex_dim", dirac_complex_dim)
+        object.__setattr__(self, "majorana", majorana)
+        object.__setattr__(self, "weyl", weyl)
+        object.__setattr__(self, "majorana_weyl", majorana_weyl)
+        object.__setattr__(self, "minimal_real_components",
+                           minimal_real_components)
 
 
 def _smallest_real_rep(cls: MatrixAlgebraClass) -> int:

@@ -13,7 +13,7 @@ rather than wrapping it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -29,16 +29,56 @@ def rat(x: Rat) -> Fraction:
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class GoldenRational:
+class Value:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__``, in order, and its
+    ``__init__`` checks them and stores them with ``object.__setattr__``.
+    Two values are equal when they are of the same class and their field
+    tuples are equal; a value hashes as its field tuple, and its fields
+    cannot be assigned or deleted.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the methods close over the getter rather than look it up on the
+        # class, because equality and hashing sit in set and dict lookups
+        get = operator.attrgetter(*cls.__slots__)
+        # attrgetter returns a bare value for one name, not a 1-tuple
+        key = get if len(cls.__slots__) > 1 else lambda x: (get(x),)
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return key(self) == key(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        cls.__eq__ = __eq__
+        cls.__hash__ = __hash__
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class GoldenRational(Value):
     """An element u + v*sqrt(5) of Q(sqrt5), with exact rational u, v.
 
     The basis is {1, sqrt5}, not {1, phi}; the coordinate split used by the
     icosian-to-R^8 embedding reads the two components off directly.
     """
 
-    u: Fraction
-    v: Fraction
+    __slots__ = ("u", "v")
 
     def __init__(self, u: Rat = 0, v: Rat = 0):
         object.__setattr__(self, "u", rat(u))

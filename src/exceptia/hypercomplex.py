@@ -24,11 +24,10 @@ their rank-8 integer coordinate system.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Tuple, Union
 
-from .exactnum import GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenRational, rat
+from .exactnum import GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenRational, Value, rat
 from . import intlinalg
 
 Scalar = Union[Fraction, GoldenRational]
@@ -37,8 +36,7 @@ RATIONAL = "rational"
 GOLDEN = "golden"
 
 
-@dataclass(frozen=True)
-class HyperNumber:
+class HyperNumber(Value):
     """An element of the level-k doubling algebra, which has 2^k coordinates.
 
     `terms` holds (unit index, coefficient) pairs in ascending index order,
@@ -47,15 +45,17 @@ class HyperNumber:
     Values are immutable and hashable.
     """
 
-    field: str
-    level: int
-    terms: Tuple[Tuple[int, Scalar], ...]
+    __slots__ = ("field", "level", "terms")
 
-    def __post_init__(self):
-        if self.field not in (RATIONAL, GOLDEN):
-            raise ValueError(f"unknown field {self.field!r}")
-        if self.level < 0:
-            raise ValueError(f"negative level {self.level}")
+    def __init__(self, field: str, level: int,
+                 terms: Tuple[Tuple[int, Scalar], ...]):
+        if field not in (RATIONAL, GOLDEN):
+            raise ValueError(f"unknown field {field!r}")
+        if level < 0:
+            raise ValueError(f"negative level {level}")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "terms", terms)
 
     @property
     def coords(self) -> Tuple[Scalar, ...]:
@@ -299,18 +299,18 @@ _PARITY = {
 }
 
 
-@dataclass(frozen=True)
-class PermutationIJK:
+class PermutationIJK(Value):
     """A permutation of the three imaginary quaternion units.
 
     `images` lists the images of (1, 2, 3); parity is derived.
     """
 
-    images: Tuple[int, int, int]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        if tuple(sorted(self.images)) != (1, 2, 3):
+    def __init__(self, images: Tuple[int, int, int]):
+        if tuple(sorted(images)) != (1, 2, 3):
             raise ValueError("images must be a permutation of (1, 2, 3)")
+        object.__setattr__(self, "images", images)
 
     @property
     def parity(self) -> str:
@@ -357,13 +357,15 @@ def hurwitz_units() -> Tuple[HyperNumber, ...]:
 # --------------------------------------------------------------------------
 # the icosian ring
 
-@dataclass(frozen=True)
-class IcosianElement:
+class IcosianElement(Value):
     """A golden quaternion together with its integer coordinates in the
     fixed rank-8 basis of the ring (the membership certificate)."""
 
-    q: HyperNumber
-    certificate: Tuple[int, ...]
+    __slots__ = ("q", "certificate")
+
+    def __init__(self, q: HyperNumber, certificate: Tuple[int, ...]):
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "certificate", certificate)
 
 
 _CLOSURE_BOUND = 10_000

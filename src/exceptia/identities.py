@@ -14,9 +14,10 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
+
+from .exactnum import Value
 
 
 class IdentityError(ValueError):
@@ -164,15 +165,14 @@ def cannonball_search(limit: int) -> set:
 # ---------------------------------------------------------------------------
 # spin-network areas
 
-@dataclass(frozen=True)
-class SpinList:
+class SpinList(Value):
     """A multiset of spins j with 2j a nonnegative integer."""
 
-    spins: Tuple[Fraction, ...]
+    __slots__ = ("spins",)
 
-    def __post_init__(self):
+    def __init__(self, spins: Tuple[Fraction, ...]):
         vals = []
-        for j in self.spins:
+        for j in spins:
             j = Fraction(j)
             if j < 0 or (2 * j).denominator != 1:
                 raise IdentityError(f"spin {j} is not a nonnegative "
@@ -211,8 +211,7 @@ def spin_area(spins: SpinList) -> Tuple[Dict[Fraction, int], float]:
 Point = Tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class PolyLoop:
+class PolyLoop(Value):
     """A closed polygonal loop through integer points.
 
     The loop closes implicitly from the last vertex back to the first.
@@ -220,10 +219,10 @@ class PolyLoop:
     self-intersection) is allowed here and checked where it matters.
     """
 
-    vertices: Tuple[Point, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        vs = tuple(tuple(int(c) for c in v) for v in self.vertices)
+    def __init__(self, vertices: Tuple[Point, ...]):
+        vs = tuple(tuple(int(c) for c in v) for v in vertices)
         if len(vs) < 3:
             raise IdentityError("a loop needs at least 3 vertices")
         if any(len(v) != 3 for v in vs):

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import intlinalg
-from .exactnum import GoldenRational, rat
+from .exactnum import GoldenRational, Value, rat
 from .intlinalg import (clear_denominators, det_fraction, invert_fraction,
                         left_kernel, solve_left)
 
@@ -73,34 +72,28 @@ def _positive_definite(g: Sequence[Sequence[Fraction]]) -> bool:
     return _int_gso(clear_denominators(g)[0])[0][-1] > 0
 
 
-@dataclass(frozen=True)
-class Lattice:
+class Lattice(Value):
     """A lattice given by basis rows in an ambient bilinear space.
 
     ``signature`` names the ambient form: the identity for ``euclidean``,
     diag(-1, +1, ..., +1) with the first coordinate timelike for
     ``lorentzian``. The Gram matrix is derived from the basis and the form at
-    construction time. ``summands`` records the parts a lattice was assembled
-    from by `direct_sum`; it is informational only, since every count finds
-    the orthogonal blocks of the reduced Gram itself (`_norm_counts`).
+    construction time.
     """
 
-    ambient_dim: int
-    rank: int
-    basis: Tuple[Tuple[Fraction, ...], ...]
-    signature: str = EUCLIDEAN
-    summands: Tuple["Lattice", ...] = ()
-    gram: Tuple[Tuple[Fraction, ...], ...] = field(init=False)
+    __slots__ = ("ambient_dim", "rank", "basis", "signature", "gram")
 
-    def __post_init__(self):
-        if self.signature not in _SIGNATURES:
-            raise LatticeError(f"unknown signature {self.signature!r}")
-        rows = tuple(tuple(rat(v) for v in row) for row in self.basis)
-        if len(rows) != self.rank:
+    def __init__(self, ambient_dim: int, rank: int,
+                 basis: Tuple[Tuple[Fraction, ...], ...],
+                 signature: str = EUCLIDEAN):
+        if signature not in _SIGNATURES:
+            raise LatticeError(f"unknown signature {signature!r}")
+        rows = tuple(tuple(rat(v) for v in row) for row in basis)
+        if len(rows) != rank:
             raise LatticeError("rank does not match the number of basis rows")
-        if self.rank < 1 or self.rank > self.ambient_dim:
+        if rank < 1 or rank > ambient_dim:
             raise LatticeError("rank must satisfy 1 <= rank <= ambient_dim")
-        if any(len(row) != self.ambient_dim for row in rows):
+        if any(len(row) != ambient_dim for row in rows):
             raise LatticeError("basis row length differs from ambient_dim")
         # the Gram is G / s^2 for the integer products G of the rows B
         # cleared by s; B B^T is positive definite exactly when the rows are
@@ -110,11 +103,14 @@ class Lattice:
         if not _positive_definite(plain):
             raise LatticeError("basis rows are linearly dependent")
         g = plain
-        if self.signature == LORENTZIAN:
+        if signature == LORENTZIAN:
             g = [[v - 2 * r[0] * t[0] for v, t in zip(row, b)]
                  for row, r in zip(plain, b)]
         ss = s * s
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "basis", rows)
+        object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "gram", tuple(
             tuple(Fraction(v, ss) for v in row) for row in g))
 
@@ -307,7 +303,7 @@ def build_E6(e8: Lattice) -> Lattice:
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
-    """Orthogonal direct sum, remembering the components."""
+    """Orthogonal direct sum, with the components' bases in diagonal blocks."""
     if len(lattices) < 2:
         raise LatticeError("direct_sum needs at least two lattices")
     if any(l.signature != EUCLIDEAN for l in lattices):
@@ -321,11 +317,7 @@ def direct_sum(*lattices: Lattice) -> Lattice:
         for row in lat.basis:
             rows.append(pre + row + post)
         offset += lat.ambient_dim
-    parts: List[Lattice] = []
-    for lat in lattices:
-        parts.extend(lat.summands if lat.summands else (lat,))
-    return Lattice(ambient, sum(l.rank for l in lattices), tuple(rows),
-                   summands=tuple(parts))
+    return Lattice(ambient, sum(l.rank for l in lattices), tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -690,21 +682,21 @@ def _minimal_norm(gram: Sequence[Sequence[Fraction]]) -> Fraction:
                     scale)
 
 
-@dataclass(frozen=True)
-class ThetaSeries:
+class ThetaSeries(Value):
     """Truncated theta series: counts[m] vectors of norm 2m, m = 0..order."""
 
-    order: int
-    counts: Tuple[int, ...]
+    __slots__ = ("order", "counts")
 
-    def __post_init__(self):
-        if self.order < 0 or len(self.counts) != self.order + 1:
+    def __init__(self, order: int, counts: Tuple[int, ...]):
+        if order < 0 or len(counts) != order + 1:
             raise LatticeError("theta series length must be order + 1")
-        if self.counts[0] != 1:
+        if counts[0] != 1:
             raise LatticeError("theta series must start with count 1")
-        if any(c % 2 for c in self.counts[1:]):
+        if any(c % 2 for c in counts[1:]):
             raise LatticeError("vector counts above norm 0 pair up as +-v "
                                "and must be even")
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "counts", counts)
 
 
 def theta_product(a: ThetaSeries, b: ThetaSeries) -> ThetaSeries:
@@ -722,8 +714,8 @@ def theta_series(lat: Lattice, order: int) -> ThetaSeries:
 
     Takes the counts of `short_vectors` up to norm 2*order, so an even
     unimodular lattice of rank n is enumerated only up to norm 2 * (n // 24),
-    and an orthogonal sum, remembered or not, is counted one component at a
-    time and convolved (`_norm_counts`).
+    and an orthogonal sum is counted one component at a time and convolved
+    (`_norm_counts`).
     """
     if not isinstance(order, int) or order < 0:
         raise LatticeError("order must be a nonnegative integer")
@@ -739,19 +731,17 @@ PARITY_INTEGER = "all-integer"
 PARITY_HALF = "all-half-integer"
 
 
-@dataclass(frozen=True)
-class LorentzianVector:
+class LorentzianVector(Value):
     """A vector of II_{8k+1,1} candidates, stored with doubled coordinates.
 
     Doubling keeps half-integers exact; the constructor enforces the shared
     parity of the doubled entries and the even coordinate sum.
     """
 
-    doubled_coords: Tuple[int, ...]
-    parity: str = field(init=False)
+    __slots__ = ("doubled_coords", "parity")
 
-    def __post_init__(self):
-        dc = tuple(int(v) for v in self.doubled_coords)
+    def __init__(self, doubled_coords: Tuple[int, ...]):
+        dc = tuple(int(v) for v in doubled_coords)
         if not dc:
             raise LatticeError("empty coordinate vector")
         object.__setattr__(self, "doubled_coords", dc)

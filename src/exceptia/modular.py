@@ -10,10 +10,10 @@ leading coefficient 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 from typing import Sequence, Tuple
 
+from .exactnum import Value
 from .lattices import Lattice, is_even, is_unimodular, theta_series
 
 
@@ -21,8 +21,7 @@ class SeriesError(ValueError):
     """Domain error raised by q-series operations."""
 
 
-@dataclass(frozen=True)
-class LaurentSeries:
+class LaurentSeries(Value):
     """Truncated Laurent series: coeffs[i] is the coefficient of q^(low+i).
 
     The leading coefficient is nonzero unless the series is zero (empty
@@ -30,17 +29,16 @@ class LaurentSeries:
     kept, since the length records how far the truncation is valid.
     """
 
-    low: int
-    coeffs: Tuple[int, ...]
+    __slots__ = ("low", "coeffs")
 
-    def __post_init__(self):
-        cs = tuple(self.coeffs)
+    def __init__(self, low: int, coeffs: Tuple[int, ...]):
+        cs = tuple(coeffs)
         if any(not isinstance(c, int) for c in cs):
             raise SeriesError("coefficients must be integers")
         k = 0
         while k < len(cs) and cs[k] == 0:
             k += 1
-        low = self.low + k
+        low += k
         cs = cs[k:]
         if not cs:
             low = 0

@@ -9,6 +9,7 @@ interpreter per run.
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -379,6 +380,10 @@ def test_domain_errors_exit_1(capsys, tmp_path):
          "pairs nest deeper than 8 levels"),
         (["hyper", "mul", "e100000", "e1"], "e100000 needs level 17"),
         (["hyper", "norm", "1", "--level", "40"], "--level needs level 40"),
+        (["hyper", "norm", "0", "--level", "-3"],
+         "--level must be at least 0, not -3"),
+        (["hyper", "mul", "e1", "e2", "--level", "-1"],
+         "--level must be at least 0, not -1"),
         (["hyper", "mul", "(e128,0)", "1"], "the pair needs level 9"),
         (["hyper", "mul", "1/0", "1"], "1/0 has a zero denominator"),
         (["clifford", "mul", "--p", "1", "1/0", "e1"],
@@ -417,6 +422,19 @@ def test_console_script_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["kissing"] == 240
+
+
+def test_cli_import_skips_dataclasses_inspect_and_json():
+    # these modules cost start-up time on every call and none is needed to
+    # parse arguments or print text; json is imported where --json prints
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys; before = set(sys.modules); import exceptia.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'json'} "
+             "& (set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_output_is_deterministic_across_runs():

@@ -1,12 +1,18 @@
-"""Field arithmetic in Q(sqrt5)."""
+"""Field arithmetic in Q(sqrt5), and the value semantics of the package's
+immutable classes."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from exceptia import clifford as cl
+from exceptia import hypercomplex as hc
+from exceptia import identities as ident
+from exceptia import lattices as lat
+from exceptia import modular as mod
 from exceptia.exactnum import (GOLDEN_ONE, GOLDEN_ZERO, PHI, PHI_BAR,
-                               GoldenRational)
+                               GoldenRational, Value)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -89,3 +95,75 @@ def test_norm_is_rational(a):
     # u^2 - 5 v^2 = 0 only for u = v = 0, sqrt5 being irrational
     if a:
         assert n.u != 0
+
+
+# ---------------------------------------------------------------------------
+# value semantics
+
+# each value class with a builder and its fields in declaration order; a
+# value hashes as that field tuple, so set and dict orders built from values
+# do not depend on how the class is implemented
+VALUE_CASES = [
+    (lambda: GoldenRational(Fraction(1, 2), 3), ("u", "v")),
+    (lambda: cl.CliffordSignature(1, 2), ("p", "q")),
+    (lambda: cl.CliffordElement.from_dict(cl.CliffordSignature(1, 2),
+                                          {0: 1, 3: Fraction(-2, 3)}),
+     ("signature", "terms")),
+    (lambda: cl.MatrixAlgebraClass("H", 2, 1), ("ring", "size", "summands")),
+    (lambda: cl.spinor_taxonomy(10),
+     ("n", "dirac_complex_dim", "majorana", "weyl", "majorana_weyl",
+      "minimal_real_components")),
+    (lambda: hc.hyper([1, 0, Fraction(1, 2), -3]), ("field", "level", "terms")),
+    (lambda: hc.PermutationIJK((2, 3, 1)), ("images",)),
+    (lambda: hc.IcosianElement(hc.one(2, hc.GOLDEN), (1, 0, 0, 0, 0, 0, 0, 0)),
+     ("q", "certificate")),
+    (lambda: ident.SpinList((1, Fraction(1, 2))), ("spins",)),
+    (lambda: ident.PolyLoop(((0, 0, 0), (1, 0, 0), (0, 1, 0))), ("vertices",)),
+    (lambda: lat.Lattice(2, 2, ((1, 1), (1, -1))),
+     ("ambient_dim", "rank", "basis", "signature", "gram")),
+    (lambda: lat.ThetaSeries(2, (1, 240, 2160)), ("order", "counts")),
+    (lambda: lat.LorentzianVector((1, 1, 1, 1)), ("doubled_coords", "parity")),
+    (lambda: mod.LaurentSeries(-1, (1, 744, 196884)), ("low", "coeffs")),
+]
+
+
+def _twin(x):
+    """A value of a new class holding the same fields as ``x``."""
+    names = type(x).__slots__
+    twin = object.__new__(type("Twin", (Value,), {"__slots__": names}))
+    for name in names:
+        object.__setattr__(twin, name, getattr(x, name))
+    return twin
+
+
+@pytest.mark.parametrize("build, names", VALUE_CASES,
+                         ids=[c[0]().__class__.__name__ for c in VALUE_CASES])
+def test_value_semantics(build, names):
+    x, y = build(), build()
+    assert x is not y
+    assert x == y and not x != y
+    assert hash(x) == hash(y)
+    fields = tuple(getattr(x, n) for n in names)
+    assert hash(x) == hash(fields)
+    assert {x: 1}[y] == 1
+    twin = _twin(x)
+    assert x != twin and twin != x
+    assert x != fields and fields != x
+    for name in names + ("extra",):
+        with pytest.raises(AttributeError):
+            setattr(x, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert tuple(getattr(x, n) for n in names) == fields
+
+
+def test_value_cases_cover_every_value_class():
+    package = {c for c in Value.__subclasses__()
+               if c.__module__.startswith("exceptia.")}
+    assert package == {build().__class__ for build, _ in VALUE_CASES}
+
+
+def test_dataclass_style_repr():
+    assert repr(cl.MatrixAlgebraClass("H", 2, 1)) == \
+        "MatrixAlgebraClass(ring='H', size=2, summands=1)"
+    assert repr(lat.ThetaSeries(1, (1, 2))) == "ThetaSeries(order=1, counts=(1, 2))"

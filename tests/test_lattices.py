@@ -175,7 +175,11 @@ def test_direct_sum_shapes():
     assert s.rank == 24
     assert s.ambient_dim == 24
     assert lat.is_even(s) and lat.is_unimodular(s)
-    assert len(s.summands) == 3
+    # each part's basis fills its own diagonal block, so the Gram is E8's
+    # Gram three times down the diagonal and zero off it
+    for i, row in enumerate(s.gram):
+        for j, v in enumerate(row):
+            assert v == (E8.gram[i % 8][j % 8] if i // 8 == j // 8 else 0)
 
 
 def enumerated_theta(l, order):
@@ -230,9 +234,6 @@ def test_theta_of_sums_is_the_product_of_thetas():
     th = lat.theta_series(square, 3)
     single = lat.theta_series(a1, 3)
     assert th == lat.theta_product(single, single)
-    # the same basis without remembered summands gives the same series
-    plain = lat.Lattice(square.ambient_dim, square.rank, square.basis)
-    assert lat.theta_series(plain, 3) == th
 
 
 def test_theta_3E8_prefix():
@@ -290,23 +291,18 @@ def test_theta_D16plus_agrees_with_E8_squared():
     assert d16plus_theta(4) == lat.theta_series(d16, 4)
 
 
-def scrambled_flat(l, ops, seed):
-    """``l`` with its summands forgotten and its basis scrambled."""
-    return scrambled(lat.Lattice(l.ambient_dim, l.rank, l.basis), ops, seed)
-
-
 def test_flattened_sums_follow_the_theta_of_their_parts():
-    # no summands are remembered; the whole rank-24 Gram is even unimodular,
-    # so theta_series counts norm 2 (block by block once the reduced Gram
-    # splits) and solves for the rest. D16+ to norm 8 comes from its Jacobi
-    # theta form (enumerating it takes seconds;
+    # the whole rank-24 Gram is even unimodular, so theta_series counts
+    # norm 2 (block by block once the reduced Gram splits) and solves for
+    # the rest. D16+ to norm 8 comes from its Jacobi theta form
+    # (enumerating it takes seconds;
     # test_theta_D16plus_agrees_with_E8_squared ties the two)
     e8 = enumerated_theta(E8, 4)
     for parts, expected, seed in (
             ((E8, E8, E8), lat.theta_product(lat.theta_product(e8, e8), e8), 5),
             ((E8, lat.build_D16plus()), lat.theta_product(e8, d16plus_theta(4)),
              6)):
-        flat = scrambled_flat(lat.direct_sum(*parts), 48, seed)
+        flat = scrambled(lat.direct_sum(*parts), 48, seed)
         assert lat.theta_series(flat, 4) == expected
 
 
@@ -350,7 +346,7 @@ def test_rank_48_flattened_sum_matches_the_theta_product():
     # Delta^2), counting the flattened Gram to norm 4 first, one block at a
     # time where its reduced Gram splits
     d16 = lat.build_D16plus()
-    flat = scrambled_flat(lat.direct_sum(E8, d16, E8, E8, E8), 48, 7)
+    flat = scrambled(lat.direct_sum(E8, d16, E8, E8, E8), 48, 7)
     e8 = enumerated_theta(E8, 5)
     expected = lat.theta_product(d16plus_theta(5), e8)
     for _ in range(3):
@@ -467,7 +463,7 @@ FLAT_SUMS = {
 @pytest.mark.parametrize("name", list(FLAT_SUMS))
 def test_flat_sums_split_and_match_the_whole_enumeration(name):
     parts, bound, order = FLAT_SUMS[name]
-    l = scrambled_flat(lat.direct_sum(*parts), 48, 3)
+    l = scrambled(lat.direct_sum(*parts), 48, 3)
     gr, _, _ = lat._lll_int(l.gram)
     assert len(lat._components(gr)) == len(parts)
     whole = enumerated(l, bound)
@@ -482,9 +478,9 @@ def test_blocks_with_different_contents_split_exactly():
     # E8 * 10^8 + A1 * (10^8 + 1): the whole Gram has content 2, its blocks
     # 10^16 and 2 (10^8 + 1)^2
     s = 10**8
-    l = scrambled_flat(lat.direct_sum(scaled_basis(E8, s),
-                                      scaled_basis(lat.build_An(1), s + 1)),
-                       40, 1)
+    l = scrambled(lat.direct_sum(scaled_basis(E8, s),
+                                 scaled_basis(lat.build_An(1), s + 1)),
+                  40, 1)
     gr, _, c = lat._lll_int(l.gram)
     assert c == 2 and len(lat._components(gr)) == 2
     bound = 2 * (s + 1) ** 2
@@ -495,7 +491,7 @@ def test_blocks_with_different_contents_split_exactly():
 
 
 def test_flat_E8_D6_never_searches_more_than_one_block(monkeypatch):
-    flat = scrambled_flat(lat.direct_sum(E8, lat.build_Dn(6)), 48, 1)
+    flat = scrambled(lat.direct_sum(E8, lat.build_Dn(6)), 48, 1)
     ranks = recorded_ranks(monkeypatch)
     # E8 has 240 roots and 2160 vectors of norm 4, D6 has 60 and 252
     assert lat.short_vectors(flat, 4) == {2: 300, 4: 2160 + 252 + 240 * 60}
