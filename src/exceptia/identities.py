@@ -27,18 +27,22 @@ class IdentityError(ValueError):
 # ---------------------------------------------------------------------------
 # pi in hexadecimal
 
-BBP_POSITION_LIMIT = 10 ** 6     # position 10^6 takes ~7 s
-BBP_COUNT_LIMIT = 4096           # the tail's cost grows as count^2
+BBP_POSITION_LIMIT = 10 ** 6     # 16 digits at 10^6 take 3.5-4.8 s
+BBP_COUNT_LIMIT = 4096           # 4096 digits ending at 10^6: 7.7-8.7 s
+# Terms of the series that share one pow in _bbp_pass. A sweep of 3-12 was
+# fastest at 5-8: fewer terms leave more pows, more terms a pow whose cost
+# grows with the square of the modulus.
+_BBP_BLOCK = 7
 
 
 def _bbp_error_bound(terms: int) -> int:
     """Bound on |exact - computed| in ulp for a pass over ``terms`` values of n.
 
-    Each n adds four floored quotients with coefficients 4, -2, -1, -1, so
-    the floors lose less than 8 ulp per n; the terms after the tail add
-    less than 1 ulp in all.
+    Each block of ``_BBP_BLOCK`` values adds one floored quotient, which
+    loses less than 1 ulp; the terms after the pass add less than 1 ulp in
+    all.
     """
-    return 8 * terms + 1
+    return -(-terms // _BBP_BLOCK) + 1
 
 
 def _bbp_start_guard(d: int, count: int) -> int:
@@ -53,23 +57,30 @@ def _bbp_pass(d: int, prec: int) -> int:
     """16^prec * frac(16^d pi), up to _bbp_error_bound(d + 1 + prec) ulp,
     reduced mod 16^prec.
 
-    One walk over n: a single pow modulo the product of the four
-    denominators 8n+1, 8n+4, 8n+5, 8n+6 gives all four residues of 16^(d-n).
+    Term n of the series is 16^(d-n) P(n)/Q(n), the four fractions
+    4/(8n+1) - 2/(8n+4) - 1/(8n+5) - 1/(8n+6) over one denominator:
+    P = 120n^2 + 151n + 47, Q = (8n+1)(2n+1)(8n+5)(4n+3). The pass sums
+    n = 0..d+prec in blocks [lo, hi) of ``_BBP_BLOCK`` terms. Horner in 16
+    gives each block as 16^(d+1-hi) N/M with M the product of its Q(n). A
+    block in the head (hi <= d+1) needs one pow modulo M for its fractional
+    part, a block reaching past d only a shift, and one floor division puts
+    that part at 2^s.
     """
     s = 4 * prec                  # 16^prec = 2^s
     total = 0
-    for n in range(d + 1):
-        m1 = 8 * n + 1
-        m4, m5, m6 = m1 + 3, m1 + 4, m1 + 5
-        r = pow(16, d - n, m1 * m4 * m5 * m6)
-        total += (4 * ((r % m1 << s) // m1) - 2 * ((r % m4 << s) // m4)
-                  - (r % m5 << s) // m5 - (r % m6 << s) // m6)
-    # tail: 16^(d-n) for n > d; stops once the shift exhausts prec
-    for n in range(d + 1, d + prec + 1):
-        m1 = 8 * n + 1
-        one = 1 << (s - 4 * (n - d))
-        total += (4 * (one // m1) - 2 * (one // (m1 + 3))
-                  - one // (m1 + 4) - one // (m1 + 5))
+    end = d + prec + 1            # 16^(d-n) 2^s < 1 for n beyond the pass
+    for lo in range(0, end, _BBP_BLOCK):
+        hi = min(lo + _BBP_BLOCK, end)
+        num, den = 0, 1
+        for n in range(lo, hi):
+            q = (8 * n + 1) * (2 * n + 1) * (8 * n + 5) * (4 * n + 3)
+            num = 16 * num * q + (120 * n * n + 151 * n + 47) * den
+            den *= q
+        j = hi - 1 - d            # the block's value is 16^-j num/den
+        if j <= 0:
+            total += (pow(16, -j, den) * num % den << s) // den
+        else:
+            total += (num % (den << 4 * j) << s - 4 * j) // den
     return total & ((1 << s) - 1)
 
 
@@ -79,9 +90,16 @@ def bbp_pi_hex(start: int, count: int) -> str:
     Positions are 1-based: position 1 is the first digit after the point
     (pi = 3.243F6A8885... in base 16). The series
     sum 16^-n (4/(8n+1) - 2/(8n+4) - 1/(8n+5) - 1/(8n+6)) is evaluated at
-    offset start-1 by splitting each term at n = start-1: the head is summed
-    with modular exponentiation, the tail converges after a few terms. All
-    accumulation is fixed-point with guard digits below the requested ones.
+    offset start-1 by splitting it at n = start-1: the head is summed with
+    one modular exponentiation per block of terms, the tail converges after
+    count + guard terms. All accumulation is fixed-point with guard digits
+    below the requested ones.
+
+    The cost is one pow per block and one division of a 4 (count + guard)
+    bit number per block, so it grows with start and with start * count:
+    16 digits take 34-48 ms at position 2*10^4, 0.17-0.25 s at 8*10^4 and
+    3.5-4.8 s at 10^6, and the largest request, 4096 digits ending at 10^6,
+    7.7-8.7 s (minima and medians on a shared 2-vCPU host).
 
     The digits are certified: the pass's floor divisions put the exact
     value within E = ``_bbp_error_bound`` ulp of the computed total, and
@@ -123,6 +141,7 @@ def square_pyramid(n: int) -> int:
 # depends only on n mod 6q); the 12 moduli leave ~1e-4 of all n.
 _SIEVE_MODULI = (64, 27, 49, 53, 61, 37, 31, 23, 19, 11, 17, 43)
 _SIEVE_BLOCK = 1 << 16
+CANNONBALL_LIMIT = 10 ** 8       # the sieve is linear: 10^8 takes 1.2-1.4 s
 
 
 @functools.cache
@@ -143,6 +162,9 @@ def cannonball_search(limit: int) -> set:
     """
     if limit < 1:
         raise IdentityError("limit must be at least 1")
+    if limit > CANNONBALL_LIMIT:
+        raise IdentityError(
+            f"limits beyond {CANNONBALL_LIMIT} exceed the time budget")
     hits = set()
     for lo in range(1, limit + 1, _SIEVE_BLOCK):
         size = min(_SIEVE_BLOCK, limit + 1 - lo)

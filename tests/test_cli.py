@@ -322,6 +322,13 @@ def test_id_cannonball(capsys):
     assert run(capsys, "id", "cannonball", "--limit", "100")[1] == "1 24\n"
 
 
+def test_id_cannonball_limit_cap(capsys):
+    cap = ident.CANNONBALL_LIMIT
+    rc, out, err = run(capsys, "id", "cannonball", "--limit", str(cap + 1))
+    assert (rc, out) == (1, "")
+    assert err == f"limits beyond {cap} exceed the time budget\n"
+
+
 def test_id_area(capsys):
     rc, out, _ = run(capsys, "id", "area", "1/2", "1/2", "1")
     assert rc == 0

@@ -161,6 +161,86 @@ def test_start_guard_is_log16_of_the_error_bound_plus_two():
         assert 16 ** (g - 3) < bound <= 16 ** (g - 2)
 
 
+def scaled_pi_fraction(d: int, prec: int) -> Fraction:
+    """2^(4 prec) frac(16^d pi), exact up to a tail below 1/16 ulp.
+
+    Sums the four fractions of every term n <= d + prec + 2 apart, each
+    head term reduced exactly mod 1; term n is below 6 * 16^(d-n), so the
+    terms left out add less than 1/16 ulp.
+    """
+    x = Fraction(0)
+    for n in range(d + prec + 3):
+        for c, m in ((4, 8 * n + 1), (-2, 8 * n + 4), (-1, 8 * n + 5),
+                     (-1, 8 * n + 6)):
+            if n <= d:
+                x += Fraction(c * pow(16, d - n, m) % m, m)
+            else:
+                x += Fraction(c, m * 16 ** (n - d))
+    return x % 1 * 2 ** (4 * prec)
+
+
+def test_one_pass_lies_within_its_error_bound():
+    # partial last blocks come from d + 1 + prec not dividing by the block
+    k = ident._BBP_BLOCK
+    for d in (0, 1, k - 1, k, k + 1, 2 * k + 3, 300, 517):
+        for prec in (1, 5, 24):
+            mod = 1 << (4 * prec)
+            exact = scaled_pi_fraction(d, prec)
+            diff = (exact - ident._bbp_pass(d, prec) + mod // 2) % mod - mod // 2
+            bound = ident._bbp_error_bound(d + 1 + prec)
+            assert -bound <= diff and diff + Fraction(1, 16) <= bound, (d, prec)
+
+
+def machin_pi_hex(digits: int) -> str:
+    """The first hex digits of pi - 3 from pi = 16 atan(1/5) - 4 atan(1/239).
+
+    A route that shares no series with BBP. Fixed point at 2^s: the j-th
+    term of atan(1/x) is floor(floor(2^s / x^(2j+1)) / (2j+1)), which is the
+    exact term floored, so each term is off by less than 1 ulp, and the
+    alternating series stops at the first term that floors to 0, below 1
+    ulp. Over t terms atan(1/x) is within t + 1 ulp, and pi within
+    E = 16 (t5 + 1) + 4 (t239 + 1) ulp. The digits are returned once
+    pi - E and pi + E agree on them; otherwise the guard widens.
+    """
+    guard = 8
+    while True:
+        s = 4 * (digits + guard)
+        total = err = 0
+        for coeff, x in ((16, 5), (-4, 239)):
+            power, j, acc = (1 << s) // x, 0, 0
+            while power:
+                acc += (-1) ** j * (power // (2 * j + 1))
+                power //= x * x
+                j += 1
+            total += coeff * acc
+            err += abs(coeff) * (j + 1)
+        total -= 3 << s
+        if (total - err) >> 4 * guard == (total + err) >> 4 * guard:
+            return format(total >> 4 * guard, f"0{digits}X")
+        guard += 4
+
+
+def test_machin_route_matches_seeded_windows_to_ten_thousand():
+    digits = machin_pi_hex(10 ** 4)
+    assert digits[:72] == PI_HEX_72
+    rng = random.Random(5)
+    windows = [(10 ** 4 - 15, 16)] + [
+        (rng.randrange(1, 10 ** 4 - 15), rng.randint(1, 16)) for _ in range(3)]
+    for start, count in windows:
+        assert bbp_pi_hex(start, count) == digits[start - 1:start - 1 + count]
+
+
+@pytest.mark.slow
+def test_machin_route_matches_windows_near_twenty_and_fifty_thousand():
+    digits = machin_pi_hex(5 * 10 ** 4)
+    rng = random.Random(6)
+    windows = [(20033, 16), (5 * 10 ** 4 - 15, 16)] + [
+        (rng.randrange(lo, lo + 10 ** 3), 16)
+        for lo in (2 * 10 ** 4, 5 * 10 ** 4 - 10 ** 3 - 15)]
+    for start, count in windows:
+        assert bbp_pi_hex(start, count) == digits[start - 1:start - 1 + count]
+
+
 # ---------------------------------------------------------------------------
 # cannonballs
 
@@ -194,6 +274,8 @@ def test_cannonball_search_small_limits():
 def test_cannonball_search_rejects_bad_limits():
     with pytest.raises(IdentityError):
         cannonball_search(0)
+    with pytest.raises(IdentityError, match="time budget"):
+        cannonball_search(ident.CANNONBALL_LIMIT + 1)
 
 
 def cannonball_loop(limit: int) -> set:
