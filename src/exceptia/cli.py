@@ -11,6 +11,7 @@ stderr), 2 usage error (the grammar is printed).
 from __future__ import annotations
 
 import argparse
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from . import hypercomplex as hc
 from . import identities as ident
 from . import lattices as lat
 from . import modular as mod
+from .exactnum import format_terms
 
 GRAMMAR = """\
 usage: exceptia <group> <command> [arguments]
@@ -93,12 +95,16 @@ def _tokenize(text: str) -> List[Tuple[str, object]]:
 
 
 class _ExprParser:
-    def __init__(self, text: str, pairs: bool):
+    """Reads one element with the given operations; atom(kind, val, parser)
+    builds a number, a unit e<n>, or (kind "pair") a doubling pair."""
+
+    def __init__(self, text: str, pairs: bool, atom, add, mul, neg):
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
         self.pairs = pairs
         self.depth = 0
+        self.atom, self.add, self.mul, self.neg = atom, add, mul, neg
 
     def _peek(self):
         return self.toks[self.pos] if self.pos < len(self.toks) else (None, None)
@@ -111,55 +117,53 @@ class _ExprParser:
     def fail(self, why: str):
         raise ValueError(f"cannot read element {self.text!r}: {why}")
 
-    def parse(self, atom, add, mul, neg):
-        v = self.expr(atom, add, mul, neg)
+    def parse(self):
+        v = self.expr()
         if self.pos != len(self.toks):
             self.fail("trailing input after the expression")
         return v
 
-    def expr(self, atom, add, mul, neg):
+    def expr(self):
         negate = False
         kind, val = self._peek()
         if kind == "sym" and val in "+-":
             self._take()
             negate = val == "-"
-        acc = self.term(atom, mul)
+        acc = self.term()
         if negate:
-            acc = neg(acc)
+            acc = self.neg(acc)
         while True:
             kind, val = self._peek()
             if kind == "sym" and val in "+-":
                 self._take()
-                t = self.term(atom, mul)
-                acc = add(acc, neg(t) if val == "-" else t)
+                t = self.term()
+                acc = self.add(acc, self.neg(t) if val == "-" else t)
             else:
                 return acc
 
-    def term(self, atom, mul):
-        acc = self.factor(atom)
+    def term(self):
+        acc = self.factor()
         while True:
             kind, val = self._peek()
             if kind == "sym" and val == "*":
                 self._take()
-                acc = mul(acc, self.factor(atom))
+                acc = self.mul(acc, self.factor())
             elif kind in ("num", "unit") or (kind == "sym" and val == "("
                                              and self.pairs):
                 # juxtaposition multiplies, so "2 e1" and "2*e1" agree
-                acc = mul(acc, self.factor(atom))
+                acc = self.mul(acc, self.factor())
             else:
                 return acc
 
-    def factor(self, atom):
+    def factor(self):
         kind, val = self._take()
-        if kind == "num":
-            return atom("num", val, self)
-        if kind == "unit":
-            return atom("unit", val, self)
+        if kind in ("num", "unit"):
+            return self.atom(kind, val, self)
         if kind == "sym" and val == "(" and self.pairs:
             self.depth += 1
             if self.depth > _MAX_LEVEL:
                 self.fail(f"pairs nest deeper than {_MAX_LEVEL} levels")
-            v = atom("pair", None, self)
+            v = self.atom("pair", None, self)
             self.depth -= 1
             return v
         if kind is None:
@@ -202,10 +206,6 @@ def _h_mul(x, y):
     return hc.cd_mul(x, y)
 
 
-def _h_neg(x):
-    return -x
-
-
 def _h_atom(kind, val, p: _ExprParser):
     if kind == "num":
         return hc.hyper([val])
@@ -214,9 +214,9 @@ def _h_atom(kind, val, p: _ExprParser):
         _check_level(level, f"e{val}")
         return hc.basis_element(level, val)
     # pair: '(' already consumed; b's units sit 2^level above a's
-    a = p.expr(_h_atom, _h_add, _h_mul, _h_neg)
+    a = p.expr()
     p.expect(",")
-    b = p.expr(_h_atom, _h_add, _h_mul, _h_neg)
+    b = p.expr()
     p.expect(")")
     a, b = _h_common(a, b)
     _check_level(a.level + 1, "the pair")
@@ -231,7 +231,7 @@ def parse_hyper(text: str, level: Optional[int] = None) -> hc.HyperNumber:
         if level < 0:
             raise ValueError(f"--level must be at least 0, not {level}")
         _check_level(level, "--level")
-    x = _ExprParser(text, pairs=True).parse(_h_atom, _h_add, _h_mul, _h_neg)
+    x = _ExprParser(text, True, _h_atom, _h_add, _h_mul, operator.neg).parse()
     if level is not None:
         x = _h_lift(x, level)
     return x
@@ -239,46 +239,17 @@ def parse_hyper(text: str, level: Optional[int] = None) -> hc.HyperNumber:
 
 def parse_clifford(text: str, sig: cl.CliffordSignature) -> cl.CliffordElement:
     def atom(kind, val, p):
-        if kind == "num":
-            return cl.scalar(sig, val)
-        return cl.generator(sig, val)
+        return cl.scalar(sig, val) if kind == "num" else cl.generator(sig, val)
 
-    return _ExprParser(text, pairs=False).parse(
-        atom, lambda a, b: a + b, cl.clif_mul, lambda a: -a)
+    return _ExprParser(text, False, atom, operator.add, cl.clif_mul,
+                       operator.neg).parse()
 
 
 # ---------------------------------------------------------------------------
 # formatting
 
-def _join_terms(parts: List[Tuple[int, str]]) -> str:
-    """Assemble (sign, body) pairs into ``a + b - c`` form."""
-    if not parts:
-        return "0"
-    out = []
-    for sign, body in parts:
-        if not out:
-            out.append(body if sign > 0 else f"-{body}")
-        else:
-            out.append(f"+ {body}" if sign > 0 else f"- {body}")
-    return " ".join(out)
-
-
-def _format_terms(terms, name) -> str:
-    """(index, coefficient) terms as ``3 - e1 + 1/2 e5``, with name(index)
-    naming every basis element but the unit at index 0."""
-    parts = []
-    for k, c in terms:
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            body = name(k) if mag == 1 else f"{mag} {name(k)}"
-        parts.append((1 if c > 0 else -1, body))
-    return _join_terms(parts)
-
-
 def format_hyper(x: hc.HyperNumber) -> str:
-    return _format_terms(x.terms, lambda k: f"e{k}")
+    return format_terms(x.terms, lambda k: f"e{k}")
 
 
 def _blade_name(mask: int) -> str:
@@ -294,21 +265,23 @@ def _emit(args, text_fn, json_obj_fn) -> int:
     return 0
 
 
-def _hyper_json(x: hc.HyperNumber) -> dict:
-    return {"level": x.level, "coords": [str(c) for c in x.coords]}
+def _emit_hyper(args, z: hc.HyperNumber, **extra) -> int:
+    return _emit(args, lambda: format_hyper(z), lambda: {
+        "level": z.level, "coords": [str(c) for c in z.coords], **extra})
 
 
-def _series_json(s: mod.LaurentSeries) -> dict:
-    return {"low": s.low, "coeffs": [str(c) for c in s.coeffs]}
+def _emit_series(args, s: mod.LaurentSeries) -> int:
+    return _emit(args, lambda: mod.format_series(s), lambda: {
+        "low": s.low, "coeffs": [str(c) for c in s.coeffs]})
 
 
-def _lattice_json(l: lat.Lattice) -> dict:
-    return {
+def _emit_lattice(args, l: lat.Lattice) -> int:
+    return _emit(args, lambda: lat.format_lattice(l).rstrip("\n"), lambda: {
         "rank": l.rank,
         "ambient": l.ambient_dim,
         "signature": l.signature,
         "basis": [[str(v) for v in row] for row in l.basis],
-    }
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -317,26 +290,20 @@ def _lattice_json(l: lat.Lattice) -> dict:
 def _cmd_hyper_mul(args):
     x = parse_hyper(args.x, args.level)
     y = parse_hyper(args.y, args.level)
-    z = _h_mul(x, y)
-    return _emit(args, lambda: format_hyper(z), lambda: _hyper_json(z))
+    return _emit_hyper(args, _h_mul(x, y))
 
 
 def _cmd_hyper_conj(args):
-    x = parse_hyper(args.x, args.level)
-    z = hc.cd_conj(x)
-    return _emit(args, lambda: format_hyper(z), lambda: _hyper_json(z))
+    return _emit_hyper(args, hc.cd_conj(parse_hyper(args.x, args.level)))
 
 
 def _cmd_hyper_norm(args):
-    x = parse_hyper(args.x, args.level)
-    n = hc.cd_norm(x)
+    n = hc.cd_norm(parse_hyper(args.x, args.level))
     return _emit(args, lambda: str(n), lambda: {"norm": str(n)})
 
 
 def _cmd_hyper_inv(args):
-    x = parse_hyper(args.x, args.level)
-    z = hc.cd_inv(x)
-    return _emit(args, lambda: format_hyper(z), lambda: _hyper_json(z))
+    return _emit_hyper(args, hc.cd_inv(parse_hyper(args.x, args.level)))
 
 
 def _cmd_hyper_fano(args):
@@ -358,8 +325,7 @@ def _cmd_hyper_xprod(args):
     a = parse_hyper(args.a, 3)
     b = parse_hyper(args.b, 3)
     c = parse_hyper(args.c, 3)
-    z = hc.xproduct(a, b, c)
-    return _emit(args, lambda: format_hyper(z), lambda: _hyper_json(z))
+    return _emit_hyper(args, hc.xproduct(a, b, c))
 
 
 def _cmd_hyper_permute(args):
@@ -368,9 +334,7 @@ def _cmd_hyper_permute(args):
                          "123, e.g. 231")
     p = hc.PermutationIJK(tuple(int(ch) for ch in args.images))
     q = parse_hyper(args.q, 2)
-    z = hc.ijk_permute(p, q)
-    return _emit(args, lambda: format_hyper(z),
-                 lambda: {**_hyper_json(z), "parity": p.parity})
+    return _emit_hyper(args, hc.ijk_permute(p, q), parity=p.parity)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +349,7 @@ def _cmd_clifford_mul(args):
     x = parse_clifford(args.x, sig)
     y = parse_clifford(args.y, sig)
     z = cl.clif_mul(x, y)
-    return _emit(args, lambda: _format_terms(z.terms, _blade_name), lambda: {
+    return _emit(args, lambda: format_terms(z.terms, _blade_name), lambda: {
         "p": sig.p, "q": sig.q,
         "terms": [{"blade": [i + 1 for i in range(m.bit_length()) if m >> i & 1],
                    "coeff": str(c)} for m, c in z.terms],
@@ -412,12 +376,7 @@ def _cmd_clifford_spinors(args):
         raise ValueError(f"dimension {args.n} is above the cap of "
                          f"{_MAX_SPINOR_DIM} for clifford spinors")
     prof = cl.spinor_taxonomy(args.n)
-    fields = [("n", prof.n),
-              ("dirac_complex_dim", prof.dirac_complex_dim),
-              ("majorana", prof.majorana),
-              ("weyl", prof.weyl),
-              ("majorana_weyl", prof.majorana_weyl),
-              ("minimal_real_components", prof.minimal_real_components)]
+    fields = [(k, getattr(prof, k)) for k in prof.__slots__]
 
     def text():
         return "\n".join(f"{k} {str(v).lower() if isinstance(v, bool) else v}"
@@ -447,9 +406,7 @@ def _resolve_lattice(args) -> lat.Lattice:
 
 
 def _cmd_lattice_build(args):
-    l = _resolve_lattice(args)
-    return _emit(args, lambda: lat.format_lattice(l).rstrip("\n"),
-                 lambda: _lattice_json(l))
+    return _emit_lattice(args, _resolve_lattice(args))
 
 
 def _cmd_lattice_info(args):
@@ -478,21 +435,16 @@ def _cmd_lattice_shortvec(args):
 
 
 def _cmd_lattice_dual(args):
-    l = lat.dual_lattice(_resolve_lattice(args))
-    return _emit(args, lambda: lat.format_lattice(l).rstrip("\n"),
-                 lambda: _lattice_json(l))
+    return _emit_lattice(args, lat.dual_lattice(_resolve_lattice(args)))
 
 
 def _cmd_lattice_lll(args):
-    l = lat.lll_reduce(_resolve_lattice(args))
-    return _emit(args, lambda: lat.format_lattice(l).rstrip("\n"),
-                 lambda: _lattice_json(l))
+    return _emit_lattice(args, lat.lll_reduce(_resolve_lattice(args)))
 
 
 def _cmd_lattice_leech(args):
-    l = lat.leech_from_ii26() if args.method == "ii" else lat.leech_from_icosians()
-    return _emit(args, lambda: lat.format_lattice(l).rstrip("\n"),
-                 lambda: _lattice_json(l))
+    return _emit_lattice(args, lat.leech_from_ii26() if args.method == "ii"
+                         else lat.leech_from_icosians())
 
 
 def _cmd_lattice_weyl(args):
@@ -523,13 +475,12 @@ def _cmd_lattice_root(args):
 # modular group
 
 def _cmd_modular_eta24(args):
-    s = mod.eta24(args.order)
-    return _emit(args, lambda: mod.format_series(s), lambda: _series_json(s))
+    return _emit_series(args, mod.eta24(args.order))
 
 
 def _cmd_modular_j(args):
-    s = mod.j_from_lattice(_resolve_lattice(args), args.order)
-    return _emit(args, lambda: mod.format_series(s), lambda: _series_json(s))
+    return _emit_series(args,
+                        mod.j_from_lattice(_resolve_lattice(args), args.order))
 
 
 # ---------------------------------------------------------------------------
@@ -549,17 +500,11 @@ def _cmd_id_cannonball(args):
 
 
 def _cmd_id_area(args):
-    spins = ident.SpinList.from_values(args.spins)
-    exact, approx = ident.spin_area(spins)
-    parts = []
-    for j, m in exact.items():
-        body = f"sqrt({j * (j + 1)})"
-        if m != 1:
-            body = f"{m} {body}"
-        parts.append((1, body))
+    exact, approx = ident.spin_area(ident.SpinList.from_values(args.spins))
 
     def text():
-        return f"{_join_terms(parts)} = {approx!r}"
+        area = format_terms(exact.items(), lambda j: f"sqrt({j * (j + 1)})")
+        return f"{area} = {approx!r}"
 
     return _emit(args, text, lambda: {
         "terms": [{"spin": str(j), "count": m} for j, m in exact.items()],
@@ -577,15 +522,12 @@ def _parse_loop_file(path: str) -> Tuple[ident.PolyLoop, ident.PolyLoop]:
             if blocks[-1]:
                 blocks.append([])
             continue
-        toks = line.split()
-        if len(toks) != 3:
-            raise ValueError(f"loop file line {line!r} is not an integer "
-                             "triple")
         try:
-            blocks[-1].append(tuple(int(t) for t in toks))
+            x, y, z = map(int, line.split())
         except ValueError:
             raise ValueError(f"loop file line {line!r} is not an integer "
                              "triple") from None
+        blocks[-1].append((x, y, z))
     blocks = [b for b in blocks if b]
     if len(blocks) != 2:
         raise ValueError(f"loop file must hold two blank-line-separated "
@@ -619,15 +561,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--level", type=int)
     p.add_argument("x")
     p.add_argument("y")
-    p = sub(hy, "conj", _cmd_hyper_conj)
-    p.add_argument("--level", type=int)
-    p.add_argument("x")
-    p = sub(hy, "norm", _cmd_hyper_norm)
-    p.add_argument("--level", type=int)
-    p.add_argument("x")
-    p = sub(hy, "inv", _cmd_hyper_inv)
-    p.add_argument("--level", type=int)
-    p.add_argument("x")
+    for name, fn in (("conj", _cmd_hyper_conj), ("norm", _cmd_hyper_norm),
+                     ("inv", _cmd_hyper_inv)):
+        p = sub(hy, name, fn)
+        p.add_argument("--level", type=int)
+        p.add_argument("x")
     p = sub(hy, "fano", _cmd_hyper_fano)
     p.add_argument("i", nargs="?", type=int)
     p.add_argument("j", nargs="?", type=int)

@@ -279,11 +279,19 @@ def admissible_real_dims(dirac_c: int, majorana: bool, weyl: bool,
 
 def super_ym_dims(lo: int, hi: int) -> Set[int]:
     """Dimensions where some admissible spinor kind has exactly 2(n-2) real
-    components, the balance needed to pair a vector with a spinor."""
+    components, the balance needed to pair a vector with a spinor.
+
+    Every admissible count is at least 2^(n//2 - 1), a quarter of the Dirac
+    real dimension. That bound first exceeds 2(n-2) at n = 12 and stays
+    above it, since each step of n//2 doubles the bound and adds at most 4
+    to 2(n-2); so the scan stops at the first n where it does, whatever hi is.
+    """
     if not 3 <= lo <= hi:
         raise ValueError("need 3 <= lo <= hi")
     out = set()
     for n in range(lo, hi + 1):
+        if 1 << (n // 2 - 1) > 2 * (n - 2):
+            break
         prof = spinor_taxonomy(n)
         dims = admissible_real_dims(prof.dirac_complex_dim, prof.majorana,
                                     prof.weyl, prof.majorana_weyl)

@@ -9,6 +9,9 @@ caller's business.
 Rationals are `fractions.Fraction` throughout. The stdlib type already keeps
 the canonical reduced form with positive denominator, so we use it directly
 rather than wrapping it.
+
+The module also holds what every other module shares: `Value`, the base of
+the immutable value classes, and `format_terms`, the signed-sum text form.
 """
 
 from __future__ import annotations
@@ -142,6 +145,28 @@ def _coerce(x) -> GoldenRational:
     if isinstance(x, GoldenRational):
         return x
     return GoldenRational(rat(x))
+
+
+def format_terms(terms, name) -> str:
+    """(index, coefficient) terms as a signed sum such as ``3 - e1 + 1/2 e5``.
+
+    Index 0 prints as its coefficient alone; name(index) names every other
+    basis element, bare when its coefficient has magnitude 1. The empty sum
+    is "0". Hypercomplex and Clifford elements, q-series and spin-network
+    areas all print this way.
+    """
+    out = []
+    for k, c in terms:
+        mag = abs(c)
+        if k == 0:
+            body = str(mag)
+        else:
+            body = name(k) if mag == 1 else f"{mag} {name(k)}"
+        if out:
+            out.append(f"+ {body}" if c > 0 else f"- {body}")
+        else:
+            out.append(body if c > 0 else f"-{body}")
+    return " ".join(out) or "0"
 
 
 GOLDEN_ZERO = GoldenRational(0)

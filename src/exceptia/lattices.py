@@ -715,7 +715,9 @@ def theta_series(lat: Lattice, order: int) -> ThetaSeries:
     Takes the counts of `short_vectors` up to norm 2*order, so an even
     unimodular lattice of rank n is enumerated only up to norm 2 * (n // 24),
     and an orthogonal sum is counted one component at a time and convolved
-    (`_norm_counts`).
+    (`_norm_counts`). The higher counts of an even unimodular lattice (or
+    block) of rank 24 or more are read off eta24 through the order, so there
+    an order above `modular.ETA24_LIMIT` raises its SeriesError.
     """
     if not isinstance(order, int) or order < 0:
         raise LatticeError("order must be a nonnegative integer")

@@ -133,6 +133,9 @@ def test_hyper_text_commands(capsys):
         "1 - e1 - 2 e3\n"
     # without --level the operands fix the smallest level that fits
     assert run(capsys, "hyper", "mul", "e1", "e2")[1] == "e3\n"
+    # a negative unit part, and the empty sum
+    assert run(capsys, "hyper", "mul", "e1", "e1")[1] == "-1\n"
+    assert run(capsys, "hyper", "mul", "e1", "0")[1] == "0\n"
     # a pair's second half sits 2^level above its first, at every nesting
     assert run(capsys, "hyper", "conj", "((1,2),(3,e1))")[1] == \
         "1 - 2 e1 - 3 e4 - e7\n"
@@ -291,6 +294,19 @@ def test_modular_eta24(capsys):
     assert out == "q - 24 q^2 + 252 q^3 - 1472 q^4\n"
 
 
+def test_modular_eta24_order_cap(capsys, monkeypatch):
+    cap = mod.ETA24_LIMIT
+    rc, out, err = run(capsys, "modular", "eta24", "--order", str(cap + 1))
+    assert (rc, out) == (1, "")
+    assert err == f"orders beyond {cap} exceed the time budget\n"
+    # the cap itself is allowed; a small cap shows it without the cost
+    monkeypatch.setattr(mod, "ETA24_LIMIT", 3)
+    assert run(capsys, "modular", "eta24", "--order", "3") == \
+        (0, "q - 24 q^2 + 252 q^3 - 1472 q^4\n", "")
+    assert run(capsys, "modular", "eta24", "--order", "4") == \
+        (1, "", "orders beyond 3 exceed the time budget\n")
+
+
 def test_modular_j_json(capsys):
     rc, out, _ = run(capsys, "modular", "j", "--lattice", "3E8",
                      "--order", "1", "--json")
@@ -364,6 +380,10 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     a2 = tmp_path / "a2.lat"
     rc, out, _ = run(capsys, "lattice", "build", "A2")
     a2.write_text(out)
+    short, long, odd = (tmp_path / f"{n}.txt" for n in ("short", "long", "odd"))
+    short.write_text(HOPF.replace("1 1 0\n", "1 1\n", 1))
+    long.write_text(HOPF.replace("1 1 0\n", "1 1 0 0\n", 1))
+    odd.write_text(HOPF.replace("1 1 0\n", "1 1 0.5\n", 1))
 
     cases = [
         (["lattice", "info", "E9"], "unknown lattice name 'E9'"),
@@ -380,6 +400,12 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         (["id", "link", "--input", str(touch)],
          "needs disjoint loops"),
         (["id", "link", "--input", str(tmp_path / "absent.txt")], ""),
+        (["id", "link", "--input", str(short)],
+         "loop file line '1 1' is not an integer triple"),
+        (["id", "link", "--input", str(long)],
+         "loop file line '1 1 0 0' is not an integer triple"),
+        (["id", "link", "--input", str(odd)],
+         "loop file line '1 1 0.5' is not an integer triple"),
         (["id", "area", "1/2", "1/0"], "spin 1/0 is not"),
         (["hyper", "mul", "(" * 1200 + "1" + ")" * 1200, "1"],
          "pairs nest deeper than"),

@@ -332,6 +332,20 @@ def test_super_ym_dimensions():
     assert cl.super_ym_dims(11, 12) == set()
 
 
+def test_super_ym_scan_stops_where_spinors_outgrow_the_vector(monkeypatch):
+    # from n = 12 on every spinor has more than 2(n-2) real components, so
+    # no taxonomy is built there however far the range reaches
+    taxonomy = cl.spinor_taxonomy
+
+    def spy(n):
+        assert n < 12, f"spinor_taxonomy({n}) was built"
+        return taxonomy(n)
+
+    monkeypatch.setattr(cl, "spinor_taxonomy", spy)
+    assert cl.super_ym_dims(3, 10 ** 6) == {3, 4, 6, 10}
+    assert cl.super_ym_dims(12, 10 ** 6) == set()
+
+
 def test_super_ym_range_validation():
     with pytest.raises(ValueError):
         cl.super_ym_dims(6, 3)

@@ -70,6 +70,27 @@ def test_eta24_validates_order():
         mod.eta24(0)
 
 
+def test_eta24_order_cap():
+    cap = mod.ETA24_LIMIT
+    budget = f"orders beyond {cap} exceed the time budget"
+    with pytest.raises(mod.SeriesError, match=budget):
+        mod.eta24(cap + 1)
+    # theta and j of rank-24 lattices need eta24 through the order (j one
+    # further) and reach the cap before any quadratic series product
+    l = lat.direct_sum(*[lat.build_E8()] * 3)
+    with pytest.raises(mod.SeriesError, match=budget):
+        lat.theta_series(l, cap + 1)
+    with pytest.raises(mod.SeriesError, match=budget):
+        mod.j_from_lattice(l, cap)
+
+
+@pytest.mark.slow
+def test_eta24_runs_at_its_order_cap():
+    s = mod.eta24(mod.ETA24_LIMIT)
+    assert (s.low, s.order) == (1, mod.ETA24_LIMIT + 1)
+    assert s.coeffs[:8] == TAU
+
+
 def test_eta24_repeated_squaring_agrees_with_sequential_powers():
     """An independent route to the pentagonal power recurrence: the dense
     Euler product multiplied out 24 times by plain convolution."""
@@ -323,4 +344,5 @@ def test_format_series_examples():
         "q^-1 + 744 + 196884 q"
     assert mod.format_series(LaurentSeries(1, (1, -24))) == "q - 24 q^2"
     assert mod.format_series(LaurentSeries(0, (-1, 0, 7))) == "-1 + 7 q^2"
+    assert mod.format_series(LaurentSeries(-1, (-1, 0, -1))) == "-q^-1 - q"
     assert mod.format_series(mod.ZERO_SERIES) == "0"
