@@ -35,6 +35,7 @@ usage: exceptia <group> <command> [arguments]
 
 named lattices: A<n> D<n> E6 E7 E8 D16+ 3E8 E8+D16+ LeechII LeechIcosian
 common flags:   --order N   --max-norm M   --limit L   --json   --input FILE
+operands that begin with '-' go after '--':  exceptia hyper mul -- e1 -e2
 run `exceptia <group> <command> --help` for the arguments of one command
 """
 

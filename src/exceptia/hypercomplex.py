@@ -398,7 +398,8 @@ def _build_icosian_state():
                 elems.add(r)
                 order.append(r)
 
-    # fixed integer coordinate system: HNF basis of the quadrupled images
+    # fixed integer coordinate system: HNF basis of the quadrupled images;
+    # only certificates read these rows, icosian_basis() decodes them
     scaled = [[_quad(c) for c in icosian_to_r8_raw(q)] for q in sorted_units(elems)]
     basis = intlinalg.hnf(scaled)
     if len(basis) != 8:
@@ -436,16 +437,20 @@ def icosian_units() -> frozenset:
     return _build_icosian_state()[0]
 
 
-def icosian_basis() -> Tuple[Tuple[int, ...], ...]:
-    """The fixed rank-8 integer basis (quadrupled coordinates) of the ring."""
-    return _build_icosian_state()[1]
+def icosian_basis() -> Tuple[HyperNumber, ...]:
+    """The ring's fixed rank-8 basis: a certificate lists an icosian's
+    integer coordinates in it."""
+    return tuple(
+        hyper([GoldenRational(Fraction(u, 4), Fraction(v, 4))
+               for u, v in zip(row[::2], row[1::2])], GOLDEN)
+        for row in _build_icosian_state()[1])
 
 
 def to_icosian(q: HyperNumber) -> IcosianElement:
     """Attach a membership certificate, or raise ValueError for non-members."""
     if q.field != GOLDEN or q.level != 2:
         raise ValueError("icosians are golden quaternions")
-    return IcosianElement(q, _certificate(q, icosian_basis()))
+    return IcosianElement(q, _certificate(q, _build_icosian_state()[1]))
 
 
 def icosian_to_r8_raw(q: HyperNumber) -> Tuple[Fraction, ...]:

@@ -27,7 +27,7 @@ import operator
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from . import intlinalg
+from . import hypercomplex, intlinalg
 from .exactnum import GoldenRational, Value, rat
 from .intlinalg import (clear_denominators, det_fraction, invert_fraction,
                         left_kernel, solve_left)
@@ -793,15 +793,11 @@ def ii_member(vector: Sequence) -> bool:
     if len(v) not in _II_DIMS:
         raise LatticeError(f"unsupported length {len(v)}; "
                            f"expected one of {_II_DIMS}")
-    dens = {c.denominator for c in v}
-    if dens == {1}:
-        pass
-    elif dens == {2}:
-        pass
-    else:
+    try:
+        LorentzianVector.from_coords(v)
+    except LatticeError:
         return False
-    total = sum(v)
-    return total.denominator == 1 and total.numerator % 2 == 0
+    return True
 
 
 _WEYL_HEAD = {10: 28, 18: 46, 26: 70}
@@ -821,7 +817,7 @@ def is_fundamental_root(r: LorentzianVector, dim: int) -> bool:
     if dim not in _II_DIMS:
         raise LatticeError(f"unsupported dimension {dim}; "
                            f"expected one of {_II_DIMS}")
-    if r.dim != dim or not ii_member(r.coords):
+    if r.dim != dim:
         raise LatticeError("vector is not a member of the lattice")
     w = weyl_vector(dim)
     return minkowski_dot(r, r) == 2 and minkowski_dot(r, w) == -1
@@ -891,54 +887,13 @@ def leech_from_ii26() -> Lattice:
 # ---------------------------------------------------------------------------
 # icosian constructions
 
-def _icosian_ring_data():
-    from . import hypercomplex
-    basis8 = hypercomplex.icosian_basis()       # quadrupled integer rows
-    return hypercomplex, basis8
-
-
-def _ring_mult_matrix(hc, basis8, factor, side: str) -> List[List[int]]:
+def _ring_mult_matrix(factor, side: str) -> List[Tuple[int, ...]]:
     """Matrix of s -> s*factor (side "right") or factor*s ("left") in ring
-    coordinates."""
-    rows = []
-    for brow in basis8:
-        q = _quat_from_quadrupled(hc, brow)
-        prod = hc.cd_mul(q, factor) if side == "right" else hc.cd_mul(factor, q)
-        target = [hc._quad(c) for c in hc.icosian_to_r8_raw(prod)]
-        coeffs = solve_left(basis8, target)
-        if coeffs is None:
-            raise LatticeConstructionError(
-                "ring is not closed under multiplication by the congruence "
-                "quaternion; the seed data is wrong")
-        rows.append(coeffs)
-    return rows
-
-
-def _quat_from_quadrupled(hc, row: Sequence[int]):
-    coords = []
-    for t in range(4):
-        u = Fraction(row[2 * t], 4)
-        v = Fraction(row[2 * t + 1], 4)
-        coords.append(GoldenRational(u, v))
-    return hc.hyper(coords, hc.GOLDEN)
-
-
-def _icosian_flat_rows(basis8) -> Tuple[Tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(v, 4) for v in row) for row in basis8)
-
-
-def _icosian_twisted_rows(basis8) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Ring basis rows with each golden coordinate u + v sqrt5 sent to
-    (u + v, 2v), so that the plain dot product is the norm a + b of the
-    quaternion norm a + b sqrt5 (the sqrt5 -> 1 specialization)."""
-    out = []
-    for row in basis8:
-        amb: List[Fraction] = []
-        for t in range(4):
-            u, v = Fraction(row[2 * t], 4), Fraction(row[2 * t + 1], 4)
-            amb.extend((u + v, 2 * v))
-        out.append(tuple(amb))
-    return tuple(out)
+    coordinates: row i is the certificate of basis element i's image."""
+    mul = hypercomplex.cd_mul
+    images = (mul(b, factor) if side == "right" else mul(factor, b)
+              for b in hypercomplex.icosian_basis())
+    return [hypercomplex.to_icosian(q).certificate for q in images]
 
 
 def _rescale_to_min_norm(raw: Lattice, target: int, what: str) -> Lattice:
@@ -978,8 +933,8 @@ def build_E8_from_icosians() -> Lattice:
     outcome is verified against the coordinate construction of E8 through
     theta order 4.
     """
-    hc, basis8 = _icosian_ring_data()
-    raw = Lattice(8, 8, _icosian_flat_rows(basis8))
+    raw = Lattice(8, 8, tuple(hypercomplex.icosian_to_r8_raw(b)
+                              for b in hypercomplex.icosian_basis()))
     lat = _rescale_to_min_norm(raw, 2, "icosian E8")
     mine = theta_series(lat, 4)
     ref = theta_series(build_E8(), 4)
@@ -993,18 +948,17 @@ def build_E8_from_icosians() -> Lattice:
 def _icosian_triple_lattice(side: str) -> Lattice:
     """The lattice of icosian triples with x = y = z mod h and
     x + y + z = 0 mod h-bar, embedded with the twisted norm: a quaternion
-    norm a + b sqrt5 counts as a + b (see _icosian_twisted_rows)."""
-    hc, basis8 = _icosian_ring_data()
+    norm a + b sqrt5 counts as a + b, which sending each golden coordinate
+    u + v sqrt5 to (u + v, 2v) makes a plain dot product."""
     half = Fraction(1, 2)
-    h = hc.hyper((
+    h = hypercomplex.hyper((
         GoldenRational(0, -half),            # the rational part is -sqrt5/2
         GoldenRational(half),
         GoldenRational(half),
         GoldenRational(half),
-    ), hc.GOLDEN)
-    hbar = hc.cd_conj(h)
-    H = _ring_mult_matrix(hc, basis8, h, side)
-    Hbar = _ring_mult_matrix(hc, basis8, hbar, side)
+    ), hypercomplex.GOLDEN)
+    H = _ring_mult_matrix(h, side)
+    Hbar = _ring_mult_matrix(hypercomplex.cd_conj(h), side)
 
     # unknowns: ring coordinates of (x, y, z, s, t, u); equations state
     # x - y = s h, y - z = t h, x + y + z = u h-bar (or the left-handed
@@ -1027,16 +981,13 @@ def _icosian_triple_lattice(side: str) -> Lattice:
     if len(kern) != 24:
         raise LatticeConstructionError(
             f"icosian triple lattice: kernel rank {len(kern)}, expected 24")
-    emb8 = _icosian_twisted_rows(basis8)
-    rows = []
-    for krow in kern:
-        amb: List[Fraction] = []
-        for blk in range(3):
-            coeffs = krow[8 * blk: 8 * blk + 8]
-            for k in range(8):
-                amb.append(sum(coeffs[t] * emb8[t][k] for t in range(8)))
-        rows.append(tuple(amb))
-    return Lattice(24, 24, tuple(rows))
+    emb8 = [[t for c in b.coords for t in (c.trace_value(), 2 * c.v)]
+            for b in hypercomplex.icosian_basis()]
+    # the ring coordinates of x, y and z are a kernel row's first 24 entries
+    xyz = [k[i:i + 8] for k in kern for i in (0, 8, 16)]
+    amb = intlinalg.matmul(xyz, emb8)
+    rows = [amb[i] + amb[i + 1] + amb[i + 2] for i in range(0, 72, 3)]
+    return Lattice(24, 24, rows)
 
 
 def leech_from_icosians() -> Lattice:

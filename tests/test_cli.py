@@ -7,6 +7,7 @@ nothing is installed), and the determinism checks, which need a fresh
 interpreter per run.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -247,6 +248,29 @@ def test_lattice_build_info_roundtrip(capsys, tmp_path):
     assert rc == 0
     assert json.loads(out) == {"rank": 2, "even": True, "unimodular": False,
                                "min_norm": 2, "kissing": 6}
+    # the Leech lattice two ways, pinned by the sha256 of stdout (text, then
+    # --json); the icosian build reads back as even unimodular with 196560
+    # minima
+    icosian = (
+        "003fa46d87b95ed378155a21a7315473430e46cccf8c520cf267885239d2c53b",
+        "16bacf1d407438405698d7143f4d9cc125aa1e6adb98bd6f87d640d4b3103e4b")
+    pinned = {
+        ("leech", "icosian"): icosian,
+        ("build", "LeechIcosian"): icosian,
+        ("leech",): (
+            "e6b5aac8d3bbf5d26542e2918d4f06dd77811993b70ccf924aad69733b7a1a66",
+            "bcfe500c2cfcc9c43e7a422af4126e808681f014b664aaaa1cb1111d8f4d3ae8"),
+    }
+    for argv, digests in pinned.items():
+        for flags, digest in zip(((), ("--json",)), digests):
+            rc, out, _ = run(capsys, "lattice", *argv, *flags)
+            assert rc == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    f = tmp_path / "leech.lat"
+    f.write_text(run(capsys, "lattice", "build", "LeechIcosian")[1])
+    rc, out, _ = run(capsys, "lattice", "info", "--input", str(f))
+    assert json.loads(out) == {"rank": 24, "even": True, "unimodular": True,
+                               "min_norm": 4, "kissing": 196560}
 
 
 def test_lattice_dual_of_e8_is_e8_again(capsys, tmp_path):
@@ -361,6 +385,17 @@ def test_id_link(capsys, tmp_path):
     assert run(capsys, "id", "link", "--input", str(f))[1] == "-1\n"
     rc, out, _ = run(capsys, "id", "link", "--input", str(f), "--json")
     assert json.loads(out) == {"linking_number": -1}
+
+
+def test_operands_beginning_with_minus_follow_double_dash(capsys):
+    # argparse reads a leading '-' as an option; the grammar names the fix
+    rc, out, err = run(capsys, "hyper", "conj", "-2+e1")
+    assert (rc, out) == (2, "")
+    assert "go after '--'" in err
+    assert run(capsys, "hyper", "conj", "--", "-2+e1")[:2] == (0, "-2 - e1\n")
+    assert run(capsys, "hyper", "mul", "--", "e1", "-e2")[:2] == (0, "-e3\n")
+    assert run(capsys, "clifford", "mul", "--p", "2", "--", "-e1", "e2")[:2] \
+        == (0, "-e1*e2\n")
 
 
 # ---------------------------------------------------------------------------

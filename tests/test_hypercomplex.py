@@ -579,6 +579,12 @@ def test_icosian_membership_certificates():
     gi = hc.basis_element(2, 1, hc.GOLDEN)
     elem = hc.to_icosian(gi)
     assert len(elem.certificate) == 8
+    # certificates are coordinates in the basis: basis element i has e_i
+    basis = hc.icosian_basis()
+    assert len(basis) == 8
+    for i, b in enumerate(basis):
+        assert hc.to_icosian(b).certificate == tuple(
+            int(k == i) for k in range(8))
     outside = hc.hyper((GoldenRational(Fraction(1, 3)), GOLDEN_ZERO,
                         GOLDEN_ZERO, GOLDEN_ZERO), hc.GOLDEN)
     with pytest.raises(ValueError):

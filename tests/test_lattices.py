@@ -622,7 +622,8 @@ SKEW = ((4, -2, 4, -2), (-2, -2, 2, -2), (-6, 4, 1, 2), (-2, 4, -3, 4))
 @pytest.mark.parametrize("build,expected", [
     (lambda: lat.dual_lattice(lat.build_An(2)), Fraction(2, 3)),
     (lambda: E8, 2),
-    (lambda: lat.Lattice(8, 8, lat._icosian_flat_rows(hc.icosian_basis())),
+    (lambda: lat.Lattice(8, 8, tuple(hc.icosian_to_r8_raw(b)
+                                     for b in hc.icosian_basis())),
      Fraction(1, 2)),
     (lambda: lat.Lattice(4, 4, SKEW), 8),
 ], ids=["dual-A2", "E8", "flat-icosian-E8", "skew-Z4-sublattice"])
