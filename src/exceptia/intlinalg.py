@@ -6,7 +6,10 @@ and quotients are all phrased through it. Rational matrices are cleared to
 integers once (`clear_denominators`): determinants and inverses run
 fraction-free on the cleared matrix (Bareiss elimination, every division
 exact), products multiply the cleared operands in ints, and each result
-entry becomes one Fraction at the end.
+entry becomes one Fraction at the end. Callers that hold integer rows over
+a known denominator (the lattice constructions) call the integer cores
+(`invert_int`, `matmul` on ints) directly and make their Fractions once,
+at the end, one per distinct value.
 
 Conventions: matrices are lists of rows; vectors act on the left (x @ A is a
 row vector), so "the lattice of A" means the set of integer combinations of
@@ -121,11 +124,12 @@ def matmul(a, b):
     Each operand is cleared to integers once, the product runs in ints, and
     each entry becomes one Fraction over the two denominators. The product
     of two int matrices stays int."""
-    ai, s = clear_denominators(a)
-    bi, t = clear_denominators(b)
+    ints = all(type(x) is int for m in (a, b) for row in m for x in row)
+    ai, s = (a, 1) if ints else clear_denominators(a)
+    bi, t = (b, 1) if ints else clear_denominators(b)
     bt = list(zip(*bi))
     prod = [[sum(map(operator.mul, row, col)) for col in bt] for row in ai]
-    if all(type(x) is int for m in (a, b) for row in m for x in row):
+    if ints:
         return prod
     st = s * t
     return [[Fraction(v, st) for v in row] for row in prod]
@@ -163,30 +167,40 @@ def det_fraction(m: Sequence[Sequence]) -> Fraction:
     return Fraction(sign * prev, s ** n)
 
 
-def invert_fraction(m: Sequence[Sequence]) -> List[List[Fraction]]:
-    """Exact inverse by fraction-free Gauss-Jordan elimination (Bareiss) of
-    [s m | I], s m the matrix cleared to integers; raises ZeroDivisionError
-    if singular.
+def invert_int(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, int]:
+    """(v, d) with d = |det a| > 0 and v = d a^-1, an integer matrix, by
+    fraction-free Gauss-Jordan elimination (Bareiss) of [a | I]; raises
+    ZeroDivisionError if a is singular.
 
     Every row update (piv x - f y) // prev is an exact division, and at the
-    end each diagonal entry is the last pivot D = +-det(s m) and the right
-    half is D (s m)^-1, so m^-1 = s v / D entrywise."""
-    a, s = clear_denominators(m)
+    end each diagonal entry is the last pivot D = +-det a and the right half
+    is D a^-1."""
     n = len(a)
-    for i, row in enumerate(a):
-        row += [0] * n
+    rows = [list(row) + [0] * n for row in a]
+    for i, row in enumerate(rows):
         row[n + i] = 1
     prev = 1
     for c in range(n):
-        p = next((r for r in range(c, n) if a[r][c]), None)
+        p = next((r for r in range(c, n) if rows[r][c]), None)
         if p is None:
             raise ZeroDivisionError("singular matrix")
-        a[c], a[p] = a[p], a[c]
-        ac = a[c]
-        piv = ac[c]
+        rows[c], rows[p] = rows[p], rows[c]
+        rc = rows[c]
+        piv = rc[c]
         for r in range(n):
             if r != c:
-                f = a[r][c]
-                a[r] = [(piv * x - f * y) // prev for x, y in zip(a[r], ac)]
+                f = rows[r][c]
+                rows[r] = [(piv * x - f * y) // prev for x, y in zip(rows[r], rc)]
         prev = piv
-    return [[Fraction(s * v, prev) for v in row[n:]] for row in a]
+    if prev < 0:
+        return [[-v for v in row[n:]] for row in rows], -prev
+    return [row[n:] for row in rows], prev
+
+
+def invert_fraction(m: Sequence[Sequence]) -> List[List[Fraction]]:
+    """Exact inverse of a rational matrix: with s m cleared to integers,
+    m^-1 = s (s m)^-1 = s v / d for `invert_int`'s (v, d); raises
+    ZeroDivisionError if singular."""
+    a, s = clear_denominators(m)
+    v, d = invert_int(a)
+    return [[Fraction(s * x, d) for x in row] for row in v]

@@ -5,8 +5,10 @@ integrality and unimodularity tests, dual lattices, LLL reduction, exact
 short-vector enumeration and theta series, plus the even unimodular
 Lorentzian lattices II_{8k+1,1} with their Weyl vectors.
 
-Bases and Grams are rational; every lattice query clears them to integers
-and then runs in integer arithmetic only. LLL and Gram-Schmidt are
+Bases and Grams are rational, but every lattice is built from integer rows
+over one positive denominator (`Lattice._from_ints`), each distinct value
+becoming one Fraction, and every lattice query clears them to integers and
+then runs in integer arithmetic only. LLL and Gram-Schmidt are
 fraction-free (leading minors d and scaled coefficients lam = d mu), and the
 enumerator takes each coordinate's window as an integer square root over
 that same data, so a window holds exactly the coordinates that keep the
@@ -29,6 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import hypercomplex, intlinalg
 from .exactnum import GoldenRational, Value, rat
+# invert_fraction is unused here but stays bound: bench/tracing.py wraps it
 from .intlinalg import (clear_denominators, det_fraction, invert_fraction,
                         left_kernel, solve_left)
 
@@ -67,11 +70,6 @@ def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
     return None
 
 
-def _positive_definite(g: Sequence[Sequence[Fraction]]) -> bool:
-    # Sylvester's criterion: every leading principal minor is positive
-    return _int_gso(clear_denominators(g)[0])[0][-1] > 0
-
-
 class Lattice(Value):
     """A lattice given by basis rows in an ambient bilinear space.
 
@@ -86,33 +84,54 @@ class Lattice(Value):
     def __init__(self, ambient_dim: int, rank: int,
                  basis: Tuple[Tuple[Fraction, ...], ...],
                  signature: str = EUCLIDEAN):
+        b, s = clear_denominators([[rat(v) for v in row] for row in basis])
+        self._set_ints(ambient_dim, rank, b, s, signature)
+
+    @classmethod
+    def _from_ints(cls, ambient_dim: int, rank: int,
+                   rows: Sequence[Sequence[int]], den: int,
+                   signature: str = EUCLIDEAN) -> "Lattice":
+        """The lattice with basis rows / den, for integer rows and den > 0,
+        built without a Fraction round trip."""
+        lat = object.__new__(cls)
+        lat._set_ints(ambient_dim, rank, rows, den, signature)
+        return lat
+
+    def _set_ints(self, ambient_dim, rank, b, s, signature) -> None:
+        # the one construction path, for `Lattice(...)` (its rows cleared)
+        # and `_from_ints` alike: basis b / s with b integer and s > 0
         if signature not in _SIGNATURES:
             raise LatticeError(f"unknown signature {signature!r}")
-        rows = tuple(tuple(rat(v) for v in row) for row in basis)
-        if len(rows) != rank:
+        if len(b) != rank:
             raise LatticeError("rank does not match the number of basis rows")
         if rank < 1 or rank > ambient_dim:
             raise LatticeError("rank must satisfy 1 <= rank <= ambient_dim")
-        if any(len(row) != ambient_dim for row in rows):
+        if any(len(row) != ambient_dim for row in b):
             raise LatticeError("basis row length differs from ambient_dim")
-        # the Gram is G / s^2 for the integer products G of the rows B
-        # cleared by s; B B^T is positive definite exactly when the rows are
-        # independent, and under the identity form it is G itself
-        b, s = clear_denominators(rows)
-        plain = [[sum(x * y for x, y in zip(r, t)) for t in b] for r in b]
-        if not _positive_definite(plain):
+        # the Gram is g / s^2 for the integer products g of the rows b; the
+        # plain products b b^T are positive definite exactly when the rows
+        # are independent, and under the identity form they are g itself
+        g = [[0] * rank for _ in range(rank)]
+        for i, r in enumerate(b):
+            gi = g[i]
+            for j in range(i + 1):
+                gi[j] = g[j][i] = sum(map(operator.mul, r, b[j]))
+        if _int_gso(g)[0][-1] <= 0:
             raise LatticeError("basis rows are linearly dependent")
-        g = plain
         if signature == LORENTZIAN:
             g = [[v - 2 * r[0] * t[0] for v, t in zip(row, b)]
-                 for row, r in zip(plain, b)]
+                 for row, r in zip(g, b)]
+        # one Fraction per distinct entry, shared by every place it occurs
         ss = s * s
+        fb = {v: Fraction(v, s) for v in {v for row in b for v in row}}
+        fg = {v: Fraction(v, ss) for v in {v for row in g for v in row}}
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "basis", rows)
+        object.__setattr__(self, "basis", tuple(
+            tuple(map(fb.__getitem__, row)) for row in b))
         object.__setattr__(self, "signature", signature)
         object.__setattr__(self, "gram", tuple(
-            tuple(Fraction(v, ss) for v in row) for row in g))
+            tuple(map(fg.__getitem__, row)) for row in g))
 
     def form_dot(self, a: Sequence, b: Sequence) -> Fraction:
         """Ambient bilinear form applied to two coordinate vectors."""
@@ -136,7 +155,8 @@ def is_positive_definite(lat: Lattice) -> bool:
     """
     if lat.signature == EUCLIDEAN:
         return True
-    return _positive_definite(lat.gram)
+    # Sylvester's criterion: every leading principal minor is positive
+    return _int_gso(clear_denominators(lat.gram)[0])[0][-1] > 0
 
 
 def is_integral(lat: Lattice) -> bool:
@@ -162,14 +182,10 @@ def lattice_contains(lat: Lattice, vector: Sequence) -> bool:
     v = [rat(x) for x in vector]
     if len(v) != lat.ambient_dim:
         raise LatticeError("vector length differs from ambient_dim")
-    return _coefficients_of(lat, v) is not None
-
-
-def _coefficients_of(lat: Lattice, v: Sequence[Fraction]) -> Optional[List[int]]:
-    """The integer x with x B = v for the basis rows B, or None. The rows
-    are independent, so this settles membership whatever the form."""
+    # an integer x with x B = v for the basis rows B; the rows are
+    # independent, so this settles membership whatever the form
     m, _ = clear_denominators([*lat.basis, v])
-    return solve_left(m[:-1], m[-1])
+    return solve_left(m[:-1], m[-1]) is not None
 
 
 def sublattice_of(inner: Lattice, outer: Lattice) -> bool:
@@ -183,30 +199,32 @@ def same_lattice(a: Lattice, b: Lattice) -> bool:
 
 def dual_lattice(lat: Lattice) -> Lattice:
     """Dual basis in the same span, via the Gram inverse."""
+    # with the Gram cleared as t G and the basis as s B, and (v, d) the
+    # integer inverse of t G, the dual basis G^-1 B is t v (s B) / (s d)
+    gi, t = clear_denominators(lat.gram)
+    b, s = clear_denominators(lat.basis)
     try:
-        ginv = invert_fraction(lat.gram)
+        v, d = intlinalg.invert_int(gi)
     except ZeroDivisionError:
         raise LatticeError("singular Gram matrix has no dual basis") from None
-    rows = intlinalg.matmul(ginv, [list(r) for r in lat.basis])
-    return Lattice(lat.ambient_dim, lat.rank,
-                   tuple(tuple(v for v in row) for row in rows),
-                   signature=lat.signature)
+    rows = intlinalg.matmul(v, b)
+    return Lattice._from_ints(lat.ambient_dim, lat.rank,
+                              [[t * x for x in row] for row in rows], s * d,
+                              signature=lat.signature)
 
 
 # ---------------------------------------------------------------------------
 # named constructions
 
-def _half_rows(doubled: Sequence[Sequence[int]]) -> Tuple[Tuple[Fraction, ...], ...]:
-    return tuple(tuple(Fraction(v, 2) for v in row) for row in doubled)
-
-
-def _hnf_basis_halved(doubled_gens: Sequence[Sequence[int]], rank: int,
-                      what: str) -> Tuple[Tuple[Fraction, ...], ...]:
+def _hnf_lattice_halved(doubled_gens: Sequence[Sequence[int]], rank: int,
+                        what: str) -> Lattice:
+    """The lattice spanned by halves of the given integer generators, on
+    the Hermite normal form basis of their span."""
     rows = intlinalg.hnf(doubled_gens)
     if len(rows) != rank:
         raise LatticeConstructionError(
             f"{what}: generator span has rank {len(rows)}, expected {rank}")
-    return _half_rows(rows)
+    return Lattice._from_ints(len(rows[0]), rank, rows, 2)
 
 
 def build_An(n: int) -> Lattice:
@@ -217,8 +235,8 @@ def build_An(n: int) -> Lattice:
     for i in range(n):
         r = [0] * (n + 1)
         r[i], r[i + 1] = 1, -1
-        rows.append(tuple(map(Fraction, r)))
-    return Lattice(n + 1, n, tuple(rows))
+        rows.append(r)
+    return Lattice._from_ints(n + 1, n, rows, 1)
 
 
 def build_Dn(n: int) -> Lattice:
@@ -230,7 +248,7 @@ def build_Dn(n: int) -> Lattice:
         r = [0] * n
         r[i], r[i + 1] = 1, -1
         rows.append(r)
-    return Lattice(n, n, tuple(tuple(map(Fraction, r)) for r in rows))
+    return Lattice._from_ints(n, n, rows, 1)
 
 
 def _e8_generators_doubled() -> List[List[int]]:
@@ -248,7 +266,7 @@ def _e8_generators_doubled() -> List[List[int]]:
 
 def build_E8() -> Lattice:
     """Vectors with all-integer or all-half-integer coordinates and even sum."""
-    return Lattice(8, 8, _hnf_basis_halved(_e8_generators_doubled(), 8, "E8"))
+    return _hnf_lattice_halved(_e8_generators_doubled(), 8, "E8")
 
 
 def build_D16plus() -> Lattice:
@@ -258,7 +276,7 @@ def build_D16plus() -> Lattice:
     for i in range(15):
         gens[i + 1][i], gens[i + 1][i + 1] = 2, -2
     gens.append([1] * 16)
-    return Lattice(16, 16, _hnf_basis_halved(gens, 16, "D16+"))
+    return _hnf_lattice_halved(gens, 16, "D16+")
 
 
 def _check_e8_input(e8: Lattice, caller: str) -> None:
@@ -269,15 +287,16 @@ def _check_e8_input(e8: Lattice, caller: str) -> None:
 
 def _complement_in(e8: Lattice, conditions: Sequence[Sequence[Fraction]],
                    rank: int, what: str) -> Lattice:
-    # columns: exact form against each condition vector, cleared to integers
-    cols = [clear_denominators([[e8.form_dot(r, v) for r in e8.basis]])[0][0]
-            for v in conditions]
-    kern = left_kernel(list(zip(*cols)))
+    # e8 is positive definite (short_vector_list found the conditions), so
+    # its form is the dot product; a positive multiple of each column of
+    # pairings leaves the kernel's Hermite reduction unchanged
+    b, s = clear_denominators(e8.basis)
+    c, _ = clear_denominators(conditions)
+    kern = left_kernel(intlinalg.matmul(b, list(zip(*c))))
     if len(kern) != rank:
         raise LatticeConstructionError(
             f"{what}: kernel rank {len(kern)}, expected {rank}")
-    rows = intlinalg.matmul(kern, [list(r) for r in e8.basis])
-    return Lattice(8, rank, tuple(tuple(v for v in row) for row in rows))
+    return Lattice._from_ints(8, rank, intlinalg.matmul(kern, b), s)
 
 
 def build_E7(e8: Lattice) -> Lattice:
@@ -309,15 +328,17 @@ def direct_sum(*lattices: Lattice) -> Lattice:
     if any(l.signature != EUCLIDEAN for l in lattices):
         raise LatticeError("direct_sum is defined for euclidean lattices")
     ambient = sum(l.ambient_dim for l in lattices)
-    rows: List[Tuple[Fraction, ...]] = []
+    cleared = [clear_denominators(l.basis) for l in lattices]
+    s = math.lcm(*(t for _, t in cleared))
+    rows: List[List[int]] = []
     offset = 0
-    for lat in lattices:
-        pre = (Fraction(0),) * offset
-        post = (Fraction(0),) * (ambient - offset - lat.ambient_dim)
-        for row in lat.basis:
-            rows.append(pre + row + post)
+    for lat, (b, t) in zip(lattices, cleared):
+        pre = [0] * offset
+        post = [0] * (ambient - offset - lat.ambient_dim)
+        for row in b:
+            rows.append(pre + [v * (s // t) for v in row] + post)
         offset += lat.ambient_dim
-    return Lattice(ambient, sum(l.rank for l in lattices), tuple(rows))
+    return Lattice._from_ints(ambient, len(rows), rows, s)
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +374,12 @@ def _int_gso(g: Sequence[Sequence[int]]):
 def _lll_gram(g0: Sequence[Sequence[int]], delta: Fraction):
     """LLL on a positive-definite int Gram matrix, in integers only.
 
-    Returns (g, u) where u is unimodular and g = u g0 u^T is the reduced
-    Gram. `_int_gso`'s (d, lam) is kept up to date through every size
-    reduction and swap with exact divisions (Cohen, Alg. 2.6.7), so each
-    decision is the one rational LLL takes with mu[i][j] = lam[i][j]/d[j+1]
-    and |b*_i|^2 = d[i+1]/d[i]. Works entirely on the Gram; callers holding
-    a basis apply u themselves.
+    Returns (g, u, gso) where u is unimodular, g = u g0 u^T is the reduced
+    Gram and gso = (d, lam) is `_int_gso(g)`. That data is kept up to date
+    through every size reduction and swap with exact divisions (Cohen, Alg.
+    2.6.7), so each decision is the one rational LLL takes with
+    mu[i][j] = lam[i][j]/d[j+1] and |b*_i|^2 = d[i+1]/d[i]. Works entirely
+    on the Gram; callers holding a basis apply u themselves.
     """
     n = len(g0)
     g = [list(row) for row in g0]
@@ -413,7 +434,7 @@ def _lll_gram(g0: Sequence[Sequence[int]], delta: Fraction):
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
-    return g, u
+    return g, u, (d, lam)
 
 
 def lll_reduce(lat: Lattice, delta: Fraction = DEFAULT_LLL_DELTA) -> Lattice:
@@ -426,13 +447,13 @@ def lll_reduce(lat: Lattice, delta: Fraction = DEFAULT_LLL_DELTA) -> Lattice:
         raise LatticeError("delta must lie strictly between 1/4 and 1")
     if not is_positive_definite(lat):
         raise LatticeError("lll_reduce needs a positive-definite Gram")
-    _, u = _lll_gram(clear_denominators(lat.gram)[0], delta)
+    _, u, _ = _lll_gram(clear_denominators(lat.gram)[0], delta)
     if abs(det_fraction(u)) != 1:
         raise LatticeConstructionError("LLL transform lost unimodularity")
-    rows = intlinalg.matmul(u, [list(r) for r in lat.basis])
-    return Lattice(lat.ambient_dim, lat.rank,
-                   tuple(tuple(v for v in row) for row in rows),
-                   signature=lat.signature)
+    b, s = clear_denominators(lat.basis)
+    return Lattice._from_ints(lat.ambient_dim, lat.rank,
+                              intlinalg.matmul(u, b), s,
+                              signature=lat.signature)
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +477,16 @@ def lll_reduce(lat: Lattice, delta: Fraction = DEFAULT_LLL_DELTA) -> Lattice:
 # positive); counts are incremented by two.
 
 def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
-                        collect: Optional[list] = None) -> Dict[int, int]:
+                        collect: Optional[list] = None,
+                        gso=None) -> Dict[int, int]:
     """Counts {norm: count} of the x with 0 < x g x^T <= bound over an
     LLL-reduced positive-definite int Gram g.
 
     With ``collect`` a list, also appends (norm, coefficient tuple) for one
-    representative of each +-v pair.
+    representative of each +-v pair. ``gso`` is `_int_gso(g)` when the
+    caller already holds it.
     """
-    d, lam = _int_gso(g)
+    d, lam = gso or _int_gso(g)
     n = len(d) - 1
     counts: Dict[int, int] = {}
     if bound <= 0:
@@ -539,13 +562,16 @@ def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
 
 def _lll_int(g: Sequence[Sequence]):
     """LLL on an integral Gram (int or Fraction entries) divided by the gcd
-    c of its entries. Returns (reduced int Gram, transform, c): callers
-    search the primitive Gram, divide their bound by c with // and multiply
-    the norms back by c."""
-    gi = [[int(v) for v in row] for row in g]
-    c = math.gcd(*(v for row in gi for v in row))
-    gr, u = _lll_gram([[v // c for v in row] for row in gi], DEFAULT_LLL_DELTA)
-    return gr, u, c
+    c of its entries. Returns (reduced int Gram, transform, c, its
+    `_int_gso` data): callers search the primitive Gram, divide their bound
+    by c with // and multiply the norms back by c. Raises LatticeError if
+    the Gram is not positive definite."""
+    gi = [[v.numerator for v in row] for row in g]
+    # a zero Gram has content 0; it is refused as not positive definite
+    c = math.gcd(*(v for row in gi for v in row)) or 1
+    gr, u, gso = _lll_gram([[v // c for v in row] for row in gi],
+                           DEFAULT_LLL_DELTA)
+    return gr, u, c, gso
 
 
 def _components(g: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -570,9 +596,11 @@ def _components(g: Sequence[Sequence[int]]) -> List[List[int]]:
     return out
 
 
-def _norm_counts(g: Sequence[Sequence[int]], bound: int) -> Dict[int, int]:
+def _norm_counts(g: Sequence[Sequence[int]], bound: int,
+                 gso=None) -> Dict[int, int]:
     """Counts {norm: count} of the nonzero vectors with norm <= bound over a
-    reduced primitive Gram g, as `_enumerate_int_gram` gives them.
+    reduced primitive Gram g, as `_enumerate_int_gram` gives them; ``gso``
+    is `_int_gso(g)` when the caller already holds it.
 
     When g is even unimodular (even diagonal, determinant 1) of rank n, its
     theta series is fixed by the counts up to norm 2 * (n // 24)
@@ -592,18 +620,20 @@ def _norm_counts(g: Sequence[Sequence[int]], bound: int) -> Dict[int, int]:
         return {}
     n = len(g)
     head = n // 24
-    if (bound > 2 * head and not any(g[i][i] % 2 for i in range(n))
-            and _int_gso(g)[0][-1] == 1):
-        # modular imports this module, so the solver is imported at call time
-        from .modular import even_unimodular_theta
-        counts = _norm_counts(g, 2 * head)
-        theta = even_unimodular_theta(
-            n, [1] + [counts.get(2 * k, 0) for k in range(1, head + 1)],
-            bound // 2)
-        return {2 * k: t for k, t in enumerate(theta) if k and t}
+    if bound > 2 * head and not any(g[i][i] % 2 for i in range(n)):
+        gso = gso or _int_gso(g)
+        if gso[0][-1] == 1:
+            # modular imports this module, so the solver is imported at
+            # call time
+            from .modular import even_unimodular_theta
+            counts = _norm_counts(g, 2 * head, gso)
+            theta = even_unimodular_theta(
+                n, [1] + [counts.get(2 * k, 0) for k in range(1, head + 1)],
+                bound // 2)
+            return {2 * k: t for k, t in enumerate(theta) if k and t}
     blocks = _components(g)
     if len(blocks) == 1:
-        return _enumerate_int_gram(g, bound)
+        return _enumerate_int_gram(g, bound, gso=gso)
     total = {0: 1}
     for idx in blocks:
         block = [[g[i][j] for j in idx] for i in idx]
@@ -625,11 +655,14 @@ def _reduced_even_gram(lat: Lattice, max_norm: int, what: str):
     """Check an enumeration request; return `_lll_int` of its Gram."""
     if not isinstance(max_norm, int) or max_norm < 0:
         raise LatticeError("max_norm must be a nonnegative integer")
-    if not is_positive_definite(lat):
-        raise LatticeError(f"{what} needs a positive-definite Gram")
-    if not is_even(lat):
+    if is_even(lat):
+        try:
+            return _lll_int(lat.gram)
+        except LatticeError:        # LLL refuses an indefinite Gram
+            pass
+    elif is_positive_definite(lat):
         raise LatticeError(f"{what} is defined for even lattices")
-    return _lll_int(lat.gram)
+    raise LatticeError(f"{what} needs a positive-definite Gram")
 
 
 def short_vectors(lat: Lattice, max_norm: int) -> Dict[int, int]:
@@ -643,8 +676,8 @@ def short_vectors(lat: Lattice, max_norm: int) -> Dict[int, int]:
     whose reduced Gram splits into orthogonal blocks is counted block by
     block, whatever its basis (`_norm_counts`).
     """
-    gr, _, c = _reduced_even_gram(lat, max_norm, "short_vectors")
-    counts = _norm_counts(gr, max_norm // c)
+    gr, _, c, gso = _reduced_even_gram(lat, max_norm, "short_vectors")
+    counts = _norm_counts(gr, max_norm // c, gso)
     return {c * k: counts[k] for k in sorted(counts)}
 
 
@@ -654,9 +687,9 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
     Both members of each +-v pair are returned; the list is sorted by norm
     and then lexicographically. Intended for small bounds (root systems).
     """
-    gr, u, c = _reduced_even_gram(lat, max_norm, "short_vector_list")
+    gr, u, c, gso = _reduced_even_gram(lat, max_norm, "short_vector_list")
     found: list = []
-    _enumerate_int_gram(gr, max_norm // c, collect=found)
+    _enumerate_int_gram(gr, max_norm // c, collect=found, gso=gso)
     # ambient coordinates t x of the basis cleared by t, in ints; t > 0, so
     # sorting the integer tuples sorts the coordinates
     b, t = clear_denominators(lat.basis)
@@ -675,10 +708,10 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
 def _minimal_norm(gram: Sequence[Sequence[Fraction]]) -> Fraction:
     """Smallest nonzero norm of a positive-definite rational Gram."""
     gi, scale = clear_denominators(gram)
-    gr, _, c = _lll_int(gi)
+    gr, _, c, gso = _lll_int(gi)
     # cap is a basis vector's norm, so only shorter vectors need a search
     cap = min(gr[i][i] for i in range(len(gr)))
-    return Fraction(c * min(_norm_counts(gr, cap - 1), default=cap),
+    return Fraction(c * min(_norm_counts(gr, cap - 1, gso), default=cap),
                     scale)
 
 
@@ -717,7 +750,9 @@ def theta_series(lat: Lattice, order: int) -> ThetaSeries:
     and an orthogonal sum is counted one component at a time and convolved
     (`_norm_counts`). The higher counts of an even unimodular lattice (or
     block) of rank 24 or more are read off eta24 through the order, so there
-    an order above `modular.ETA24_LIMIT` raises its SeriesError.
+    an order above `modular.ETA24_LIMIT` raises its SeriesError; from rank
+    16 on, an order whose series products pair more terms than
+    `modular.SERIES_PRODUCT_LIMIT` raises one too.
     """
     if not isinstance(order, int) or order < 0:
         raise LatticeError("order must be a nonnegative integer")
@@ -823,7 +858,7 @@ def is_fundamental_root(r: LorentzianVector, dim: int) -> bool:
     return minkowski_dot(r, r) == 2 and minkowski_dot(r, w) == -1
 
 
-def _ii26_basis_halved() -> Tuple[Tuple[Fraction, ...], ...]:
+def _ii26_rows_doubled() -> List[List[int]]:
     rows = [[-1] + [1] * 25]              # the all-halves row, doubled
     r = [0] * 26
     r[1], r[2] = 2, 2
@@ -832,7 +867,7 @@ def _ii26_basis_halved() -> Tuple[Tuple[Fraction, ...], ...]:
         r = [0] * 26
         r[i], r[i + 1] = 2, -2
         rows.append(r)
-    return _half_rows(rows)
+    return rows
 
 
 def leech_from_ii26() -> Lattice:
@@ -843,23 +878,25 @@ def leech_from_ii26() -> Lattice:
     orthogonal to all of S, the bilinear form descends to the quotient S/Zw.
     The returned lattice keeps the ambient Lorentzian coordinates (its rows
     are the non-w rows of a basis of S completed from w), and its Gram is
-    positive definite, integral and even.
+    positive definite, integral and even. Coordinates stay doubled, so in
+    integers, until the quotient rows are halved at the end.
     """
-    basis = _ii26_basis_halved()
-    ii = Lattice(26, 26, basis, signature=LORENTZIAN)
-    w = weyl_vector(26)
-    wc = w.coords
+    rows = _ii26_rows_doubled()
+    # the constructor refuses dependent rows
+    Lattice._from_ints(26, 26, rows, 2, signature=LORENTZIAN)
+    w = weyl_vector(26).doubled_coords
 
-    col = [ii.form_dot(row, wc) for row in basis]
-    if any(c.denominator != 1 for c in col):
+    # each pairing of doubled coordinates is 4 times the pairing itself
+    col = [sum(map(operator.mul, row, w)) - 2 * row[0] * w[0] for row in rows]
+    if any(c % 4 for c in col):
         raise LatticeConstructionError("w pairs non-integrally with the basis")
-    kern = left_kernel([[int(c)] for c in col])
+    kern = left_kernel([[c // 4] for c in col])
     if len(kern) != 25:
         raise LatticeConstructionError(
             f"w-perp has kernel rank {len(kern)}, expected 25")
 
     # w's coefficients, first over the full basis, then over the kernel rows
-    yw = _coefficients_of(ii, wc)
+    yw = solve_left(rows, w)
     if yw is None:
         raise LatticeConstructionError("w is not a lattice member")
     z = solve_left(kern, yw)
@@ -879,9 +916,8 @@ def leech_from_ii26() -> Lattice:
     if srows[0] != list(yw):
         raise LatticeConstructionError("basis completion lost the w row")
 
-    quot = intlinalg.matmul(srows[1:], [list(r) for r in basis])
-    return Lattice(26, 24, tuple(tuple(v for v in row) for row in quot),
-                   signature=LORENTZIAN)
+    quot = intlinalg.matmul(srows[1:], rows)
+    return Lattice._from_ints(26, 24, quot, 2, signature=LORENTZIAN)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,8 +1046,10 @@ def leech_from_icosians() -> Lattice:
 # ---------------------------------------------------------------------------
 # registry, info report, text format
 
-# `lattice info D128` takes about 4 s and D256 about 40 s, and the Gram of
-# A<n> holds n^2 entries, so larger names are refused.
+# on a 2-vCPU host `lattice_info` takes 2.0-3.1 s on D128 (three runs) and
+# 29 s on D256 (one run), almost all of it the search for the 2n(n-1)
+# roots, and the Gram of A<n> holds n^2 entries, so larger names are
+# refused.
 _MAX_NAMED_RANK = 128
 
 
@@ -1057,16 +1095,18 @@ def lattice_info(lat: Lattice) -> dict:
         "rank": lat.rank,
         "even": is_even(lat),
         "unimodular": is_unimodular(lat),
+        "min_norm": None,
+        "kissing": None,
     }
-    if info["even"] and is_positive_definite(lat):
-        gr, _, c = _lll_int(lat.gram)
-        counts = _norm_counts(gr, min(gr[i][i] for i in range(lat.rank)))
+    if info["even"]:
+        try:
+            gr, _, c, gso = _lll_int(lat.gram)
+        except LatticeError:        # the Gram is not positive definite
+            return info
+        counts = _norm_counts(gr, min(gr[i][i] for i in range(lat.rank)), gso)
         mn = min(counts)
         info["min_norm"] = c * mn
         info["kissing"] = counts[mn]
-    else:
-        info["min_norm"] = None
-        info["kissing"] = None
     return info
 
 

@@ -73,6 +73,24 @@ ZERO_SERIES = LaurentSeries(0, ())
 # eta24 --order 80000` 5.9-7.4 s end to end (2.8 MB of output)
 ETA24_LIMIT = 8 * 10 ** 4
 
+# a truncated product of series carrying a and b terms multiplies up to
+# a * b pairs of (large) coefficients, about 0.1 us each on a 2-vCPU host:
+# a product at the limit takes about 1 s, and `modular j --lattice LeechII`
+# at its largest order, 3160, four of them in about 5 s end to end
+SERIES_PRODUCT_LIMIT = 10 ** 7
+
+
+def _check_eta24_order(N: int) -> None:
+    if N > ETA24_LIMIT:
+        raise SeriesError(f"orders beyond {ETA24_LIMIT} exceed the time budget")
+
+
+def _check_product(terms_a: int, terms_b: int) -> None:
+    if terms_a * terms_b > SERIES_PRODUCT_LIMIT:
+        raise SeriesError(
+            f"a product of series carrying {terms_a} and {terms_b} terms "
+            f"exceeds the time budget of {SERIES_PRODUCT_LIMIT} term pairs")
+
 
 def eta24(N: int) -> LaurentSeries:
     """q * prod_{n=1..N} (1 - q^n)^24, carried through exponent N + 1.
@@ -85,8 +103,7 @@ def eta24(N: int) -> LaurentSeries:
     """
     if N < 1:
         raise SeriesError("eta24 needs N >= 1")
-    if N > ETA24_LIMIT:
-        raise SeriesError(f"orders beyond {ETA24_LIMIT} exceed the time budget")
+    _check_eta24_order(N)
     pent = []                             # (j, a_j) for j >= 1, ascending
     k = 1
     while k * (3 * k - 1) // 2 <= N:
@@ -117,12 +134,15 @@ def e4(N: int) -> LaurentSeries:
 
 
 def series_mul(a: LaurentSeries, b: LaurentSeries, N: int) -> LaurentSeries:
-    """Cauchy product truncated at exponent N."""
+    """Cauchy product truncated at exponent N. Operands carrying more than
+    SERIES_PRODUCT_LIMIT pairs of terms below the truncation are refused."""
     if a.is_zero or b.is_zero:
         return ZERO_SERIES
     low = a.low + b.low
     if low > N:
         return ZERO_SERIES
+    _check_product(min(len(a.coeffs), N - low + 1),
+                   min(len(b.coeffs), N - low + 1))
     out = [0] * (N - low + 1)
     for i, ai in enumerate(a.coeffs[: N - low + 1]):
         if not ai:
@@ -138,7 +158,8 @@ def series_inv(a: LaurentSeries, N: int) -> LaurentSeries:
 
     The leading coefficient must be 1 or -1 so the inverse stays integral,
     and a must carry enough coefficients to determine the result: exponents
-    up to N + 2*a.low.
+    up to N + 2*a.low. Each of the result's terms is a dot product with up
+    to as many of a's, so the pair count is bounded as for `series_mul`.
     """
     if a.is_zero:
         raise SeriesError("the zero series has no inverse")
@@ -153,6 +174,7 @@ def series_inv(a: LaurentSeries, N: int) -> LaurentSeries:
         raise SeriesError(
             f"series carried through exponent {a.order} cannot determine its "
             f"inverse through exponent {N}; extend it to exponent {m_top + a.low}")
+    _check_product(m_top, m_top + 1)
     # v[m] = -lead * sum(u[k] v[m-k], k = 1..m), with the result kept
     # reversed (w[m_top - m] = v[m]) so that each sum is one C-level dot
     # product of u[1:] with a slice of w
@@ -189,7 +211,9 @@ def even_unimodular_theta(rank: int, head: Sequence[int],
     F_b = E4^(m - 3b) Delta^b, 0 <= b <= m // 3 (Serre, A Course in
     Arithmetic, ch. VII; Conway-Sloane, SPLAG, ch. 2 section 6 and ch. 7).
     F_b = q^b + O(q^(b+1)), so head fixes the coefficients of theta over the
-    F_b by a unit-triangular system, solved here in integers.
+    F_b by a unit-triangular system, solved here in integers. From rank 16
+    on, E4^2 multiplies two series of N + 1 terms, so the bounds of eta24
+    and of the series products are checked before any series is computed.
     """
     m, s = rank // 8, rank // 24
     if rank <= 0 or rank % 8 or len(head) != s + 1 or head[0] != 1:
@@ -198,9 +222,13 @@ def even_unimodular_theta(rank: int, head: Sequence[int],
                           "starting with 1")
     if N < s:
         raise SeriesError("truncation order lies below the head")
+    if s:
+        _check_eta24_order(N)
+    if m > 1:
+        _check_product(N + 1, N + 1)
     one = LaurentSeries(0, (1,))
     e_pow, d_pow = [one], [one]
-    if s:                       # first, so that eta24's bound refuses early
+    if s:
         delta = eta24(N)
         for _ in range(s):
             d_pow.append(series_mul(d_pow[-1], delta, N))
@@ -225,14 +253,18 @@ def j_from_lattice(lat: Lattice, N: int = 5) -> LaurentSeries:
     only up to norm 2 and reads the higher counts off E4^3 and Delta, so
     at any N the lattice costs an LLL and that short search, not an
     enumeration up to norm 2N+2. eta24 is taken through exponent N + 1, so
-    N at or above ETA24_LIMIT raises its SeriesError.
+    N at or above ETA24_LIMIT raises its SeriesError; the largest series
+    product pairs N + 2 terms with N + 2, so N + 2 above the square root of
+    SERIES_PRODUCT_LIMIT raises too. Both are checked before any work.
     """
     if lat.rank != 24 or not (is_even(lat) and is_unimodular(lat)):
         raise SeriesError("j_from_lattice needs a rank-24 even unimodular "
                           "lattice")
     if N < 0:
         raise SeriesError("truncation order must be nonnegative")
-    eta = eta24(N + 1)          # first, so that its bound refuses early
+    _check_eta24_order(N + 1)
+    _check_product(N + 2, N + 2)
+    eta = eta24(N + 1)
     th = theta_series(lat, N + 1)
     theta_q = LaurentSeries(0, th.counts)
     return series_mul(theta_q, series_inv(eta, N), N)

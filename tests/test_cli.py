@@ -331,6 +331,19 @@ def test_modular_eta24_order_cap(capsys, monkeypatch):
         (1, "", "orders beyond 3 exceed the time budget\n")
 
 
+def test_series_product_bound_exits_1_on_leech(capsys):
+    # theta through q^N multiplies E4 by E4 at N + 1 terms, j through q^N
+    # multiplies N + 2 terms by N + 2; both refuse before any product
+    lim = mod.SERIES_PRODUCT_LIMIT
+    side = math.isqrt(lim)
+    err = (f"a product of series carrying {side + 1} and {side + 1} terms "
+           f"exceeds the time budget of {lim} term pairs\n")
+    assert run(capsys, "lattice", "theta", "LeechII",
+               "--order", str(side)) == (1, "", err)
+    assert run(capsys, "modular", "j", "--lattice", "LeechII",
+               "--order", str(side - 1)) == (1, "", err)
+
+
 def test_modular_j_json(capsys):
     rc, out, _ = run(capsys, "modular", "j", "--lattice", "3E8",
                      "--order", "1", "--json")
@@ -506,18 +519,28 @@ def test_cli_import_skips_dataclasses_inspect_and_json():
 
 
 def test_output_is_deterministic_across_runs():
-    # D12 at norm 6 is enumerated (it is not unimodular); its counts are
-    # r_12(2k)
+    # each command runs under two different string-hash seeds, so neither
+    # hash nor dict order can reach stdout. D12 at norm 6 is enumerated (it
+    # is not unimodular); its counts are r_12(2k)
     r12 = power_counts(squares(6), 12, 6)
-    for name, bound, expected in (
-            ("E8", 4, ["2 240", "4 2160"]),
-            ("D12", 6, [f"{k} {r12[k]}" for k in (2, 4, 6)])):
-        argv = [sys.executable, "-m", "exceptia.cli",
-                "lattice", "shortvec", name, "--max-norm", str(bound)]
+    leech = {"rank": 24, "even": True, "unimodular": True, "min_norm": 4,
+             "kissing": 196560}
+    for args, check in (
+            (["shortvec", "E8", "--max-norm", "4"],
+             lambda out: out.splitlines() == ["2 240", "4 2160"]),
+            (["shortvec", "D12", "--max-norm", "6"],
+             lambda out: out.splitlines() == [f"{k} {r12[k]}"
+                                              for k in (2, 4, 6)]),
+            (["dual", "D16+"], lambda out: out.startswith("16 16 euclidean\n")),
+            (["lll", "E7"], lambda out: out.startswith("7 8 euclidean\n")),
+            (["info", "LeechII", "--json"],
+             lambda out: json.loads(out) == leech)):
         outs = []
-        for _ in range(2):
-            proc = subprocess.run(argv, capture_output=True)
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "exceptia.cli", "lattice", *args],
+                capture_output=True, env={**os.environ, "PYTHONHASHSEED": seed})
             assert proc.returncode == 0
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
-        assert outs[0].decode().splitlines() == expected
+        assert check(outs[0].decode())

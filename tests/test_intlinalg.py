@@ -152,6 +152,37 @@ def test_invert_fraction_matches_fraction_gauss_jordan(m):
     assert all(type(x) is Fraction for row in inv for x in row)
 
 
+@st.composite
+def square_ints(draw, max_n=6):
+    n = draw(st.integers(1, max_n))
+    entry = st.integers(-3, 3) | st.integers(-10**18, 10**18)
+    return draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+
+
+@given(square_ints())
+# a zero leading pivot, a negative determinant, a singular matrix
+@example([[0, 1], [1, 0]])
+@example([[-3]])
+@example([[1, 2], [2, 4]])
+@settings(max_examples=150, deadline=None)
+def test_invert_int_matches_fraction_gauss_jordan(a):
+    # the integer core behind invert_fraction: (v, d) with d = |det a| and
+    # v = d a^-1, all in ints
+    before = [row[:] for row in a]
+    try:
+        ref = fraction_inverse(a)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            la.invert_int(a)
+        return
+    v, d = la.invert_int(a)
+    assert a == before
+    assert type(d) is int and d == abs(det_int(a)) > 0
+    assert all(type(x) is int for row in v for x in row)
+    assert v == [[d * x for x in row] for row in ref]
+
+
 @given(square_rationals(), st.data())
 @settings(max_examples=60, deadline=None)
 def test_invert_fraction_rejects_dependent_rows(m, data):

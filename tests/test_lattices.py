@@ -12,7 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from exceptia import hypercomplex as hc
 from exceptia import lattices as lat
-from exceptia.intlinalg import det_fraction, invert_fraction, matmul
+from exceptia.intlinalg import (det_fraction, hnf_transform, invert_fraction,
+                                left_kernel, matmul, solve_left)
 from test_acceptance import enumerated
 from test_intlinalg import fraction_inverse, fraction_matmul
 
@@ -247,9 +248,9 @@ def recorded_ranks(monkeypatch):
     ranks = []
     real = lat._enumerate_int_gram
 
-    def recording(g, bound, collect=None):
+    def recording(g, bound, *args, **kwargs):
         ranks.append(len(g))
-        return real(g, bound, collect)
+        return real(g, bound, *args, **kwargs)
 
     monkeypatch.setattr(lat, "_enumerate_int_gram", recording)
     return ranks
@@ -441,7 +442,7 @@ def test_large_unstructured_gram_counts_exactly():
     assert (info["min_norm"], info["kissing"]) == (2 * s * s, 240)
     # the queries above split the reduced Gram into two small blocks; the
     # enumerator must also count the whole primitive Gram exactly
-    gr, _, c = lat._lll_int(l.gram)
+    gr, _, c, _ = lat._lll_int(l.gram)
     assert c == 2 and max(abs(v) for row in gr for v in row) >= 10**15
     assert lat._enumerate_int_gram(gr, s * s) == {s * s: 240}
 
@@ -464,7 +465,7 @@ FLAT_SUMS = {
 def test_flat_sums_split_and_match_the_whole_enumeration(name):
     parts, bound, order = FLAT_SUMS[name]
     l = scrambled(lat.direct_sum(*parts), 48, 3)
-    gr, _, _ = lat._lll_int(l.gram)
+    gr = lat._lll_int(l.gram)[0]
     assert len(lat._components(gr)) == len(parts)
     whole = enumerated(l, bound)
     assert lat.short_vectors(l, bound) == whole
@@ -481,7 +482,7 @@ def test_blocks_with_different_contents_split_exactly():
     l = scrambled(lat.direct_sum(scaled_basis(E8, s),
                                  scaled_basis(lat.build_An(1), s + 1)),
                   40, 1)
-    gr, _, c = lat._lll_int(l.gram)
+    gr, _, c, _ = lat._lll_int(l.gram)
     assert c == 2 and len(lat._components(gr)) == 2
     bound = 2 * (s + 1) ** 2
     expected = {2 * s * s: 240, 2 * (s + 1) ** 2: 2}
@@ -736,12 +737,13 @@ def test_lll_gram_matches_the_fraction_oracle(rows, den, delta):
     g = matmul(rows, list(zip(*rows)))
     assume(det_fraction(g) != 0)
     g_ref, u_ref, mu, bs = fraction_lll(g, delta)
-    g_new, u_new = lat._lll_gram(g, delta)
+    g_new, u_new, (d, lam) = lat._lll_gram(g, delta)
     assert (g_new, u_new) == (g_ref, u_ref)
     # the enumerator's windows rest on the fraction-free data of the
-    # reduced Gram: lam[i][j] = d[j+1] mu[i][j] and d[i+1] = d[i] |b*_i|^2
+    # reduced Gram, which LLL keeps exact through every step:
+    # lam[i][j] = d[j+1] mu[i][j] and d[i+1] = d[i] |b*_i|^2
     n = len(g)
-    d, lam = lat._int_gso(g_new)
+    assert (d, lam) == lat._int_gso(g_new)
     assert len(d) == n + 1 and d[0] == 1
     assert all(d[i + 1] == d[i] * bs[i] for i in range(n))
     assert all(lam[i][j] == d[j + 1] * mu[i][j]
@@ -805,13 +807,14 @@ def ii_9_1():
         r = [0] * 10
         r[i], r[i + 1] = 2, -2
         doubled.append(r)
-    l = scrambled(lat.Lattice(10, 10, lat._half_rows(doubled)), 30, 7)
+    halved = tuple(tuple(Fraction(v, 2) for v in r) for r in doubled)
+    l = scrambled(lat.Lattice(10, 10, halved), 30, 7)
     return lat.Lattice(10, 10, l.basis, signature=lat.LORENTZIAN)
 
 
 def fraction_vector_list(l, bound):
     """`short_vector_list` with every coordinate computed in Fractions."""
-    gr, u, c = lat._lll_int(l.gram)
+    gr, u, c, _ = lat._lll_int(l.gram)
     found: list = []
     lat._enumerate_int_gram(gr, bound // c, collect=found)
     rows = fraction_matmul(u, l.basis)
@@ -851,6 +854,137 @@ def test_dual_of_a_lorentzian_span_matches_the_fraction_route():
     dual = fraction_matmul(fraction_inverse(l.gram), l.basis)
     assert lat.dual_lattice(l) == lat.Lattice(
         10, 10, tuple(map(tuple, dual)), signature=lat.LORENTZIAN)
+
+
+def fraction_gram(rows, signature):
+    """The Gram of rational rows, Fraction by Fraction."""
+    sign = -2 if signature == lat.LORENTZIAN else 0
+    return [[sum((x * y for x, y in zip(a, b)), Fraction(0)) + sign * a[0] * b[0]
+             for b in rows] for a in rows]
+
+
+@st.composite
+def rational_bases(draw):
+    """(rows, signature): independent rational rows with mixed
+    denominators. A Lorentzian basis spans a positive-definite space: a
+    spacelike head row (0, 1, 0, ...) orthogonal to spacelike rows
+    (0, 0, r), scrambled by row operations and then moved off the x0 = 0
+    plane by a rational boost, which keeps the form."""
+    r = draw(st.integers(1, 5))
+    m = draw(st.integers(r, 6))
+    size = draw(st.sampled_from((3, 40, 10**6)))
+    entry = st.builds(Fraction, st.integers(-size, size),
+                      st.sampled_from((1, 2, 3, 7, 10**4)))
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m),
+                         min_size=r, max_size=r))
+    assume(det_fraction(fraction_gram(rows, lat.EUCLIDEAN)) != 0)
+    if not draw(st.booleans()):
+        return rows, lat.EUCLIDEAN
+    rows = [[Fraction(0), Fraction(1)] + [Fraction(0)] * m] + [
+        [Fraction(0), Fraction(0)] + row for row in rows]
+    n = len(rows)
+    ops = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                  st.integers(-3, 3)), max_size=8))
+    for i, j, c in ops:
+        if i != j:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    t = draw(st.sampled_from((Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5))))
+    ch, sh = (1 + t * t) / (1 - t * t), 2 * t / (1 - t * t)
+    rows = [[ch * x0 + sh * x1, sh * x0 + ch * x1] + rest
+            for x0, x1, *rest in rows]
+    return rows, lat.LORENTZIAN
+
+
+@given(rational_bases())
+@settings(max_examples=80, deadline=None)
+def test_integer_path_matches_the_fraction_route(case):
+    # construction, dual, LLL and direct sum each hand integer rows over
+    # one denominator to the constructor; the reference computes every
+    # entry as a Fraction
+    rows, sig = case
+    n, m = len(rows), len(rows[0])
+    basis = tuple(map(tuple, rows))
+    l = lat.Lattice(m, n, basis, signature=sig)
+    gram = fraction_gram(rows, sig)
+    assert l.basis == basis
+    assert l.gram == tuple(map(tuple, gram))
+    assert all(type(v) is Fraction for g in (l.basis, l.gram)
+               for row in g for v in row)
+    assert lat.is_positive_definite(l)
+    dual = lat.dual_lattice(l)
+    ref = tuple(map(tuple, fraction_matmul(invert_fraction(gram), rows)))
+    assert dual.basis == ref
+    assert dual.gram == tuple(map(tuple, fraction_gram(ref, sig)))
+    assert dual == lat.Lattice(m, n, ref, signature=sig)
+    assert hash(dual) == hash(lat.Lattice(m, n, ref, signature=sig))
+    _, u, _, _ = fraction_lll(gram, lat.DEFAULT_LLL_DELTA)
+    red = lat.lll_reduce(l)
+    ref = tuple(map(tuple, fraction_matmul(u, rows)))
+    assert red.basis == ref
+    assert red.gram == tuple(map(tuple, fraction_gram(ref, sig)))
+    if sig == lat.EUCLIDEAN:
+        pad = (Fraction(0),) * 8
+        s = lat.direct_sum(l, E8)
+        assert s.basis == tuple(r + pad for r in basis) + tuple(
+            pad[:m] + r for r in E8.basis)
+        assert s.gram == tuple(map(tuple, fraction_gram(s.basis, sig)))
+
+
+def test_refusals_keep_their_messages():
+    with pytest.raises(lat.LatticeError, match="^basis rows are linearly "
+                                              "dependent$"):
+        lat.Lattice(3, 2, ((1, Fraction(1, 2), 0), (2, 1, 0)),
+                    signature=lat.LORENTZIAN)
+    # Lorentzian spans that are not positive definite: even and indefinite
+    # (LLL refuses it), a lightlike row whose Gram is zero, and a timelike
+    # row whose Gram is odd
+    pd = "needs a positive-definite Gram"
+    for rows in (((1, 1, 0), (0, 1, 1)), ((1, 1),), ((1, 0),)):
+        l = lat.Lattice(len(rows[0]), len(rows), rows,
+                        signature=lat.LORENTZIAN)
+        assert not lat.is_positive_definite(l)
+        for f in (lat.short_vectors, lat.short_vector_list):
+            with pytest.raises(lat.LatticeError, match=f"^{f.__name__} {pd}$"):
+                f(l, 2)
+        assert lat.lattice_info(l)["min_norm"] is None
+    with pytest.raises(lat.LatticeError, match="^short_vectors is defined "
+                                              "for even lattices$"):
+        lat.short_vectors(lat.Lattice(1, 1, ((1,),)), 2)
+
+
+def fraction_leech_from_ii26():
+    """The II_{25,1} construction of the Leech lattice with every coordinate
+    a Fraction and w's coefficients from a Fraction inverse: the reference
+    for `lat.leech_from_ii26`, which keeps doubled coordinates in ints."""
+    half, one = Fraction(1, 2), Fraction(1)
+    basis = [[-half] + [half] * 25, [0, one, one] + [0] * 23]
+    for i in range(1, 25):
+        r = [Fraction(0)] * 26
+        r[i], r[i + 1] = one, -one
+        basis.append(r)
+    w = [Fraction(70), Fraction(0)] + [Fraction(k) for k in range(1, 25)]
+    col = fraction_matmul(basis, [[-x] for x in w[:1]] + [[x] for x in w[1:]])
+    assert all(c.denominator == 1 for (c,) in col)
+    kern = left_kernel([[int(c)] for (c,) in col])
+    assert len(kern) == 25
+    (yw,) = fraction_matmul([w], fraction_inverse(basis))
+    assert all(c.denominator == 1 for c in yw)
+    yw = [int(c) for c in yw]
+    z = solve_left(kern, yw)
+    h, u = hnf_transform([[v] for v in z])
+    assert h[0][0] == 1
+    completed = [list(c) for c in zip(*hnf_transform(u)[1])]
+    srows = fraction_matmul(completed, kern)
+    assert srows[0] == yw
+    return tuple(map(tuple, fraction_matmul(srows[1:], basis)))
+
+
+def test_leech_from_ii26_matches_the_fraction_construction():
+    ref = fraction_leech_from_ii26()
+    leech = lat.leech_from_ii26()
+    assert leech.basis == ref
+    assert leech.gram == tuple(map(tuple, fraction_gram(ref, lat.LORENTZIAN)))
+    assert leech == lat.Lattice(26, 24, ref, signature=lat.LORENTZIAN)
 
 
 # --------------------------------------------------------------------------

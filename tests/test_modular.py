@@ -1,5 +1,7 @@
 """Integer Laurent series, eta^24, and the j-function from rank-24 lattices."""
 
+import math
+
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -82,6 +84,57 @@ def test_eta24_order_cap():
         lat.theta_series(l, cap + 1)
     with pytest.raises(mod.SeriesError, match=budget):
         mod.j_from_lattice(l, cap)
+
+
+def test_series_products_are_bounded_by_their_term_pairs():
+    lim = mod.SERIES_PRODUCT_LIMIT
+    budget = f"exceeds the time budget of {lim} term pairs"
+    side = math.isqrt(lim)               # side^2 <= lim < (side + 1)^2
+    wide = LaurentSeries(0, (1,) * (side + 1))
+    with pytest.raises(mod.SeriesError, match=budget):
+        mod.series_mul(wide, wide, side)
+    with pytest.raises(mod.SeriesError, match=budget):
+        mod.series_inv(wide, side)
+    # the bound counts pairs of terms, not the order: one term against many
+    # is linear, and so is the theta series of E8 far beyond side
+    one = LaurentSeries(0, (1,))
+    long = LaurentSeries(0, (1,) * (4 * side))
+    assert mod.series_mul(one, long, 4 * side - 1) == long
+    e8_theta = lat.theta_series(lat.build_E8(), 2 * side).counts
+    assert e8_theta[:4] == (1, 240, 2160, 6720)
+    assert e8_theta[-1] == 240 * sum(d ** 3 for d in range(1, 2 * side + 1)
+                                     if (2 * side) % d == 0)
+    # the inverse of eta^24 through q^1000 stays inside the bound
+    assert mod.series_inv(mod.eta24(1001), 1000).coeffs[:7] == INV_ETA24
+    # theta and j of the Leech lattice refuse before any series product:
+    # theta through q^N multiplies E4 by E4 at N + 1 terms, and j through
+    # q^N multiplies N + 2 terms by N + 2
+    leech = lat.leech_from_ii26()
+    with pytest.raises(mod.SeriesError, match=budget):
+        lat.theta_series(leech, side)
+    with pytest.raises(mod.SeriesError, match=budget):
+        mod.j_from_lattice(leech, side - 1)
+    calls = []
+
+    def recording(real):
+        def call(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("series_mul", "theta_series", "eta24"):
+            mp.setattr(mod, name, recording(getattr(mod, name)))
+        mp.setattr(mod, "SERIES_PRODUCT_LIMIT", 9)
+        # refused before theta, eta24 or any product runs
+        with pytest.raises(mod.SeriesError, match="time budget of 9 term"):
+            mod.j_from_lattice(leech, 2)
+        with pytest.raises(mod.SeriesError, match="time budget of 9 term"):
+            mod.even_unimodular_theta(16, [1], 3)
+        assert not calls
+        # Leech has no roots: j - 720 = q^-1 + 24 + 196884 q + ...
+        assert mod.j_from_lattice(leech, 1).coeffs == (1, 24, 196884)
+        assert calls
 
 
 @pytest.mark.slow
@@ -320,7 +373,7 @@ def test_j_difference_stays_constant_at_order_three():
     # (the counts j needs at order 3) checks that route
     counts = {}
     for l in (e8, d16):
-        g, _, _ = lat._lll_int(l.gram)
+        g = lat._lll_int(l.gram)[0]
         found = lat._enumerate_int_gram(g, 8)
         counts[l] = LaurentSeries(0, (1,) + tuple(found[k] for k in (2, 4, 6, 8)))
     e8_squared = mod.series_mul(counts[e8], counts[e8], 4)
