@@ -22,7 +22,7 @@ from . import hypercomplex as hc
 from . import identities as ident
 from . import lattices as lat
 from . import modular as mod
-from .exactnum import format_terms
+from .exactnum import format_terms, read_rational
 
 GRAMMAR = """\
 usage: exceptia <group> <command> [arguments]
@@ -462,8 +462,8 @@ def _cmd_lattice_root(args):
     coords = []
     for tok in args.coords:
         try:
-            coords.append(Fraction(tok))
-        except (ValueError, ZeroDivisionError):
+            coords.append(read_rational(tok))
+        except ValueError:
             raise ValueError(f"coordinate {tok} is not a rational "
                              "number") from None
     v = lat.LorentzianVector.from_coords(coords)

@@ -11,12 +11,14 @@ the canonical reduced form with positive denominator, so we use it directly
 rather than wrapping it.
 
 The module also holds what every other module shares: `Value`, the base of
-the immutable value classes, and `format_terms`, the signed-sum text form.
+the immutable value classes, `format_terms`, the signed-sum text form, and
+`read_rational`, the reader of rationals given as text.
 """
 
 from __future__ import annotations
 
 import operator
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -30,6 +32,21 @@ def rat(x: Rat) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"exact scalar expected, got {type(x).__name__}")
+
+
+# Fraction(text) alone also reads exponents, so a short token such as
+# 1e99999999999 would build an integer of 10^11 digits
+_RATIONAL = re.compile(
+    r"\s*[-+]?(?:[0-9]+(?:/0*[1-9][0-9]*)?|[0-9]*\.[0-9]+|[0-9]+\.)\s*")
+
+
+def read_rational(text: str) -> Fraction:
+    """Read an integer, a fraction p/q or a plain decimal, each with an
+    optional sign; raise ValueError on anything else, among it exponents,
+    zero denominators and non-ASCII digits."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not a rational number: {text!r}")
+    return Fraction(text)
 
 
 class Value:

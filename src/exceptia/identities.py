@@ -17,7 +17,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .exactnum import Value
+from .exactnum import Value, read_rational
 
 
 class IdentityError(ValueError):
@@ -207,8 +207,9 @@ class SpinList(Value):
         spins = []
         for v in values:
             try:
-                spins.append(Fraction(v))
-            except (ValueError, ZeroDivisionError):
+                spins.append(read_rational(v) if isinstance(v, str)
+                             else Fraction(v))
+            except ValueError:
                 raise IdentityError(f"spin {v} is not a nonnegative "
                                     "half-integer") from None
         return cls(tuple(spins))

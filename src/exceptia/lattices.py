@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import hypercomplex, intlinalg
-from .exactnum import GoldenRational, Value, rat
+from .exactnum import GoldenRational, Value, rat, read_rational
 # invert_fraction is unused here but stays bound: bench/tracing.py wraps it
 from .intlinalg import (clear_denominators, det_fraction, invert_fraction,
                         left_kernel, solve_left)
@@ -58,16 +58,6 @@ class LatticeConstructionError(LatticeError):
         super().__init__(message)
         for key, value in payload.items():
             setattr(self, key, value)
-
-
-def _fraction_sqrt(x: Fraction) -> Optional[Fraction]:
-    """Exact square root of a nonnegative rational, or None."""
-    if x < 0:
-        return None
-    pn, pd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
 
 
 class Lattice(Value):
@@ -705,14 +695,19 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
     return [(nrm, tuple(map(frac.__getitem__, amb))) for nrm, amb in out]
 
 
-def _minimal_norm(gram: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Smallest nonzero norm of a positive-definite rational Gram."""
+def _minimum(gram: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, int]:
+    """(minimal norm, kissing number) of a positive-definite rational Gram.
+
+    Counts up to the least diagonal entry of the reduced Gram, a basis
+    vector's norm (`_norm_counts`), so an even unimodular Gram of rank below
+    24 enumerates nothing and the Leech lattice's is searched only up to
+    norm 2. Raises LatticeError if the Gram is not positive definite.
+    """
     gi, scale = clear_denominators(gram)
     gr, _, c, gso = _lll_int(gi)
-    # cap is a basis vector's norm, so only shorter vectors need a search
-    cap = min(gr[i][i] for i in range(len(gr)))
-    return Fraction(c * min(_norm_counts(gr, cap - 1, gso), default=cap),
-                    scale)
+    counts = _norm_counts(gr, min(gr[i][i] for i in range(len(gr))), gso)
+    mn = min(counts)
+    return Fraction(c * mn, scale), counts[mn]
 
 
 class ThetaSeries(Value):
@@ -849,12 +844,9 @@ def weyl_vector(dim: int) -> LorentzianVector:
 
 def is_fundamental_root(r: LorentzianVector, dim: int) -> bool:
     """Whether r has norm 2 and meets the Weyl vector of dim at -1."""
-    if dim not in _II_DIMS:
-        raise LatticeError(f"unsupported dimension {dim}; "
-                           f"expected one of {_II_DIMS}")
+    w = weyl_vector(dim)
     if r.dim != dim:
         raise LatticeError("vector is not a member of the lattice")
-    w = weyl_vector(dim)
     return minkowski_dot(r, r) == 2 and minkowski_dot(r, w) == -1
 
 
@@ -895,13 +887,12 @@ def leech_from_ii26() -> Lattice:
         raise LatticeConstructionError(
             f"w-perp has kernel rank {len(kern)}, expected 25")
 
-    # w's coefficients, first over the full basis, then over the kernel rows
-    yw = solve_left(rows, w)
-    if yw is None:
-        raise LatticeConstructionError("w is not a lattice member")
-    z = solve_left(kern, yw)
+    # S's rows, doubled; w is isotropic, so it lies in S exactly when it
+    # lies in II_{25,1}, and z gives its coefficients over S's rows
+    s = intlinalg.matmul(kern, rows)
+    z = solve_left(s, w)
     if z is None:
-        raise LatticeConstructionError("w does not lie in its own perp")
+        raise LatticeConstructionError("w is not a lattice member")
 
     # complete z to a unimodular matrix with z as first row: if U z^T = e1
     # then the transpose of U^{-1} has first row z
@@ -911,13 +902,10 @@ def leech_from_ii26() -> Lattice:
     # u is unimodular, so its Hermite form is the identity and the
     # transform that reaches it is u^{-1}
     uinv = intlinalg.hnf_transform(u)[1]
-    m = [list(col) for col in zip(*uinv)]
-    srows = intlinalg.matmul(m, kern)      # basis of S, first row maps to w
-    if srows[0] != list(yw):
+    srows = intlinalg.matmul([list(col) for col in zip(*uinv)], s)
+    if srows[0] != list(w):
         raise LatticeConstructionError("basis completion lost the w row")
-
-    quot = intlinalg.matmul(srows[1:], rows)
-    return Lattice._from_ints(26, 24, quot, 2, signature=LORENTZIAN)
+    return Lattice._from_ints(26, 24, srows[1:], 2, signature=LORENTZIAN)
 
 
 # ---------------------------------------------------------------------------
@@ -933,31 +921,27 @@ def _ring_mult_matrix(factor, side: str) -> List[Tuple[int, ...]]:
 
 
 def _rescale_to_min_norm(raw: Lattice, target: int, what: str) -> Lattice:
-    """Scale a lattice so its minimal norm hits the target, then insist the
-    result is even and unimodular; otherwise raise with the raw Gram."""
-    m = _minimal_norm(raw.gram)
+    """Scale a lattice so its minimal norm hits the target. Raise with the
+    raw Gram when the norm factor is not a rational square, or when the
+    scaled lattice is not even unimodular."""
+    m = _minimum(raw.gram)[0]
     factor = Fraction(target, m)
-    scaled = [[factor * v for v in row] for row in raw.gram]
-    det = det_fraction(scaled)
-    ok = (
-        det == 1
-        and all(v.denominator == 1 for row in scaled for v in row)
-        and all(scaled[i][i].numerator % 2 == 0 for i in range(raw.rank))
-    )
-    if not ok:
-        raise LatticeConstructionError(
-            f"{what}: rescaling the Gram by {factor} (minimal norm {m} -> "
-            f"{target}) does not give an even unimodular matrix "
-            f"(determinant after rescaling: {det}); raw Gram attached",
-            raw_gram=raw.gram, min_norm=m, factor=factor)
-    root = _fraction_sqrt(factor)
-    if root is None:
+    p, q = math.isqrt(factor.numerator), math.isqrt(factor.denominator)
+    if p * p != factor.numerator or q * q != factor.denominator:
         raise LatticeConstructionError(
             f"{what}: norm factor {factor} is not a rational square, so the "
             "rescaled lattice has no rational coordinates; raw Gram attached",
             raw_gram=raw.gram, min_norm=m, factor=factor)
-    rows = tuple(tuple(root * v for v in row) for row in raw.basis)
-    return Lattice(raw.ambient_dim, raw.rank, rows)
+    b, s = clear_denominators(raw.basis)
+    lat = Lattice._from_ints(raw.ambient_dim, raw.rank,
+                             [[p * v for v in row] for row in b], q * s)
+    if not (is_even(lat) and is_unimodular(lat)):
+        raise LatticeConstructionError(
+            f"{what}: rescaling the Gram by {factor} (minimal norm {m} -> "
+            f"{target}) does not give an even unimodular matrix "
+            f"(determinant after rescaling: {gram_determinant(lat)}); "
+            "raw Gram attached", raw_gram=raw.gram, min_norm=m, factor=factor)
+    return lat
 
 
 def build_E8_from_icosians() -> Lattice:
@@ -1072,7 +1056,7 @@ def named_lattice(name: str) -> Lattice:
         return leech_from_ii26()
     if name == "LeechIcosian":
         return leech_from_icosians()
-    if name[:1] in ("A", "D") and name[1:].isdigit():
+    if name[:1] in ("A", "D") and name[1:].isascii() and name[1:].isdigit():
         n = int(name[1:])
         if n > _MAX_NAMED_RANK:
             raise LatticeError(f"{name} has rank {n}, above the cap of "
@@ -1086,10 +1070,8 @@ def named_lattice(name: str) -> Lattice:
 def lattice_info(lat: Lattice) -> dict:
     """Summary facts: rank, parity, unimodularity, minimum, kissing number.
 
-    The minimum and kissing number come from the counts up to the least
-    diagonal entry of the reduced Gram (`_norm_counts`), so an even
-    unimodular lattice of rank below 24 enumerates nothing and the Leech
-    lattice only up to norm 2.
+    The minimum and kissing number are `_minimum`'s, for an even lattice
+    with a positive-definite Gram.
     """
     info = {
         "rank": lat.rank,
@@ -1100,13 +1082,10 @@ def lattice_info(lat: Lattice) -> dict:
     }
     if info["even"]:
         try:
-            gr, _, c, gso = _lll_int(lat.gram)
+            mn, info["kissing"] = _minimum(lat.gram)
         except LatticeError:        # the Gram is not positive definite
             return info
-        counts = _norm_counts(gr, min(gr[i][i] for i in range(lat.rank)), gso)
-        mn = min(counts)
-        info["min_norm"] = c * mn
-        info["kissing"] = counts[mn]
+        info["min_norm"] = mn.numerator      # the Gram is integral
     return info
 
 
@@ -1136,7 +1115,7 @@ def parse_lattice(text: str) -> Lattice:
     rows = []
     for ln in lines[1:]:
         try:
-            rows.append(tuple(Fraction(tok) for tok in ln.split()))
-        except (ValueError, ZeroDivisionError):
+            rows.append(tuple(read_rational(tok) for tok in ln.split()))
+        except ValueError:
             raise LatticeError(f"bad rational entry in row: {ln!r}")
     return Lattice(ambient, rank, tuple(rows), signature=signature)

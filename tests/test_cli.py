@@ -432,6 +432,8 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     short.write_text(HOPF.replace("1 1 0\n", "1 1\n", 1))
     long.write_text(HOPF.replace("1 1 0\n", "1 1 0 0\n", 1))
     odd.write_text(HOPF.replace("1 1 0\n", "1 1 0.5\n", 1))
+    huge = tmp_path / "huge.lat"
+    huge.write_text("1 1 euclidean\n1e999999999999\n")
 
     cases = [
         (["lattice", "info", "E9"], "unknown lattice name 'E9'"),
@@ -473,6 +475,16 @@ def test_domain_errors_exit_1(capsys, tmp_path):
          "coordinate 1/0 is not a rational number"),
         (["lattice", "info", "A99999999999"], "above the cap of 128"),
         (["lattice", "info", "D3000"], "D3000 has rank 3000, above the cap"),
+        # exponents are refused before any power of ten is built
+        (["id", "area", "1e99999999999"],
+         "spin 1e99999999999 is not a nonnegative half-integer"),
+        (["lattice", "root", "--dim", "10", "1e99999999999"] + ["0"] * 9,
+         "coordinate 1e99999999999 is not a rational number"),
+        (["lattice", "info", "--input", str(huge)],
+         "bad rational entry in row: '1e999999999999'"),
+        # only ASCII digits make a rank
+        (["lattice", "build", "A\u00b2"], "unknown lattice name 'A\u00b2'"),
+        (["lattice", "info", "D\u0663"], "unknown lattice name 'D\u0663'"),
     ]
     for argv, needle in cases:
         rc, _, err = run(capsys, *argv)

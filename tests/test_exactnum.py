@@ -12,7 +12,7 @@ from exceptia import identities as ident
 from exceptia import lattices as lat
 from exceptia import modular as mod
 from exceptia.exactnum import (GOLDEN_ONE, GOLDEN_ZERO, PHI, PHI_BAR,
-                               GoldenRational, Value)
+                               GoldenRational, Value, read_rational)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -35,6 +35,19 @@ def test_coercion_from_ints_and_fractions():
     assert GoldenRational(2) + 1 == GoldenRational(3)
     assert 1 - GoldenRational(0, 1) == GoldenRational(1, -1)
     assert Fraction(1, 2) * GoldenRational(4) == GoldenRational(2)
+
+
+def test_read_rational_takes_integers_fractions_and_plain_decimals():
+    for text, value in (("7", 7), ("-1/2", Fraction(-1, 2)),
+                        ("+3/04", Fraction(3, 4)), ("0.25", Fraction(1, 4)),
+                        ("-.5", Fraction(-1, 2)), ("5.", 5),
+                        (" 1/3 ", Fraction(1, 3))):
+        assert read_rational(text) == value, text
+    for text in ("1e5", "1E-2", "1.5e3", "1/0", "1/00", "1_0", "\u0663",
+                 "2\u00b2", "1/-2", "1.5/2", ".", "", "-", "nan", "inf",
+                 "0x10", "1 2"):
+        with pytest.raises(ValueError):
+            read_rational(text)
 
 
 def test_truth_value():

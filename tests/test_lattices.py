@@ -592,27 +592,30 @@ def test_short_vectors_match_a_box_search_on_large_grams(data):
 
 
 def brute_force_minimum(gram):
-    """Least nonzero x G x^T over the box |x_i| <= sqrt(c (G^-1)_ii), c the
-    least diagonal entry; the box holds every x of norm at most c."""
+    """(least nonzero x G x^T, number of x reaching it) over the box
+    |x_i| <= sqrt(c (G^-1)_ii), c the least diagonal entry; the box holds
+    every x of norm at most c."""
     n = len(gram)
     ginv = invert_fraction(gram)
     cap = min(gram[i][i] for i in range(n))
     bounds = [math.isqrt(math.floor(cap * ginv[i][i])) for i in range(n)]
     scale = math.lcm(*(v.denominator for row in gram for v in row))
     g = [[int(v * scale) for v in row] for row in gram]
-    best = cap * scale
+    best, count = cap * scale, 0
 
     def walk(k, norm, y):        # y = sum of x_j g_j over the fixed j < k
-        nonlocal best
+        nonlocal best, count
         for v in range(-bounds[k], bounds[k] + 1):
             nv = norm + v * (2 * y[k] + v * g[k][k])
             if k + 1 < n:
                 walk(k + 1, nv, [a + v * b for a, b in zip(y, g[k])])
             elif 0 < nv < best:
-                best = nv
+                best, count = nv, 1
+            elif nv == best:
+                count += 1
 
     walk(0, 0, [0] * n)
-    return Fraction(best, scale)
+    return Fraction(best, scale), count
 
 
 # an integer basis whose LLL-reduced Gram has least diagonal entry 9 while
@@ -621,16 +624,44 @@ SKEW = ((4, -2, 4, -2), (-2, -2, 2, -2), (-6, 4, 1, 2), (-2, 4, -3, 4))
 
 
 @pytest.mark.parametrize("build,expected", [
-    (lambda: lat.dual_lattice(lat.build_An(2)), Fraction(2, 3)),
-    (lambda: E8, 2),
+    (lambda: lat.dual_lattice(lat.build_An(2)), (Fraction(2, 3), 6)),
+    (lambda: E8, (2, 240)),
     (lambda: lat.Lattice(8, 8, tuple(hc.icosian_to_r8_raw(b)
                                      for b in hc.icosian_basis())),
-     Fraction(1, 2)),
-    (lambda: lat.Lattice(4, 4, SKEW), 8),
+     (Fraction(1, 2), 240)),
+    (lambda: lat.Lattice(4, 4, SKEW), (8, 2)),
 ], ids=["dual-A2", "E8", "flat-icosian-E8", "skew-Z4-sublattice"])
 def test_minimal_norm_matches_brute_force(build, expected):
     gram = build().gram
-    assert lat._minimal_norm(gram) == brute_force_minimum(gram) == expected
+    assert lat._minimum(gram) == brute_force_minimum(gram) == expected
+
+
+def test_rescale_to_min_norm():
+    # factor 1/9 takes the coordinates of 3 E8 back to E8's
+    tripled = lat.Lattice(8, 8, tuple(tuple(3 * v for v in r)
+                                      for r in E8.basis))
+    assert lat._rescale_to_min_norm(tripled, 2, "probe") == E8
+    # E8 with each coordinate pair (a, b) sent to ((a+b)/2, (a-b)/2): its
+    # Gram is E8's halved, so factor 2 gives E8's Gram back, but through no
+    # rational coordinates
+    half = Fraction(1, 2)
+    halved = lat.Lattice(8, 8, tuple(
+        tuple(x for a, b in zip(r[::2], r[1::2])
+              for x in ((a + b) * half, (a - b) * half)) for r in E8.basis))
+    assert halved.gram == tuple(tuple(v / 2 for v in r) for r in E8.gram)
+    # A2 scaled by 4 has determinant 4^2 * 3, though 4 is a square
+    a2 = lat.build_An(2)
+    for raw, target, message, factor, m in (
+        (halved, 2, "norm factor 2 is not a rational square, so the rescaled "
+         "lattice has no rational coordinates", 2, 1),
+        (a2, 8, "rescaling the Gram by 4 (minimal norm 2 -> 8) does not give "
+         "an even unimodular matrix (determinant after rescaling: 48)", 4, 2),
+    ):
+        with pytest.raises(lat.LatticeConstructionError) as err:
+            lat._rescale_to_min_norm(raw, target, "probe")
+        assert str(err.value) == f"probe: {message}; raw Gram attached"
+        assert (err.value.factor, err.value.min_norm) == (factor, m)
+        assert err.value.raw_gram == raw.gram
 
 
 # --------------------------------------------------------------------------
@@ -1047,9 +1078,10 @@ def test_fundamental_root_dimension_gate():
     coords = [0] * 10
     coords[1], coords[2] = 1, -1
     r = lat.LorentzianVector.from_coords(coords)
-    with pytest.raises(lat.LatticeError):
+    with pytest.raises(lat.LatticeError, match="^vector is not a member"):
         lat.is_fundamental_root(r, 18)
-    with pytest.raises(lat.LatticeError):
+    # the dimension is refused before the vector's length is compared
+    with pytest.raises(lat.LatticeError, match="^unsupported dimension 12"):
         lat.is_fundamental_root(r, 12)
 
 
