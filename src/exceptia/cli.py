@@ -22,7 +22,7 @@ from . import hypercomplex as hc
 from . import identities as ident
 from . import lattices as lat
 from . import modular as mod
-from .exactnum import format_terms, read_rational
+from .exactnum import format_terms, read_integer, read_rational
 
 GRAMMAR = """\
 usage: exceptia <group> <command> [arguments]
@@ -57,7 +57,7 @@ class _Parser(argparse.ArgumentParser):
 # the pair form builds a doubling pair (hyper only); products associate to
 # the left, which matters once multiplication is non-associative.
 
-_TOKEN = re.compile(r"\s*(?:(\d+/\d+|\d+)|e(\d+)|([()+\-*,]))")
+_TOKEN = re.compile(r"\s*(?:([0-9]+/[0-9]+|[0-9]+)|e([0-9]+)|([()+\-*,]))")
 # Elements are stored as their nonzero terms, so a unit costs the same at any
 # level, but a level-L element has up to 2^L terms (--json prints all 2^L
 # coordinates) and a dense product costs 4^L integer products: one dense
@@ -524,7 +524,7 @@ def _parse_loop_file(path: str) -> Tuple[ident.PolyLoop, ident.PolyLoop]:
                 blocks.append([])
             continue
         try:
-            x, y, z = map(int, line.split())
+            x, y, z = map(read_integer, line.split())
         except ValueError:
             raise ValueError(f"loop file line {line!r} is not an integer "
                              "triple") from None
@@ -545,6 +545,16 @@ def _cmd_id_link(args):
 # ---------------------------------------------------------------------------
 # wiring
 
+def _int(text: str) -> int:
+    """The type of every integer argument: `read_integer`, whose refusal is
+    a usage error."""
+    try:
+        return read_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+
+
 def _build_parser() -> _Parser:
     top = _Parser(prog="exceptia", description=__doc__)
     groups = top.add_subparsers(dest="group", required=True, metavar="group")
@@ -559,17 +569,17 @@ def _build_parser() -> _Parser:
     hy = groups.add_parser("hyper").add_subparsers(
         dest="command", required=True, metavar="command")
     p = sub(hy, "mul", _cmd_hyper_mul)
-    p.add_argument("--level", type=int)
+    p.add_argument("--level", type=_int)
     p.add_argument("x")
     p.add_argument("y")
     for name, fn in (("conj", _cmd_hyper_conj), ("norm", _cmd_hyper_norm),
                      ("inv", _cmd_hyper_inv)):
         p = sub(hy, name, fn)
-        p.add_argument("--level", type=int)
+        p.add_argument("--level", type=_int)
         p.add_argument("x")
     p = sub(hy, "fano", _cmd_hyper_fano)
-    p.add_argument("i", nargs="?", type=int)
-    p.add_argument("j", nargs="?", type=int)
+    p.add_argument("i", nargs="?", type=_int)
+    p.add_argument("j", nargs="?", type=_int)
     p = sub(hy, "xprod", _cmd_hyper_xprod)
     p.add_argument("a")
     p.add_argument("b")
@@ -581,18 +591,18 @@ def _build_parser() -> _Parser:
     cf = groups.add_parser("clifford").add_subparsers(
         dest="command", required=True, metavar="command")
     p = sub(cf, "mul", _cmd_clifford_mul)
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--q", type=int, default=0)
+    p.add_argument("--p", type=_int, default=0)
+    p.add_argument("--q", type=_int, default=0)
     p.add_argument("x")
     p.add_argument("y")
     p = sub(cf, "classify", _cmd_clifford_classify)
-    p.add_argument("--p", type=int, default=0)
-    p.add_argument("--q", type=int, default=0)
+    p.add_argument("--p", type=_int, default=0)
+    p.add_argument("--q", type=_int, default=0)
     p = sub(cf, "spinors", _cmd_clifford_spinors)
-    p.add_argument("n", type=int)
+    p.add_argument("n", type=_int)
     p = sub(cf, "superym", _cmd_clifford_superym)
-    p.add_argument("lo", type=int)
-    p.add_argument("hi", type=int)
+    p.add_argument("lo", type=_int)
+    p.add_argument("hi", type=_int)
 
     la = groups.add_parser("lattice").add_subparsers(
         dest="command", required=True, metavar="command")
@@ -604,36 +614,36 @@ def _build_parser() -> _Parser:
     p = sub(la, "theta", _cmd_lattice_theta)
     p.add_argument("name", nargs="?")
     p.add_argument("--input")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int, required=True)
     p = sub(la, "shortvec", _cmd_lattice_shortvec)
     p.add_argument("name", nargs="?")
     p.add_argument("--input")
-    p.add_argument("--max-norm", type=int, required=True, dest="max_norm")
+    p.add_argument("--max-norm", type=_int, required=True, dest="max_norm")
     p = sub(la, "leech", _cmd_lattice_leech)
     p.add_argument("method", nargs="?", choices=("ii", "icosian"),
                    default="ii")
     p = sub(la, "weyl", _cmd_lattice_weyl)
-    p.add_argument("dim", type=int)
+    p.add_argument("dim", type=_int)
     p = sub(la, "root", _cmd_lattice_root)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_int, required=True)
     p.add_argument("coords", nargs="+")
 
     mo = groups.add_parser("modular").add_subparsers(
         dest="command", required=True, metavar="command")
     p = sub(mo, "eta24", _cmd_modular_eta24)
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_int, required=True)
     p = sub(mo, "j", _cmd_modular_j)
     p.add_argument("--lattice", dest="name", metavar="LATTICE")
     p.add_argument("--input")
-    p.add_argument("--order", type=int, default=5)
+    p.add_argument("--order", type=_int, default=5)
 
     idg = groups.add_parser("id").add_subparsers(
         dest="command", required=True, metavar="command")
     p = sub(idg, "pihex", _cmd_id_pihex)
-    p.add_argument("start", type=int)
-    p.add_argument("count", type=int)
+    p.add_argument("start", type=_int)
+    p.add_argument("count", type=_int)
     p = sub(idg, "cannonball", _cmd_id_cannonball)
-    p.add_argument("--limit", type=int, required=True)
+    p.add_argument("--limit", type=_int, required=True)
     p = sub(idg, "area", _cmd_id_area)
     p.add_argument("spins", nargs="*")
     p = sub(idg, "link", _cmd_id_link)

@@ -4,8 +4,9 @@ Elements are exact rational combinations of blades. A blade is a subset of
 the generators written in ascending order and stored as a bitmask; the first
 p generators square to -1, the remaining q square to +1, and distinct
 generators anticommute. Products run on integer numerators over one
-denominator: each operand is cleared to integers once, and every blade pair
-costs one integer product and a sign read off a per-blade bitmask. The
+denominator: each operand is cleared to integers once, every blade pair
+costs one integer product and a sign read off a per-blade bitmask, and each
+distinct coefficient of the result becomes one Fraction. The
 classification into matrix algebras over R, C, H is table-driven mod 8, and
 the spinor taxonomy (Dirac, Majorana, Weyl, Majorana-Weyl, and which
 dimensions admit the supersymmetric balance 2(n-2)) is derived from it.
@@ -17,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Set, Tuple
 
-from .exactnum import Rat, Value, rat
+from .exactnum import Rat, Value, rat, shared_fractions
 from .intlinalg import clear_denominators
 
 MAX_GENERATORS = 24
@@ -112,7 +113,8 @@ def blade(sig: CliffordSignature, indices, c: Rat = 1) -> CliffordElement:
 
 
 def clif_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    """The geometric product, on integer numerators over one denominator.
+    """The geometric product, on integer numerators over one denominator;
+    each distinct coefficient of the result becomes one Fraction.
 
     e_a e_b = (-1)^|q(a) & b| e_(a ^ b), where bit j of the sign mask q(a)
     is the parity of the generators of a above j, which e_j hops over,
@@ -134,9 +136,9 @@ def clif_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
             m = ma ^ mb
             c = -ca * cb if (q & mb).bit_count() & 1 else ca * cb
             acc[m] = acc.get(m, 0) + c
-    d = dx * dy
-    return CliffordElement(sig, tuple((m, Fraction(c, d))
-                                      for m, c in sorted(acc.items()) if c))
+    frac = shared_fractions(acc.values(), dx * dy)
+    return CliffordElement(sig, tuple((m, frac[c]) for m in sorted(acc)
+                                      if (c := acc[m])))
 
 
 def clif_reverse(x: CliffordElement) -> CliffordElement:

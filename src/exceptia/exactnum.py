@@ -11,8 +11,10 @@ the canonical reduced form with positive denominator, so we use it directly
 rather than wrapping it.
 
 The module also holds what every other module shares: `Value`, the base of
-the immutable value classes, `format_terms`, the signed-sum text form, and
-`read_rational`, the reader of rationals given as text.
+the immutable value classes, `format_terms`, the signed-sum text form,
+`read_integer` and `read_rational`, the readers of numbers given as text,
+and `shared_fractions`, which turns integer numerators over one denominator
+into Fractions, one per distinct numerator.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Dict, Iterable, Union
 
 Rat = Union[int, Fraction]
 
@@ -40,6 +42,18 @@ _RATIONAL = re.compile(
     r"\s*[-+]?(?:[0-9]+(?:/0*[1-9][0-9]*)?|[0-9]*\.[0-9]+|[0-9]+\.)\s*")
 
 
+_INTEGER = re.compile(r"[-+]?[0-9]+")
+
+
+def read_integer(text: str) -> int:
+    """Read an integer: an optional sign and ASCII digits, nothing else.
+    int() alone also reads other scripts' digits, underscores (1_0) and
+    surrounding space; raise ValueError on those."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def read_rational(text: str) -> Fraction:
     """Read an integer, a fraction p/q or a plain decimal, each with an
     optional sign; raise ValueError on anything else, among it exponents,
@@ -47,6 +61,17 @@ def read_rational(text: str) -> Fraction:
     if not _RATIONAL.fullmatch(text):
         raise ValueError(f"not a rational number: {text!r}")
     return Fraction(text)
+
+
+def shared_fractions(values: Iterable[int], d: int) -> Dict[int, Fraction]:
+    """{v: Fraction(v, d)} for each distinct integer v among values.
+
+    The exact kernels multiply in integers over one denominator d and make
+    their Fractions at the end: one per distinct numerator, shared by every
+    entry that holds it, since building a Fraction costs far more than
+    looking one up.
+    """
+    return {v: Fraction(v, d) for v in set(values)}
 
 
 class Value:

@@ -14,7 +14,8 @@ coordinates on request. The product is not computed by recursing on halves:
 the formula fixes e_i e_j = +-e_(i xor j) for the basis units, and `cd_mul`
 sums that unit sign rule over the pairs of nonzero terms, as
 `fano_octonion_mul` does with the Fano table. Rational products run on
-integer numerators over one denominator per operand. Alongside the doubling
+integer numerators over one denominator per operand and make one Fraction
+per distinct coefficient of the result. Alongside the doubling
 product this module carries the classical Fano-plane octonion table, the
 x-product deformation, the permutation action on quaternion units, and the
 two famous unit rings: the 24 Hurwitz quaternions and the 120 icosians with
@@ -27,7 +28,8 @@ import functools
 from fractions import Fraction
 from typing import Dict, Tuple, Union
 
-from .exactnum import GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenRational, Value, rat
+from .exactnum import (GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenRational, Value,
+                       rat, shared_fractions)
 from . import intlinalg
 
 Scalar = Union[Fraction, GoldenRational]
@@ -179,7 +181,8 @@ def _cd_unit(i: int, j: int) -> Tuple[int, int]:
 def _product(x: HyperNumber, y: HyperNumber, unit) -> HyperNumber:
     """The bilinear product of a unit rule unit(i, j) = (k, sign), meaning
     e_i e_j = sign * e_k, over the pairs of terms. Rational coefficients are
-    cleared to integer numerators over one denominator per operand first;
+    cleared to integer numerators over one denominator per operand first,
+    and each distinct coefficient of the result becomes one Fraction;
     golden ones are multiplied as they are."""
     _check_compat(x, y)
     xs, ys = [a for _, a in x.terms], [b for _, b in y.terms]
@@ -196,9 +199,11 @@ def _product(x: HyperNumber, y: HyperNumber, unit) -> HyperNumber:
             k, s = unit(i, j)
             acc[k] = (acc.get(k, zero) + a * b if s > 0
                       else acc.get(k, zero) - a * b)
-    terms = sorted((k, c) for k, c in acc.items() if c)
     if rational:
-        terms = [(k, Fraction(c, d)) for k, c in terms]
+        frac = shared_fractions(acc.values(), d)
+        terms = ((k, frac[c]) for k in sorted(acc) if (c := acc[k]))
+    else:
+        terms = ((k, c) for k in sorted(acc) if (c := acc[k]))
     return HyperNumber(x.field, x.level, tuple(terms))
 
 

@@ -5,11 +5,12 @@ unimodular transform tracked. Kernels, membership certificates, sublattices
 and quotients are all phrased through it. Rational matrices are cleared to
 integers once (`clear_denominators`): determinants and inverses run
 fraction-free on the cleared matrix (Bareiss elimination, every division
-exact), products multiply the cleared operands in ints, and each result
-entry becomes one Fraction at the end. Callers that hold integer rows over
-a known denominator (the lattice constructions) call the integer cores
-(`invert_int`, `matmul` on ints) directly and make their Fractions once,
-at the end, one per distinct value.
+exact), and products multiply the cleared operands in ints. Callers that
+hold integer rows over a known denominator (the lattice constructions) call
+the integer cores (`invert_int`, `matmul` on ints) directly. The rule holds
+in every exact kernel of the package, here and in the lattice
+constructions, `clifford.clif_mul` and `hypercomplex.cd_mul`: Fractions are
+made once, at the end, one per distinct value (`exactnum.shared_fractions`).
 
 Conventions: matrices are lists of rows; vectors act on the left (x @ A is a
 row vector), so "the lattice of A" means the set of integer combinations of
@@ -22,6 +23,8 @@ import math
 import operator
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
+
+from .exactnum import shared_fractions
 
 IntMatrix = List[List[int]]
 
@@ -122,8 +125,8 @@ def matmul(a, b):
     """Exact matrix product; entries may be int or Fraction.
 
     Each operand is cleared to integers once, the product runs in ints, and
-    each entry becomes one Fraction over the two denominators. The product
-    of two int matrices stays int."""
+    each distinct entry becomes one Fraction over the two denominators. The
+    product of two int matrices stays int."""
     ints = all(type(x) is int for m in (a, b) for row in m for x in row)
     ai, s = (a, 1) if ints else clear_denominators(a)
     bi, t = (b, 1) if ints else clear_denominators(b)
@@ -131,14 +134,17 @@ def matmul(a, b):
     prod = [[sum(map(operator.mul, row, col)) for col in bt] for row in ai]
     if ints:
         return prod
-    st = s * t
-    return [[Fraction(v, st) for v in row] for row in prod]
+    frac = shared_fractions((v for row in prod for v in row), s * t)
+    return [[frac[v] for v in row] for row in prod]
 
 
 def clear_denominators(m: Sequence[Sequence]) -> Tuple[IntMatrix, int]:
     """(a, s) with s the least positive integer making a = s m integral;
-    entries may be int or Fraction."""
+    entries may be int or Fraction. An integral m (s = 1) costs one pass
+    over the numerators."""
     s = math.lcm(*(x.denominator for row in m for x in row))
+    if s == 1:
+        return [[x.numerator for x in row] for row in m], 1
     return [[x.numerator * (s // x.denominator) for x in row] for row in m], s
 
 
@@ -203,4 +209,5 @@ def invert_fraction(m: Sequence[Sequence]) -> List[List[Fraction]]:
     ZeroDivisionError if singular."""
     a, s = clear_denominators(m)
     v, d = invert_int(a)
-    return [[Fraction(s * x, d) for x in row] for row in v]
+    frac = shared_fractions((s * x for row in v for x in row), d)
+    return [[frac[s * x] for x in row] for row in v]

@@ -30,7 +30,8 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import hypercomplex, intlinalg
-from .exactnum import GoldenRational, Value, rat, read_rational
+from .exactnum import (GoldenRational, Value, rat, read_integer,
+                       read_rational, shared_fractions)
 # invert_fraction is unused here but stays bound: bench/tracing.py wraps it
 from .intlinalg import (clear_denominators, det_fraction, invert_fraction,
                         left_kernel, solve_left)
@@ -111,10 +112,8 @@ class Lattice(Value):
         if signature == LORENTZIAN:
             g = [[v - 2 * r[0] * t[0] for v, t in zip(row, b)]
                  for row, r in zip(g, b)]
-        # one Fraction per distinct entry, shared by every place it occurs
-        ss = s * s
-        fb = {v: Fraction(v, s) for v in {v for row in b for v in row}}
-        fg = {v: Fraction(v, ss) for v in {v for row in g for v in row}}
+        fb = shared_fractions((v for row in b for v in row), s)
+        fg = shared_fractions((v for row in g for v in row), s * s)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "basis", tuple(
@@ -556,10 +555,9 @@ def _lll_int(g: Sequence[Sequence]):
     `_int_gso` data): callers search the primitive Gram, divide their bound
     by c with // and multiply the norms back by c. Raises LatticeError if
     the Gram is not positive definite."""
-    gi = [[v.numerator for v in row] for row in g]
     # a zero Gram has content 0; it is refused as not positive definite
-    c = math.gcd(*(v for row in gi for v in row)) or 1
-    gr, u, gso = _lll_gram([[v // c for v in row] for row in gi],
+    c = math.gcd(*(v.numerator for row in g for v in row)) or 1
+    gr, u, gso = _lll_gram([[v.numerator // c for v in row] for row in g],
                            DEFAULT_LLL_DELTA)
     return gr, u, c, gso
 
@@ -690,8 +688,7 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
         out.append((c * nrm, amb))
         out.append((c * nrm, tuple(-v for v in amb)))
     out.sort()
-    # t is shared, so each distinct coordinate becomes a Fraction once
-    frac = {v: Fraction(v, t) for v in {v for _, amb in out for v in amb}}
+    frac = shared_fractions((v for _, amb in out for v in amb), t)
     return [(nrm, tuple(map(frac.__getitem__, amb))) for nrm, amb in out]
 
 
@@ -1104,7 +1101,7 @@ def parse_lattice(text: str) -> Lattice:
     if len(head) != 3:
         raise LatticeError("first line must be: rank ambient signature")
     try:
-        rank, ambient = int(head[0]), int(head[1])
+        rank, ambient = read_integer(head[0]), read_integer(head[1])
     except ValueError:
         raise LatticeError("rank and ambient dimension must be integers")
     signature = head[2]

@@ -416,7 +416,13 @@ def test_operands_beginning_with_minus_follow_double_dash(capsys):
 
 def test_usage_errors_exit_2(capsys):
     for argv in ([], ["bogus"], ["hyper"], ["hyper", "bogus"],
-                 ["lattice", "build", "A2", "--output", "x"]):
+                 ["lattice", "build", "A2", "--output", "x"],
+                 # integer arguments are ASCII digits, which int() alone
+                 # does not check
+                 ["modular", "eta24", "--order", "\u0663"],
+                 ["id", "pihex", "\u0661", "\u0662"],
+                 ["id", "pihex", "\u0661", "2"],
+                 ["modular", "eta24", "--order", "1_0"]):
         rc, _, err = run(capsys, *argv)
         assert rc == 2, argv
         assert "usage: exceptia" in err, argv
@@ -434,6 +440,10 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     odd.write_text(HOPF.replace("1 1 0\n", "1 1 0.5\n", 1))
     huge = tmp_path / "huge.lat"
     huge.write_text("1 1 euclidean\n1e999999999999\n")
+    arabic = tmp_path / "arabic.lat"
+    arabic.write_text("\u0661 1 euclidean\n2\n")
+    underscored = tmp_path / "underscored.txt"
+    underscored.write_text(HOPF.replace("1 1 0\n", "1 1_0 0\n", 1))
 
     cases = [
         (["lattice", "info", "E9"], "unknown lattice name 'E9'"),
@@ -485,6 +495,14 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         # only ASCII digits make a rank
         (["lattice", "build", "A\u00b2"], "unknown lattice name 'A\u00b2'"),
         (["lattice", "info", "D\u0663"], "unknown lattice name 'D\u0663'"),
+        (["hyper", "mul", "\u0663", "1"],
+         "cannot read element '\u0663': unexpected character '\u0663'"),
+        (["clifford", "mul", "e\u0661", "1"],
+         "cannot read element 'e\u0661'"),
+        (["lattice", "info", "--input", str(arabic)],
+         "rank and ambient dimension must be integers"),
+        (["id", "link", "--input", str(underscored)],
+         "loop file line '1 1_0 0' is not an integer triple"),
     ]
     for argv, needle in cases:
         rc, _, err = run(capsys, *argv)

@@ -1,10 +1,11 @@
 """Clifford algebras over the rationals: products, classification, spinors."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from exceptia import clifford as cl
 
@@ -229,6 +230,54 @@ def test_products_with_the_empty_element_are_empty():
     x = cl.CliffordElement.from_dict(sig, {5: Fraction(1, 3), 700: Fraction(-7, 9)})
     for a, b in ((empty, x), (x, empty), (empty, empty)):
         assert cl.clif_mul(a, b).terms == ()
+
+
+def check_result_terms(terms):
+    """Ascending masks, no zero coefficient, each coefficient a reduced
+    Fraction, and one Fraction object per distinct coefficient."""
+    masks = [m for m, _ in terms]
+    assert masks == sorted(set(masks))
+    coeffs = [c for _, c in terms]
+    assert all(type(c) is Fraction and c and c.denominator > 0
+               and math.gcd(c.numerator, c.denominator) == 1 for c in coeffs)
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))
+
+
+@st.composite
+def operand_pairs(draw):
+    """(x, y) with p + q <= 12 and all-integer coefficients, mixed
+    denominators, or two blade pairs that cancel on one blade."""
+    n = draw(st.integers(0, 12))
+    p = draw(st.integers(0, n))
+    sig = cl.CliffordSignature(p, n - p)
+    kind = draw(st.sampled_from(("integer", "mixed", "cancel")))
+    denoms = (1,) if kind == "integer" else (1, 2, 3, 7, 2 ** 61 - 1)
+    coef = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(denoms))
+    masks = st.integers(0, (1 << n) - 1)
+    if kind != "cancel":
+        x, y = (draw(st.dictionaries(masks, coef, max_size=24))
+                for _ in range(2))
+        return cl.CliffordElement.from_dict(sig, x), \
+            cl.CliffordElement.from_dict(sig, y)
+    # e_a e_c and e_b e_d land on one blade, a ^ c = b ^ d; cd cancels them
+    a, b, c = draw(masks), draw(masks), draw(masks)
+    assume(a != b)
+    d = a ^ b ^ c
+    ca, cb, cc = (draw(coef.filter(bool)) for _ in range(3))
+    s1 = slow_blade_mul(p, indices(a), indices(c))[1]
+    s2 = slow_blade_mul(p, indices(b), indices(d))[1]
+    return (cl.CliffordElement.from_dict(sig, {a: ca, b: cb}),
+            cl.CliffordElement.from_dict(
+                sig, {c: cc, d: -s1 * ca * cc / (s2 * cb)}))
+
+
+@given(operand_pairs())
+@settings(max_examples=150, deadline=None)
+def test_products_match_the_slow_product_fraction_by_fraction(xy):
+    x, y = xy
+    z = cl.clif_mul(x, y)
+    assert z.terms == slow_mul(x, y)
+    check_result_terms(z.terms)
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from exceptia import identities as ident
 from exceptia import lattices as lat
 from exceptia import modular as mod
 from exceptia.exactnum import (GOLDEN_ONE, GOLDEN_ZERO, PHI, PHI_BAR,
-                               GoldenRational, Value, read_rational)
+                               GoldenRational, Value, read_integer,
+                               read_rational)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -48,6 +49,15 @@ def test_read_rational_takes_integers_fractions_and_plain_decimals():
                  "0x10", "1 2"):
         with pytest.raises(ValueError):
             read_rational(text)
+
+
+def test_read_integer_takes_a_sign_and_ascii_digits_only():
+    for text, value in (("7", 7), ("-12", -12), ("+3", 3), ("007", 7)):
+        assert read_integer(text) == value and type(value) is int, text
+    for text in ("\u0663", "\u0661\u0662", "2\u00b2", "1_0", " 2", "2 ",
+                 "", "-", "+-1", "1.0", "1/1", "1e3", "0x10"):
+        with pytest.raises(ValueError):
+            read_integer(text)
 
 
 def test_truth_value():

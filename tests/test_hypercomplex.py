@@ -1,10 +1,11 @@
 """Doubling algebras: products, norms, the Fano table, triality, unit rings."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from exceptia.exactnum import GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenRational
 from exceptia import hypercomplex as hc
@@ -172,6 +173,49 @@ def test_zero_operands_and_cancelled_products(doubling_laws):
     z = hc.cd_mul(a, b)
     assert z.is_zero() and z.coords == doubling_laws.cd_mul(a.coords, b.coords)
     assert all(type(c) is Fraction for c in z.coords)
+
+
+@st.composite
+def product_operands(draw):
+    """(level, x, y) coordinate tuples at level <= 6 with all-integer
+    coefficients, mixed denominators, or two unit pairs that cancel on one
+    unit."""
+    level = draw(st.integers(0, 6))
+    n = 1 << level
+    kind = draw(st.sampled_from(("integer", "mixed", "cancel")))
+    denoms = (1,) if kind == "integer" else (1, 2, 3, 7, 2 ** 61 - 1)
+    coef = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(denoms))
+    units = st.integers(0, n - 1)
+    if kind != "cancel":
+        x, y = (draw(st.dictionaries(units, coef)) for _ in range(2))
+    else:
+        # e_a e_c and e_b e_d land on one unit, a ^ c = b ^ d; the
+        # coefficient at d cancels them
+        a, b, c = draw(units), draw(units), draw(units)
+        assume(a != b)
+        d = a ^ b ^ c
+        ca, cb, cc = (draw(coef.filter(bool)) for _ in range(3))
+        s1 = hc.cd_mul(e(level, a), e(level, c)).terms[0][1]
+        s2 = hc.cd_mul(e(level, b), e(level, d)).terms[0][1]
+        x, y = {a: ca, b: cb}, {c: cc, d: -s1 * ca * cc / (s2 * cb)}
+    return tuple(tuple(v.get(k, Fraction(0)) for k in range(n))
+                 for v in (x, y))
+
+
+@given(xy=product_operands())
+@settings(max_examples=150, deadline=None)
+def test_products_match_the_recursion_fraction_by_fraction(doubling_laws, xy):
+    x, y = xy
+    z = hc.cd_mul(hc.hyper(x), hc.hyper(y))
+    assert z.coords == doubling_laws.cd_mul(x, y)
+    # ascending units, no zero term, reduced Fractions, one Fraction object
+    # per distinct coefficient
+    units = [k for k, _ in z.terms]
+    assert units == sorted(set(units))
+    coeffs = [c for _, c in z.terms]
+    assert all(type(c) is Fraction and c and c.denominator > 0
+               and math.gcd(c.numerator, c.denominator) == 1 for c in coeffs)
+    assert len({id(c) for c in coeffs}) == len(set(coeffs))
 
 
 def test_golden_products_match_the_doubling_recursion(doubling_laws):

@@ -1,5 +1,6 @@
 """Integer matrix routines: HNF, kernels, exact solving."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -216,3 +217,34 @@ def test_matmul_matches_the_naive_product(ab):
     assert prod == fraction_matmul(a, b)
     ints = all(type(x) is int for m in (a, b) for row in m for x in row)
     assert all((type(x) is int) == ints for row in prod for x in row)
+
+
+def clear_by_lcm(m):
+    """clear_denominators' general rule, which the integral case skips:
+    every numerator times s over its denominator."""
+    s = math.lcm(*(x.denominator for row in m for x in row))
+    return [[x.numerator * (s // x.denominator) for x in row] for row in m], s
+
+
+@st.composite
+def matrices(draw):
+    rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    ints = st.integers(-10**18, 10**18)
+    entry = draw(st.sampled_from(
+        (ints, ints.map(Fraction), ints | ints.map(Fraction), rationals)))
+    return draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+
+
+@given(matrices())
+# integral Fractions (one numerator pass), an int, and one denominator
+@example([[Fraction(4), Fraction(-2)], [Fraction(-2), Fraction(4)]])
+@example([[7]])
+@example([[Fraction(0), Fraction(1, 2**61 - 1)]])
+@settings(max_examples=150, deadline=None)
+def test_clear_denominators_matches_the_lcm_rule(m):
+    before = [row[:] for row in m]
+    a, s = la.clear_denominators(m)
+    assert (a, s) == clear_by_lcm(m)
+    assert m == before
+    assert type(s) is int and all(type(x) is int for row in a for x in row)
