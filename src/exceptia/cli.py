@@ -77,10 +77,16 @@ def _tokenize(text: str) -> List[Tuple[str, object]]:
     while pos < len(text):
         m = _TOKEN.match(text, pos)
         if not m:
-            if text[pos:].strip() == "":
+            rest = text[pos:].strip()
+            if rest == "":
                 break
+            if rest == "e":
+                raise ValueError(f"cannot read element {text!r}: it ends "
+                                 "where a unit index was expected")
+            # a unit prefix is readable; what follows it is not
+            bad = rest[1] if rest[0] == "e" else rest[0]
             raise ValueError(f"cannot read element {text!r}: unexpected "
-                             f"character {text[pos:].strip()[0]!r}")
+                             f"character {bad!r}")
         if m.group(1):
             try:
                 out.append(("num", Fraction(m.group(1))))

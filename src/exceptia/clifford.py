@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Set, Tuple
+from typing import Dict, Set
 
 from .exactnum import Rat, Value, rat, shared_fractions
 from .intlinalg import clear_denominators
@@ -31,8 +31,7 @@ class CliffordSignature(Value):
         # p generators square to -1, q to +1
         if p < 0 or q < 0 or p + q > MAX_GENERATORS:
             raise ValueError("signature out of supported range")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        super().__init__(p, q)
 
     @property
     def n(self) -> int:
@@ -40,15 +39,10 @@ class CliffordSignature(Value):
 
 
 class CliffordElement(Value):
-    """Map from blade bitmask to nonzero rational coefficient."""
+    """Map from blade bitmask to nonzero rational coefficient, as `terms`:
+    (bitmask, Fraction) pairs sorted by bitmask, none with coefficient 0."""
 
     __slots__ = ("signature", "terms")
-
-    def __init__(self, signature: CliffordSignature,
-                 terms: Tuple[Tuple[int, Fraction], ...]):
-        # terms are sorted by bitmask, with no zero coefficient
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "terms", terms)
 
     @staticmethod
     def from_dict(sig: CliffordSignature, d: Dict[int, Rat]) -> "CliffordElement":
@@ -157,14 +151,10 @@ def clif_reverse(x: CliffordElement) -> CliffordElement:
 # classification
 
 class MatrixAlgebraClass(Value):
-    __slots__ = ("ring", "size", "summands")
+    """The size x size matrices over ring "R", "C" or "H", with summands 1,
+    or 2 for a direct sum of two equal blocks."""
 
-    def __init__(self, ring: str, size: int, summands: int):
-        # ring is "R", "C" or "H", the matrices are size x size, and summands
-        # is 1, or 2 for a direct sum of two equal blocks
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "summands", summands)
+    __slots__ = ("ring", "size", "summands")
 
     def __str__(self) -> str:
         one = self.ring if self.size == 1 else f"{self.ring}({self.size})"
@@ -218,17 +208,6 @@ def periodicity_check(sig: CliffordSignature) -> bool:
 class SpinorProfile(Value):
     __slots__ = ("n", "dirac_complex_dim", "majorana", "weyl",
                  "majorana_weyl", "minimal_real_components")
-
-    def __init__(self, n: int, dirac_complex_dim: int, majorana: bool,
-                 weyl: bool, majorana_weyl: bool,
-                 minimal_real_components: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "dirac_complex_dim", dirac_complex_dim)
-        object.__setattr__(self, "majorana", majorana)
-        object.__setattr__(self, "weyl", weyl)
-        object.__setattr__(self, "majorana_weyl", majorana_weyl)
-        object.__setattr__(self, "minimal_real_components",
-                           minimal_real_components)
 
 
 def _smallest_real_rep(cls: MatrixAlgebraClass) -> int:

@@ -11,10 +11,10 @@ the canonical reduced form with positive denominator, so we use it directly
 rather than wrapping it.
 
 The module also holds what every other module shares: `Value`, the base of
-the immutable value classes, `format_terms`, the signed-sum text form,
-`read_integer` and `read_rational`, the readers of numbers given as text,
-and `shared_fractions`, which turns integer numerators over one denominator
-into Fractions, one per distinct numerator.
+the immutable value classes, which stores the fields a subclass checks;
+`format_terms`, the signed-sum text form; `read_integer` and `read_rational`,
+the readers of numbers given as text; and `shared_fractions`, which makes
+one Fraction per distinct integer numerator over a common denominator.
 """
 
 from __future__ import annotations
@@ -77,14 +77,24 @@ def shared_fractions(values: Iterable[int], d: int) -> Dict[int, Fraction]:
 class Value:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in ``__slots__``, in order, and its
-    ``__init__`` checks them and stores them with ``object.__setattr__``.
-    Two values are equal when they are of the same class and their field
-    tuples are equal; a value hashes as its field tuple, and its fields
-    cannot be assigned or deleted.
+    A subclass names its fields in ``__slots__``, in order; its own
+    ``__init__``, if any, checks them, and ``Value.__init__`` stores them,
+    given by position or by slot name. Two values are equal when they are
+    of the same class and their field tuples are equal; a value hashes as
+    its field tuple, and its fields cannot be assigned or deleted.
     """
 
     __slots__ = ()
+
+    def __init__(self, *fields, **named):
+        slots = self.__slots__
+        if named:  # fields given by name follow those given by position
+            fields += tuple(named.pop(n) for n in slots[len(fields):]
+                            if n in named)
+        if named or len(fields) != len(slots):
+            raise TypeError(f"{type(self).__name__}() takes fields {slots}")
+        for name, value in zip(slots, fields):
+            object.__setattr__(self, name, value)
 
     def __init_subclass__(cls):
         super().__init_subclass__()
@@ -126,8 +136,7 @@ class GoldenRational(Value):
     __slots__ = ("u", "v")
 
     def __init__(self, u: Rat = 0, v: Rat = 0):
-        object.__setattr__(self, "u", rat(u))
-        object.__setattr__(self, "v", rat(v))
+        super().__init__(rat(u), rat(v))
 
     def __add__(self, other: "GoldenRational") -> "GoldenRational":
         other = _coerce(other)

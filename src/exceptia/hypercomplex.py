@@ -55,9 +55,7 @@ class HyperNumber(Value):
             raise ValueError(f"unknown field {field!r}")
         if level < 0:
             raise ValueError(f"negative level {level}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "terms", terms)
+        super().__init__(field, level, terms)
 
     @property
     def coords(self) -> Tuple[Scalar, ...]:
@@ -315,7 +313,7 @@ class PermutationIJK(Value):
     def __init__(self, images: Tuple[int, int, int]):
         if tuple(sorted(images)) != (1, 2, 3):
             raise ValueError("images must be a permutation of (1, 2, 3)")
-        object.__setattr__(self, "images", images)
+        super().__init__(images)
 
     @property
     def parity(self) -> str:
@@ -367,10 +365,6 @@ class IcosianElement(Value):
     fixed rank-8 basis of the ring (the membership certificate)."""
 
     __slots__ = ("q", "certificate")
-
-    def __init__(self, q: HyperNumber, certificate: Tuple[int, ...]):
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "certificate", certificate)
 
 
 _CLOSURE_BOUND = 10_000

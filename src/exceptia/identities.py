@@ -15,7 +15,7 @@ import functools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 from .exactnum import Value, read_rational
 
@@ -200,7 +200,7 @@ class SpinList(Value):
                 raise IdentityError(f"spin {j} is not a nonnegative "
                                     "half-integer")
             vals.append(j)
-        object.__setattr__(self, "spins", tuple(sorted(vals)))
+        super().__init__(tuple(sorted(vals)))
 
     @classmethod
     def from_values(cls, values: Iterable) -> "SpinList":
@@ -253,7 +253,7 @@ class PolyLoop(Value):
         for a, b in zip(vs, vs[1:] + vs[:1]):
             if a == b:
                 raise IdentityError("consecutive vertices must be distinct")
-        object.__setattr__(self, "vertices", vs)
+        super().__init__(vs)
 
     def segments(self) -> List[Tuple[Point, Point]]:
         vs = self.vertices

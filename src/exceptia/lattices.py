@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import hypercomplex, intlinalg
 from .exactnum import (GoldenRational, Value, rat, read_integer,
@@ -114,13 +114,10 @@ class Lattice(Value):
                  for row, r in zip(g, b)]
         fb = shared_fractions((v for row in b for v in row), s)
         fg = shared_fractions((v for row in g for v in row), s * s)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "basis", tuple(
-            tuple(map(fb.__getitem__, row)) for row in b))
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "gram", tuple(
-            tuple(map(fg.__getitem__, row)) for row in g))
+        Value.__init__(self, ambient_dim, rank,
+                       tuple(tuple(map(fb.__getitem__, row)) for row in b),
+                       signature,
+                       tuple(tuple(map(fg.__getitem__, row)) for row in g))
 
     def form_dot(self, a: Sequence, b: Sequence) -> Fraction:
         """Ambient bilinear form applied to two coordinate vectors."""
@@ -367,13 +364,13 @@ def _lll_gram(g0: Sequence[Sequence[int]], delta: Fraction):
     Gram and gso = (d, lam) is `_int_gso(g)`. That data is kept up to date
     through every size reduction and swap with exact divisions (Cohen, Alg.
     2.6.7), so each decision is the one rational LLL takes with
-    mu[i][j] = lam[i][j]/d[j+1] and |b*_i|^2 = d[i+1]/d[i]. Works entirely
-    on the Gram; callers holding a basis apply u themselves.
+    mu[i][j] = lam[i][j]/d[j+1] and |b*_i|^2 = d[i+1]/d[i]. No decision
+    reads the Gram itself, so g is formed once, from u, at the end. Works
+    entirely on the Gram; callers holding a basis apply u themselves.
     """
     n = len(g0)
-    g = [list(row) for row in g0]
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    d, lam = _int_gso(g)
+    d, lam = _int_gso(g0)
     if d[-1] <= 0:
         raise LatticeError("Gram matrix is not positive definite")
     p, q = delta.numerator, delta.denominator
@@ -388,11 +385,6 @@ def _lll_gram(g0: Sequence[Sequence[int]], delta: Fraction):
             if lk[l] < 0:
                 r = -r
             u[k] = [x - r * y for x, y in zip(u[k], u[l])]
-            gk, gl = g[k], g[l]
-            for j in range(n):
-                gk[j] -= r * gl[j]
-            for row in g:
-                row[k] -= r * row[l]
             lk[l] -= r * dl
             ll = lam[l]
             for t in range(l):
@@ -406,9 +398,6 @@ def _lll_gram(g0: Sequence[Sequence[int]], delta: Fraction):
         if q * (d[k + 1] * d[k - 1] + m * m) < p * d[k] * d[k]:
             # swap rows k-1 and k everywhere, then repair (d, lam)
             u[k - 1], u[k] = u[k], u[k - 1]
-            g[k - 1], g[k] = g[k], g[k - 1]
-            for row in g:
-                row[k - 1], row[k] = row[k], row[k - 1]
             lk1, lk = lam[k - 1], lam[k]
             lk1[:k - 1], lk[:k - 1] = lk[:k - 1], lk1[:k - 1]
             b = (d[k - 1] * d[k + 1] + m * m) // d[k]
@@ -423,6 +412,9 @@ def _lll_gram(g0: Sequence[Sequence[int]], delta: Fraction):
             for l in range(k - 2, -1, -1):
                 red(k, l)
             k += 1
+    # u g0 u^T; g0 is symmetric, so its rows are its columns
+    ug = [[sum(map(operator.mul, ur, row)) for row in g0] for ur in u]
+    g = [[sum(map(operator.mul, row, ur)) for ur in u] for row in ug]
     return g, u, (d, lam)
 
 
@@ -720,8 +712,7 @@ class ThetaSeries(Value):
         if any(c % 2 for c in counts[1:]):
             raise LatticeError("vector counts above norm 0 pair up as +-v "
                                "and must be even")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "counts", counts)
+        super().__init__(order, counts)
 
 
 def theta_product(a: ThetaSeries, b: ThetaSeries) -> ThetaSeries:
@@ -773,15 +764,13 @@ class LorentzianVector(Value):
         dc = tuple(int(v) for v in doubled_coords)
         if not dc:
             raise LatticeError("empty coordinate vector")
-        object.__setattr__(self, "doubled_coords", dc)
         r = dc[0] % 2
         if any(v % 2 != r for v in dc):
             raise LatticeError("coordinates must be all integers or all "
                                "half-integers")
         if sum(dc) % 4:
             raise LatticeError("coordinate sum must be an even integer")
-        object.__setattr__(self, "parity",
-                           PARITY_HALF if r else PARITY_INTEGER)
+        super().__init__(dc, PARITY_HALF if r else PARITY_INTEGER)
 
     @classmethod
     def from_coords(cls, coords: Sequence) -> "LorentzianVector":

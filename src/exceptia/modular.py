@@ -44,8 +44,7 @@ class LaurentSeries(Value):
             low = 0
         if low < -1:
             raise SeriesError("lowest exponent below -1 is not representable")
-        object.__setattr__(self, "low", low)
-        object.__setattr__(self, "coeffs", cs)
+        super().__init__(low, cs)
 
     @property
     def is_zero(self) -> bool:

@@ -11,6 +11,8 @@ import hashlib
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -412,6 +414,43 @@ def test_operands_beginning_with_minus_follow_double_dash(capsys):
 
 
 # ---------------------------------------------------------------------------
+# README.md, run as written
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_examples_run_as_shown(capsys, tmp_path, monkeypatch):
+    # each `$ exceptia ...` line in a code block runs through cli.main and
+    # prints the lines that follow it, up to a blank line or the next `$`
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    (tmp_path / "hopf.txt").write_text(HOPF)
+    monkeypatch.chdir(tmp_path)
+    runs = []
+    for lang, body in blocks:
+        if lang:
+            continue
+        for chunk in re.split(r"\n\s*\n", body):
+            lines = chunk.strip("\n").split("\n")
+            if lines[0].startswith("$ exceptia "):
+                runs.append((shlex.split(lines[0])[2:], lines[1:]))
+    assert len(runs) >= 12
+    for argv, expected in runs:
+        out = "".join(f"{line}\n" for line in expected)
+        assert run(capsys, *argv)[:2] == (0, out), argv
+    # the library example prints what the comment on each print line says
+    [code] = [body for lang, body in blocks if lang == "python"]
+    exec(compile(code, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    comments = [line.split("#", 1)[1].strip() for line in code.splitlines()
+                if line.startswith("print(")]
+    assert len(printed) == len(comments) == 3
+    for out, comment in zip(printed, comments):
+        # a comment may go on after the value, past a comma
+        assert comment == out or comment.startswith(out + ", "), comment
+
+
+# ---------------------------------------------------------------------------
 # exit codes
 
 def test_usage_errors_exit_2(capsys):
@@ -444,6 +483,10 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     arabic.write_text("\u0661 1 euclidean\n2\n")
     underscored = tmp_path / "underscored.txt"
     underscored.write_text(HOPF.replace("1 1 0\n", "1 1_0 0\n", 1))
+    lightlike = tmp_path / "lightlike.lat"
+    lightlike.write_text("1 2 lorentzian\n1 1\n")
+    headless = tmp_path / "headless.lat"
+    headless.write_text("1 1\n2\n")
 
     cases = [
         (["lattice", "info", "E9"], "unknown lattice name 'E9'"),
@@ -503,6 +546,24 @@ def test_domain_errors_exit_1(capsys, tmp_path):
          "rank and ambient dimension must be integers"),
         (["id", "link", "--input", str(underscored)],
          "loop file line '1 1_0 0' is not an integer triple"),
+        # a unit prefix e is readable, so the message names what follows it
+        (["hyper", "mul", "e\u0663", "1"],
+         "cannot read element 'e\u0663': unexpected character '\u0663'"),
+        (["hyper", "mul", "ex", "1"],
+         "cannot read element 'ex': unexpected character 'x'"),
+        (["hyper", "mul", "(e1,e\u0663)", "1"],
+         "cannot read element '(e1,e\u0663)': unexpected character '\u0663'"),
+        (["clifford", "mul", "--q", "2", "e\u0661", "1"],
+         "cannot read element 'e\u0661': unexpected character '\u0661'"),
+        (["hyper", "mul", "e1\u0663", "1"],
+         "cannot read element 'e1\u0663': unexpected character '\u0663'"),
+        (["hyper", "mul", "1+e", "1"],
+         "cannot read element '1+e': it ends where a unit index was expected"),
+        (["lattice", "dual", "--input", str(lightlike)],
+         "singular Gram matrix has no dual basis"),
+        (["lattice", "info", "--input", str(headless)],
+         "first line must be: rank ambient signature"),
+        (["hyper", "fano", "0", "1"], "unit indices must lie in 1..7"),
     ]
     for argv, needle in cases:
         rc, _, err = run(capsys, *argv)

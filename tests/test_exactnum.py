@@ -190,3 +190,57 @@ def test_dataclass_style_repr():
     assert repr(cl.MatrixAlgebraClass("H", 2, 1)) == \
         "MatrixAlgebraClass(ring='H', size=2, summands=1)"
     assert repr(lat.ThetaSeries(1, (1, 2))) == "ThetaSeries(order=1, counts=(1, 2))"
+
+
+# the classes whose fields Value.__init__ takes unchecked, each with a value
+STORAGE_ONLY = [
+    lambda: cl.MatrixAlgebraClass("H", 2, 1),
+    lambda: cl.spinor_taxonomy(10),
+    lambda: cl.CliffordElement.from_dict(cl.CliffordSignature(1, 2),
+                                         {0: 1, 3: Fraction(-2, 3)}),
+    lambda: hc.IcosianElement(hc.one(2, hc.GOLDEN), (1, 0, 0, 0, 0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("build", STORAGE_ONLY,
+                         ids=[b().__class__.__name__ for b in STORAGE_ONLY])
+def test_storage_only_values_take_fields_by_position_or_name(build):
+    x = build()
+    cls = type(x)
+    assert "__init__" not in vars(cls)
+    values = tuple(getattr(x, n) for n in cls.__slots__)
+    named = dict(zip(cls.__slots__, values))
+    assert cls(*values) == x
+    assert cls(**named) == x
+    # by name in any order, and after some given by position
+    assert cls(**dict(reversed(named.items()))) == x
+    assert cls(values[0], **dict(list(named.items())[1:])) == x
+
+
+@pytest.mark.parametrize("cls, args, named", [
+    pytest.param(cl.MatrixAlgebraClass, ("H", 2), {}, id="storage too few"),
+    pytest.param(cl.MatrixAlgebraClass, ("H", 2, 1, 1), {},
+                 id="storage too many"),
+    pytest.param(cl.MatrixAlgebraClass, (), {}, id="storage none"),
+    pytest.param(cl.MatrixAlgebraClass, ("H",), {"size": 2},
+                 id="storage missing"),
+    pytest.param(cl.MatrixAlgebraClass, ("H", 2, 1), {"colour": "red"},
+                 id="storage unknown"),
+    pytest.param(cl.MatrixAlgebraClass, ("H", 2), {"summand": 1},
+                 id="storage misspelt"),
+    pytest.param(cl.MatrixAlgebraClass, ("H", 2, 1), {"ring": "R"},
+                 id="storage repeated"),
+    pytest.param(cl.MatrixAlgebraClass, ("H", 2), {"ring": "R"},
+                 id="storage repeated and missing"),
+    pytest.param(cl.CliffordSignature, (1,), {}, id="checking too few"),
+    pytest.param(cl.CliffordSignature, (1, 2, 3), {}, id="checking too many"),
+    pytest.param(cl.CliffordSignature, (), {"p": 1}, id="checking missing"),
+    pytest.param(cl.CliffordSignature, (1, 2), {"r": 3},
+                 id="checking unknown"),
+    pytest.param(cl.CliffordSignature, (1,), {"p": 2}, id="checking repeated"),
+    pytest.param(lat.ThetaSeries, (1,), {"count": (1, 240)},
+                 id="checking misspelt"),
+])
+def test_wrong_fields_raise_type_error(cls, args, named):
+    with pytest.raises(TypeError, match=cls.__name__):
+        cls(*args, **named)

@@ -983,6 +983,26 @@ def test_refusals_keep_their_messages():
         lat.short_vectors(lat.Lattice(1, 1, ((1,),)), 2)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: lat.direct_sum(E8), "direct_sum needs at least two lattices"),
+    (lambda: lat.direct_sum(E8, lat.Lattice(2, 1, ((1, 1),),
+                                            signature=lat.LORENTZIAN)),
+     "direct_sum is defined for euclidean lattices"),
+    (lambda: lat.build_E7(lat.build_Dn(8)),
+     "build_E7 expects the rank-8 even unimodular lattice as input"),
+    (lambda: lat.build_E6(lat.build_Dn(8)),
+     "build_E6 expects the rank-8 even unimodular lattice as input"),
+    (lambda: lat.ThetaSeries(1, (2, 0)), "theta series must start with count 1"),
+    (lambda: lat.Lattice(1, 1, ((1,),), signature="x"),
+     "unknown signature 'x'"),
+], ids=["one summand", "lorentzian summand", "E7 of D8", "E6 of D8",
+        "theta count 2", "signature x"])
+def test_builder_and_value_refusals_keep_their_messages(build, message):
+    with pytest.raises(lat.LatticeError) as info:
+        build()
+    assert str(info.value) == message
+
+
 def fraction_leech_from_ii26():
     """The II_{25,1} construction of the Leech lattice with every coordinate
     a Fraction and w's coefficients from a Fraction inverse: the reference
