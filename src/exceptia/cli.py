@@ -24,7 +24,7 @@ from . import lattices as lat
 from . import modular as mod
 from .exactnum import format_terms, read_integer, read_rational
 
-GRAMMAR = """\
+GRAMMAR = f"""\
 usage: exceptia <group> <command> [arguments]
 
   hyper     mul | conj | norm | inv | fano | xprod | permute
@@ -33,7 +33,7 @@ usage: exceptia <group> <command> [arguments]
   modular   eta24 | j
   id        pihex | cannonball | area | link
 
-named lattices: A<n> D<n> E6 E7 E8 D16+ 3E8 E8+D16+ LeechII LeechIcosian
+named lattices: A<n> D<n> {' '.join(lat.NAMED_LATTICES)}
 common flags:   --order N   --max-norm M   --limit L   --json   --input FILE
 operands that begin with '-' go after '--':  exceptia hyper mul -- e1 -e2
 run `exceptia <group> <command> --help` for the arguments of one command

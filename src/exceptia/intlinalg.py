@@ -1,16 +1,17 @@
 """Integer and rational linear algebra used across the package.
 
-One audited core: Hermite-style row reduction over the integers, with the
-unimodular transform tracked. Kernels, membership certificates, sublattices
-and quotients are all phrased through it. Rational matrices are cleared to
-integers once (`clear_denominators`): determinants and inverses run
-fraction-free on the cleared matrix (Bareiss elimination, every division
-exact), and products multiply the cleared operands in ints. Callers that
-hold integer rows over a known denominator (the lattice constructions) call
-the integer cores (`invert_int`, `matmul` on ints) directly. The rule holds
-in every exact kernel of the package, here and in the lattice
-constructions, `clifford.clif_mul` and `hypercomplex.cd_mul`: Fractions are
-made once, at the end, one per distinct value (`exactnum.shared_fractions`).
+One audited core: Hermite-style row reduction over the integers, in which
+each row carries its row of the unimodular transform. Kernels, membership
+certificates, sublattices and quotients are all phrased through it.
+Rational matrices are cleared to integers once (`clear_denominators`):
+determinants and inverses run fraction-free on the cleared matrix (Bareiss
+elimination, every division exact), and products multiply the cleared
+operands in ints. Callers that hold integer rows over a known denominator
+(the lattice constructions) call the integer cores (`invert_int`, `matmul`
+on ints) directly. The rule holds in every exact kernel of the package,
+here and in the lattice constructions, `clifford.clif_mul` and
+`hypercomplex.cd_mul`: Fractions are made once, at the end, one per
+distinct value (`exactnum.shared_fractions`).
 
 Conventions: matrices are lists of rows; vectors act on the left (x @ A is a
 row vector), so "the lattice of A" means the set of integer combinations of
@@ -22,11 +23,52 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .exactnum import shared_fractions
 
 IntMatrix = List[List[int]]
+
+
+def _joined(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, int]:
+    """(the rows of [a | I], the width of a)."""
+    n = len(a)
+    return [[*row] + [0] * i + [1] + [0] * (n - 1 - i)
+            for i, row in enumerate(a)], len(a[0]) if n else 0
+
+
+def _hermite(rows: IntMatrix, m: int) -> List[int]:
+    """Put the first m columns of `rows` into `hnf_transform`'s row Hermite
+    normal form, in place, and return the pivot columns. Entries past column
+    m take part in every row operation: the tails of [a | I] end as u."""
+    live = list(range(len(rows)))    # indices of rows not yet chosen as pivots
+    pivots: Dict[int, int] = {}      # pivot row index -> pivot column
+
+    def reduce(r, p, col):
+        f = rows[r][col] // rows[p][col]
+        if f:
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[p])]
+
+    for col in range(m):
+        cand = [r for r in live if rows[r][col] != 0]
+        if not cand:
+            continue
+        # gcd elimination within the column
+        while len(cand) > 1:
+            cand.sort(key=lambda r: abs(rows[r][col]))
+            for r in cand[1:]:
+                reduce(r, cand[0], col)
+            cand = [r for r in cand if rows[r][col] != 0]
+        p = cand[0]
+        if rows[p][col] < 0:
+            rows[p] = [-x for x in rows[p]]
+        # reduce the entries above the new pivot into [0, pivot)
+        for q in pivots:
+            reduce(q, p, col)
+        pivots[p] = col
+        live.remove(p)
+    rows[:] = [rows[i] for i in [*pivots, *live]]
+    return list(pivots.values())
 
 
 def hnf_transform(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix]:
@@ -37,88 +79,36 @@ def hnf_transform(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, IntMatrix]:
     reduced into [0, pivot); the remaining rows of h are zero. The
     corresponding rows of u therefore span the left kernel of a.
     """
-    rows = [list(r) for r in a]
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    live = list(range(n))          # indices of rows not yet chosen as pivots
-    pivots: List[Tuple[int, int]] = []   # (row index, pivot column)
-
-    for col in range(m):
-        cand = [r for r in live if rows[r][col] != 0]
-        if not cand:
-            continue
-        # gcd elimination within the column
-        while len(cand) > 1:
-            cand.sort(key=lambda r: abs(rows[r][col]))
-            p = cand[0]
-            for r in cand[1:]:
-                f = rows[r][col] // rows[p][col]
-                if f:
-                    _row_sub(rows, u, r, p, f)
-            cand = [r for r in cand if rows[r][col] != 0]
-        p = cand[0]
-        if rows[p][col] < 0:
-            rows[p] = [-x for x in rows[p]]
-            u[p] = [-x for x in u[p]]
-        pivots.append((p, col))
-        live.remove(p)
-
-    # reduce entries above each pivot into [0, pivot)
-    for p, col in pivots:
-        for q, qcol in pivots:
-            if qcol < col and rows[q][col] != 0:
-                f = rows[q][col] // rows[p][col]
-                if f:
-                    _row_sub(rows, u, q, p, f)
-
-    order = [p for p, _ in pivots] + live
-    h = [rows[i] for i in order]
-    ut = [u[i] for i in order]
-    return h, ut
-
-
-def _row_sub(rows, u, r, p, f):
-    rows[r] = [x - f * y for x, y in zip(rows[r], rows[p])]
-    u[r] = [x - f * y for x, y in zip(u[r], u[p])]
+    rows, m = _joined(a)
+    _hermite(rows, m)
+    return [row[:m] for row in rows], [row[m:] for row in rows]
 
 
 def hnf(a: Sequence[Sequence[int]]) -> IntMatrix:
     """Nonzero rows of the Hermite normal form (a canonical lattice basis)."""
-    h, _ = hnf_transform(a)
-    return [row for row in h if any(row)]
+    rows = [list(row) for row in a]
+    return rows[:len(_hermite(rows, len(rows[0]) if rows else 0))]
 
 
 def left_kernel(a: Sequence[Sequence[int]]) -> IntMatrix:
     """Basis of {x integer row : x @ a = 0}."""
-    h, u = hnf_transform(a)
-    return [u[i] for i, row in enumerate(h) if not any(row)]
+    rows, m = _joined(a)
+    return [row[m:] for row in rows[len(_hermite(rows, m)):]]
 
 
 def solve_left(a: Sequence[Sequence[int]], t: Sequence[int]) -> Optional[List[int]]:
-    """An integer row x with x @ a = t, or None if none exists."""
-    h, u = hnf_transform(a)
-    piv = []
-    for i, row in enumerate(h):
-        if any(row):
-            piv.append((i, next(c for c, v in enumerate(row) if v)))
-    resid = list(t)
-    coeffs = {}
-    for i, col in piv:
-        q, r = divmod(resid[col], h[i][col])
-        if r:
-            return None
+    """An integer row x with x @ a = t, or None if none exists: [t | 0]
+    reduced by the pivot rows of [a | I] in Hermite form ends as [0 | -x]
+    exactly when t is a member."""
+    rows, m = _joined(a)
+    resid = [*t] + [0] * len(rows)
+    for row, col in zip(rows, _hermite(rows, m)):
+        q = resid[col] // row[col]
         if q:
-            coeffs[i] = q
-            resid = [x - q * y for x, y in zip(resid, h[i])]
-    if any(resid):
+            resid = [x - q * y for x, y in zip(resid, row)]
+    if any(resid[:len(t)]):
         return None
-    n = len(u)
-    x = [0] * n
-    for i, q in coeffs.items():
-        for k in range(n):
-            x[k] += q * u[i][k]
-    return x
+    return [-x for x in resid[len(t):]]
 
 
 def matmul(a, b):
@@ -182,9 +172,7 @@ def invert_int(a: Sequence[Sequence[int]]) -> Tuple[IntMatrix, int]:
     end each diagonal entry is the last pivot D = +-det a and the right half
     is D a^-1."""
     n = len(a)
-    rows = [list(row) + [0] * n for row in a]
-    for i, row in enumerate(rows):
-        row[n + i] = 1
+    rows = _joined(a)[0]
     prev = 1
     for c in range(n):
         p = next((r for r in range(c, n) if rows[r][c]), None)

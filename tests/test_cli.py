@@ -250,9 +250,10 @@ def test_lattice_build_info_roundtrip(capsys, tmp_path):
     assert rc == 0
     assert json.loads(out) == {"rank": 2, "even": True, "unimodular": False,
                                "min_norm": 2, "kissing": 6}
-    # the Leech lattice two ways, pinned by the sha256 of stdout (text, then
-    # --json); the icosian build reads back as even unimodular with 196560
-    # minima
+    # the Leech lattice two ways, and E7 and E6, pinned by the sha256 of
+    # stdout (text, then --json); the bases of all but the icosian build come
+    # from left_kernel, so the pins fix which kernel basis it returns. The
+    # icosian build reads back as even unimodular with 196560 minima
     icosian = (
         "003fa46d87b95ed378155a21a7315473430e46cccf8c520cf267885239d2c53b",
         "16bacf1d407438405698d7143f4d9cc125aa1e6adb98bd6f87d640d4b3103e4b")
@@ -262,6 +263,12 @@ def test_lattice_build_info_roundtrip(capsys, tmp_path):
         ("leech",): (
             "e6b5aac8d3bbf5d26542e2918d4f06dd77811993b70ccf924aad69733b7a1a66",
             "bcfe500c2cfcc9c43e7a422af4126e808681f014b664aaaa1cb1111d8f4d3ae8"),
+        ("build", "E7"): (
+            "51779606dea5fbc2a0294c56adbd69d6c91379c0b9f8fb8123b3090f56e231bd",
+            "01b3c4930b2dd22784200581b2099da427ede5128b1c5c0090ecf894f0b3afc7"),
+        ("build", "E6"): (
+            "9f5b5dcc4fa806c0a9952a9b08e2c3dc1db67af025b0e4d51ea73a5b3af70f5e",
+            "c07cce5ee26191e633efdb8e3491c9e4e898b699173f0ed0c0a614678fa250ab"),
     }
     for argv, digests in pinned.items():
         for flags, digest in zip(((), ("--json",)), digests):

@@ -14,45 +14,97 @@ def det_int(m):
     return la.det_fraction([[Fraction(x) for x in row] for row in m])
 
 
-small_mats = st.lists(
-    st.lists(st.integers(min_value=-9, max_value=9), min_size=3, max_size=3),
-    min_size=3, max_size=3)
+@st.composite
+def int_matrices(draw):
+    """(a, m): an n x m integer matrix, n in 0..7 and m in 1..7, entries in
+    -9..9, with some rows integer combinations of the rows above them and
+    some columns zero."""
+    n, m = draw(st.integers(0, 7)), draw(st.integers(1, 7))
+    zero = draw(st.sets(st.integers(0, m - 1)))
+    a = []
+    for _ in range(n):
+        if a and draw(st.booleans()):
+            coeffs = draw(st.lists(st.integers(-3, 3), min_size=len(a),
+                                   max_size=len(a)))
+            a.append([sum(c * row[k] for c, row in zip(coeffs, a))
+                      for k in range(m)])
+        else:
+            a.append([0 if k in zero else draw(st.integers(-9, 9))
+                      for k in range(m)])
+    return a, m
 
 
-@given(small_mats)
-@settings(max_examples=60)
-def test_hnf_transform_is_unimodular(a):
+def combine(x, a, m):
+    """x @ a, a row of width m even when a has no rows."""
+    return [sum(c * row[k] for c, row in zip(x, a)) for k in range(m)]
+
+
+@given(int_matrices())
+@example(([], 3))
+@example(([[0, 0], [0, 0]], 2))
+@settings(max_examples=200, deadline=None)
+def test_hnf_transform_is_unimodular(am):
+    a, _ = am
     h, u = la.hnf_transform(a)
     assert abs(det_int(u)) == 1
     assert la.matmul(u, a) == h
 
 
-@given(small_mats)
-@settings(max_examples=60)
-def test_hnf_rows_are_staircase(a):
-    h = la.hnf(a)
-    pivots = []
-    for row in h:
-        nz = [j for j, x in enumerate(row) if x]
-        pivots.append(nz[0] if nz else None)
-    # nonzero rows first, pivot columns strictly increasing
-    seen_zero = False
+@given(int_matrices())
+@example(([[-4, 6], [6, -9], [2, -3]], 2))
+@settings(max_examples=200, deadline=None)
+def test_hnf_rows_are_staircase(am):
+    # pivot rows first, pivot columns strictly increasing, each pivot
+    # positive with the entries above it in [0, pivot), then zero rows
+    a, m = am
+    h, _ = la.hnf_transform(a)
+    nonzero = [row for row in h if any(row)]
+    assert h[len(nonzero):] == [[0] * m] * (len(h) - len(nonzero))
+    assert la.hnf(a) == nonzero
     prev = -1
-    for p in pivots:
-        if p is None:
-            seen_zero = True
-            continue
-        assert not seen_zero
-        assert p > prev
-        prev = p
+    for i, row in enumerate(nonzero):
+        col = next(k for k, x in enumerate(row) if x)
+        assert col > prev and row[col] > 0
+        assert all(0 <= above[col] < row[col] for above in nonzero[:i])
+        prev = col
 
 
-@given(small_mats)
-@settings(max_examples=60)
-def test_left_kernel_annihilates(a):
+@given(int_matrices())
+@settings(max_examples=200, deadline=None)
+def test_left_kernel_annihilates(am):
+    a, m = am
     k = la.left_kernel(a)
+    assert len(k) == len(a) - len(la.hnf(a))
     for row in k:
-        assert all(x == 0 for x in la.matmul([row], a)[0])
+        assert combine(row, a, m) == [0] * m
+
+
+@st.composite
+def lattice_targets(draw):
+    """(a, m, t): t = x @ a for small integers x, shifted off the lattice of
+    a half of the time."""
+    a, m = draw(int_matrices())
+    x = draw(st.lists(st.integers(-5, 5), min_size=len(a), max_size=len(a)))
+    shift = draw(st.lists(st.integers(-2, 2), min_size=m, max_size=m))
+    if draw(st.booleans()):
+        shift = [0] * m
+    return a, m, [v + s for v, s in zip(combine(x, a, m), shift)]
+
+
+@given(lattice_targets())
+# no rows, and dependent rows with a target on and off their lattice
+@example(([], 2, [0, 0]))
+@example(([], 2, [0, 1]))
+@example(([[2, 4], [1, 2], [3, 6]], 2, [5, 10]))
+@example(([[2, 4], [1, 2], [3, 6]], 2, [1, 3]))
+@settings(max_examples=200, deadline=None)
+def test_solve_left_matches_the_membership_oracle(amt):
+    # t is a lattice member exactly when adding it leaves the HNF unchanged
+    a, m, t = amt
+    sol = la.solve_left(a, t)
+    assert (sol is not None) == (la.hnf([*a, t]) == la.hnf(a))
+    if sol is not None:
+        assert len(sol) == len(a) and combine(sol, a, m) == t
 
 
 def test_left_kernel_finds_known_relation():
