@@ -427,9 +427,8 @@ def _cmd_lattice_info(args):
 def _cmd_lattice_theta(args):
     l = _resolve_lattice(args)
     th = lat.theta_series(l, args.order)
-    series = mod.LaurentSeries(0, th.counts)
-    return _emit(args, lambda: mod.format_series(series), lambda: {
-        "order": th.order, "counts": [str(c) for c in th.counts]})
+    return _emit(args, lambda: mod.format_series(th), lambda: {
+        "order": th.order, "counts": [str(c) for c in th.coeffs]})
 
 
 def _cmd_lattice_shortvec(args):

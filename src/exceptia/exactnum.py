@@ -12,9 +12,11 @@ rather than wrapping it.
 
 The module also holds what every other module shares: `Value`, the base of
 the immutable value classes, which stores the fields a subclass checks;
-`format_terms`, the signed-sum text form; `read_integer` and `read_rational`,
-the readers of numbers given as text; and `shared_fractions`, which makes
-one Fraction per distinct integer numerator over a common denominator.
+`LaurentSeries`, the one q-series type, of theta series and modular forms;
+`format_terms`, the signed-sum text form; `read_integer` and
+`read_rational`, the readers of numbers given as text; and
+`shared_fractions`, which makes one Fraction per distinct integer numerator
+over a common denominator.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
-from typing import Dict, Iterable, Union
+from typing import Dict, Iterable, Tuple, Union
 
 Rat = Union[int, Fraction]
 
@@ -124,6 +126,59 @@ class Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+
+class SeriesError(ValueError):
+    """Domain error raised by q-series operations."""
+
+
+class LaurentSeries(Value):
+    """Truncated Laurent series: coeffs[i] is the coefficient of q^(low+i).
+
+    The leading coefficient is nonzero unless the series is zero (empty
+    coeffs); leading zeros are stripped at construction. Trailing zeros are
+    kept, since the length records how far the truncation is valid.
+    """
+
+    __slots__ = ("low", "coeffs")
+
+    def __init__(self, low: int, coeffs: Tuple[int, ...]):
+        cs = tuple(coeffs)
+        if any(not isinstance(c, int) for c in cs):
+            raise SeriesError("coefficients must be integers")
+        k = 0
+        while k < len(cs) and cs[k] == 0:
+            k += 1
+        low += k
+        cs = cs[k:]
+        if not cs:
+            low = 0
+        if low < -1:
+            raise SeriesError("lowest exponent below -1 is not representable")
+        super().__init__(low, cs)
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    @property
+    def order(self) -> int:
+        """Highest exponent carried by the truncation."""
+        if self.is_zero:
+            raise SeriesError("the zero series has no truncation order")
+        return self.low + len(self.coeffs) - 1
+
+    @property
+    def counts(self) -> Tuple[int, ...]:
+        """Coefficients of q^0 ... q^order (a theta series' counts)."""
+        return tuple(map(self.coefficient, range(self.order + 1)))
+
+    def coefficient(self, k: int) -> int:
+        """Coefficient of q^k; exponents outside the carried range are 0."""
+        i = k - self.low
+        if 0 <= i < len(self.coeffs):
+            return self.coeffs[i]
+        return 0
 
 
 class GoldenRational(Value):

@@ -30,8 +30,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import hypercomplex, intlinalg
-from .exactnum import (GoldenRational, Value, rat, read_integer,
-                       read_rational, shared_fractions)
+from .exactnum import (GoldenRational, LaurentSeries, Value, rat,
+                       read_integer, read_rational, shared_fractions)
 # invert_fraction is unused here but stays bound: bench/tracing.py wraps it
 from .intlinalg import (clear_denominators, det_fraction, invert_fraction,
                         left_kernel, solve_left)
@@ -699,34 +699,9 @@ def _minimum(gram: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, int]:
     return Fraction(c * mn, scale), counts[mn]
 
 
-class ThetaSeries(Value):
-    """Truncated theta series: counts[m] vectors of norm 2m, m = 0..order."""
-
-    __slots__ = ("order", "counts")
-
-    def __init__(self, order: int, counts: Tuple[int, ...]):
-        if order < 0 or len(counts) != order + 1:
-            raise LatticeError("theta series length must be order + 1")
-        if counts[0] != 1:
-            raise LatticeError("theta series must start with count 1")
-        if any(c % 2 for c in counts[1:]):
-            raise LatticeError("vector counts above norm 0 pair up as +-v "
-                               "and must be even")
-        super().__init__(order, counts)
-
-
-def theta_product(a: ThetaSeries, b: ThetaSeries) -> ThetaSeries:
-    order = min(a.order, b.order)
-    counts = tuple(
-        sum(a.counts[i] * b.counts[m - i]
-            for i in range(m + 1) if i <= a.order and m - i <= b.order)
-        for m in range(order + 1)
-    )
-    return ThetaSeries(order, counts)
-
-
-def theta_series(lat: Lattice, order: int) -> ThetaSeries:
-    """Vector counts by half-norm up to the given order.
+def theta_series(lat: Lattice, order: int) -> LaurentSeries:
+    """The theta series through q^order, whose coefficient of q^m counts the
+    vectors of norm 2m.
 
     Takes the counts of `short_vectors` up to norm 2*order, so an even
     unimodular lattice of rank n is enumerated only up to norm 2 * (n // 24),
@@ -740,8 +715,8 @@ def theta_series(lat: Lattice, order: int) -> ThetaSeries:
     if not isinstance(order, int) or order < 0:
         raise LatticeError("order must be a nonnegative integer")
     counts = short_vectors(lat, 2 * order) if order else {}
-    return ThetaSeries(order, (1,) + tuple(counts.get(2 * m, 0)
-                                           for m in range(1, order + 1)))
+    return LaurentSeries(0, (1,) + tuple(counts.get(2 * m, 0)
+                                         for m in range(1, order + 1)))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ and the j-function of a rank-24 even unimodular lattice.
 Only the 24th power of eta is ever represented, so every exponent is an
 integer and every coefficient stays in Z. Division is multiplication by an
 exactly computed integer inverse series, which exists because eta^24 has
-leading coefficient 1.
+leading coefficient 1. The series type `LaurentSeries` lives in `exactnum`,
+below `lattices`, whose `theta_series` returns it.
 """
 
 from __future__ import annotations
@@ -13,57 +14,8 @@ from __future__ import annotations
 from operator import mul
 from typing import Sequence, Tuple
 
-from .exactnum import Value, format_terms
+from .exactnum import LaurentSeries, SeriesError, format_terms
 from .lattices import Lattice, is_even, is_unimodular, theta_series
-
-
-class SeriesError(ValueError):
-    """Domain error raised by q-series operations."""
-
-
-class LaurentSeries(Value):
-    """Truncated Laurent series: coeffs[i] is the coefficient of q^(low+i).
-
-    The leading coefficient is nonzero unless the series is zero (empty
-    coeffs); leading zeros are stripped at construction. Trailing zeros are
-    kept, since the length records how far the truncation is valid.
-    """
-
-    __slots__ = ("low", "coeffs")
-
-    def __init__(self, low: int, coeffs: Tuple[int, ...]):
-        cs = tuple(coeffs)
-        if any(not isinstance(c, int) for c in cs):
-            raise SeriesError("coefficients must be integers")
-        k = 0
-        while k < len(cs) and cs[k] == 0:
-            k += 1
-        low += k
-        cs = cs[k:]
-        if not cs:
-            low = 0
-        if low < -1:
-            raise SeriesError("lowest exponent below -1 is not representable")
-        super().__init__(low, cs)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def order(self) -> int:
-        """Highest exponent carried by the truncation."""
-        if self.is_zero:
-            raise SeriesError("the zero series has no truncation order")
-        return self.low + len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> int:
-        """Coefficient of q^k; exponents outside the carried range are 0."""
-        i = k - self.low
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
-
 
 ZERO_SERIES = LaurentSeries(0, ())
 
@@ -264,9 +216,7 @@ def j_from_lattice(lat: Lattice, N: int = 5) -> LaurentSeries:
     _check_eta24_order(N + 1)
     _check_product(N + 2, N + 2)
     eta = eta24(N + 1)
-    th = theta_series(lat, N + 1)
-    theta_q = LaurentSeries(0, th.counts)
-    return series_mul(theta_q, series_inv(eta, N), N)
+    return series_mul(theta_series(lat, N + 1), series_inv(eta, N), N)
 
 
 def format_series(s: LaurentSeries) -> str:

@@ -308,6 +308,14 @@ def test_lattice_theta_and_shortvec(capsys):
     rc, out, _ = run(capsys, "lattice", "shortvec", "A2", "--max-norm", "4",
                      "--json")
     assert json.loads(out) == {"max_norm": 4, "counts": {"2": "6"}}
+    # the theta series prints as the q-series it is, text and --json
+    assert run(capsys, "lattice", "theta", "LeechII", "--order", "4")[1] == \
+        "1 + 196560 q^2 + 16773120 q^3 + 398034000 q^4\n"
+    assert run(capsys, "lattice", "theta", "LeechII", "--order", "4",
+               "--json")[1] == \
+        '{"order": 4, "counts": ["1", "0", "196560", "16773120", "398034000"]}\n'
+    assert run(capsys, "lattice", "theta", "E7", "--order", "0",
+               "--json")[1] == '{"order": 0, "counts": ["1"]}\n'
 
 
 def test_lattice_weyl_and_root(capsys):
@@ -357,6 +365,9 @@ def test_modular_j_json(capsys):
     rc, out, _ = run(capsys, "modular", "j", "--lattice", "3E8",
                      "--order", "1", "--json")
     assert json.loads(out) == {"low": -1, "coeffs": ["1", "744", "196884"]}
+    assert run(capsys, "modular", "j", "--lattice", "E8+D16+", "--order", "2",
+               "--json")[1] == \
+        '{"low": -1, "coeffs": ["1", "744", "196884", "21493760"]}\n'
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,8 @@ from exceptia import identities as ident
 from exceptia import lattices as lat
 from exceptia import modular as mod
 from exceptia.exactnum import (GOLDEN_ONE, GOLDEN_ZERO, PHI, PHI_BAR,
-                               GoldenRational, Value, read_integer,
-                               read_rational)
+                               GoldenRational, LaurentSeries, Value,
+                               read_integer, read_rational)
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6,
                          max_denominator=10**4)
@@ -144,7 +144,6 @@ VALUE_CASES = [
     (lambda: ident.PolyLoop(((0, 0, 0), (1, 0, 0), (0, 1, 0))), ("vertices",)),
     (lambda: lat.Lattice(2, 2, ((1, 1), (1, -1))),
      ("ambient_dim", "rank", "basis", "signature", "gram")),
-    (lambda: lat.ThetaSeries(2, (1, 240, 2160)), ("order", "counts")),
     (lambda: lat.LorentzianVector((1, 1, 1, 1)), ("doubled_coords", "parity")),
     (lambda: mod.LaurentSeries(-1, (1, 744, 196884)), ("low", "coeffs")),
 ]
@@ -189,7 +188,15 @@ def test_value_cases_cover_every_value_class():
 def test_dataclass_style_repr():
     assert repr(cl.MatrixAlgebraClass("H", 2, 1)) == \
         "MatrixAlgebraClass(ring='H', size=2, summands=1)"
-    assert repr(lat.ThetaSeries(1, (1, 2))) == "ThetaSeries(order=1, counts=(1, 2))"
+    assert repr(mod.LaurentSeries(0, (1, 2))) == \
+        "LaurentSeries(low=0, coeffs=(1, 2))"
+
+
+def test_theta_series_is_the_one_series_type():
+    th = lat.theta_series(lat.build_E8(), 3)
+    assert type(th) is LaurentSeries is mod.LaurentSeries
+    assert th == mod.LaurentSeries(0, (1, 240, 2160, 6720))
+    assert th.counts == (1, 240, 2160, 6720)
 
 
 # the classes whose fields Value.__init__ takes unchecked, each with a value
@@ -238,7 +245,7 @@ def test_storage_only_values_take_fields_by_position_or_name(build):
     pytest.param(cl.CliffordSignature, (1, 2), {"r": 3},
                  id="checking unknown"),
     pytest.param(cl.CliffordSignature, (1,), {"p": 2}, id="checking repeated"),
-    pytest.param(lat.ThetaSeries, (1,), {"count": (1, 240)},
+    pytest.param(mod.LaurentSeries, (0,), {"coeff": (1, 240)},
                  id="checking misspelt"),
 ])
 def test_wrong_fields_raise_type_error(cls, args, named):
