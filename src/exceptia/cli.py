@@ -420,7 +420,9 @@ def _cmd_lattice_info(args):
     l = _resolve_lattice(args)
     info = lat.lattice_info(l)
     import json
-    print(json.dumps(info))
+    # an integral norm prints as a number, any other as a "p/q" string
+    print(json.dumps(info, default=lambda v: v.numerator if v.denominator == 1
+                     else str(v)))
     return 0
 
 
@@ -668,7 +670,7 @@ def main(argv=None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 1
-    except MemoryError:
+    except (MemoryError, OverflowError):
         print("out of memory: the request is too large", file=sys.stderr)
         return 1
 

@@ -224,7 +224,11 @@ def spin_area(spins: SpinList) -> Tuple[Dict[Fraction, int], float]:
     good to a relative error of 1e-12. The Planck area is set to 1.
     """
     exact = Counter(j for j in spins.spins if j > 0)
-    approx = math.fsum(m * math.sqrt(j * (j + 1)) for j, m in exact.items())
+    try:
+        approx = math.fsum(m * math.sqrt(j * (j + 1)) for j, m in exact.items())
+    except OverflowError:           # j (j + 1) is beyond the float range
+        raise IdentityError(f"spin {max(exact)} is too large for a float "
+                            "area") from None
     return dict(sorted(exact.items())), approx
 
 

@@ -2,24 +2,25 @@
 
 Named constructions (A_n, D_n, E6, E7, E8, D16+, the Leech lattice two ways),
 integrality and unimodularity tests, dual lattices, LLL reduction, exact
-short-vector enumeration and theta series, plus the even unimodular
-Lorentzian lattices II_{8k+1,1} with their Weyl vectors.
+short-vector counts of every positive-definite lattice and theta series of
+the even ones, plus the Lorentzian lattices II_{8k+1,1} and Weyl vectors.
 
 Bases and Grams are rational, but every lattice is built from integer rows
 over one positive denominator (`Lattice._from_ints`), each distinct value
 becoming one Fraction, and every lattice query clears them to integers and
-then runs in integer arithmetic only. LLL and Gram-Schmidt are
+then runs in integer arithmetic only; a count also divides the Gram by its
+content, the gcd of its entries (`_reduced`). LLL and Gram-Schmidt are
 fraction-free (leading minors d and scaled coefficients lam = d mu), and the
 enumerator takes each coordinate's window as an integer square root over
 that same data, so a window holds exactly the coordinates that keep the
 norm within the bound. Counts are exact for every positive-definite Gram,
 whatever the size of its entries; no floating point is used. Every search
 runs in the calling process. A count-only query on a lattice whose Gram,
-divided by the gcd of its entries, is even unimodular of rank n searches
-that Gram only up to norm 2 * (n // 24) and reads the higher counts off the
-modular forms E4^a Delta^b. Otherwise a reduced Gram whose nonzero pattern
-falls into several blocks is counted one block at a time, and the counts of
-the orthogonal sum are convolved from theirs.
+divided by its content, is even unimodular of rank n searches that Gram
+only up to norm 2 * (n // 24) and reads the higher counts off the modular
+forms E4^a Delta^b. Otherwise a reduced Gram whose nonzero pattern falls
+into several blocks is counted one block at a time, and the counts of the
+orthogonal sum are convolved from theirs.
 """
 
 from __future__ import annotations
@@ -541,17 +542,22 @@ def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
         h = stale[r] if stale[r] > i else i
 
 
-def _lll_int(g: Sequence[Sequence]):
-    """LLL on an integral Gram (int or Fraction entries) divided by the gcd
-    c of its entries. Returns (reduced int Gram, transform, c, its
-    `_int_gso` data): callers search the primitive Gram, divide their bound
-    by c with // and multiply the norms back by c. Raises LatticeError if
-    the Gram is not positive definite."""
+def _reduced(gram: Sequence[Sequence], what: str = "a lattice count"):
+    """LLL on a rational Gram cleared to integers by s and divided by the
+    gcd c of its entries. Returns (reduced primitive int Gram, transform,
+    scale, its `_int_gso` data), the scale being c / s, an int when the Gram
+    is integral: callers search the primitive Gram up to bound // scale and
+    multiply the norms by the scale. Raises LatticeError "<what> needs a
+    positive-definite Gram" if the Gram is not positive definite."""
+    g, s = clear_denominators(gram)
     # a zero Gram has content 0; it is refused as not positive definite
-    c = math.gcd(*(v.numerator for row in g for v in row)) or 1
-    gr, u, gso = _lll_gram([[v.numerator // c for v in row] for row in g],
-                           DEFAULT_LLL_DELTA)
-    return gr, u, c, gso
+    c = math.gcd(*(v for row in g for v in row)) or 1
+    try:
+        gr, u, gso = _lll_gram([[v // c for v in row] for row in g],
+                               DEFAULT_LLL_DELTA)
+    except LatticeError:
+        raise LatticeError(f"{what} needs a positive-definite Gram") from None
+    return gr, u, c if s == 1 else Fraction(c, s), gso
 
 
 def _components(g: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -631,32 +637,20 @@ def _norm_counts(g: Sequence[Sequence[int]], bound: int,
     return total
 
 
-def _reduced_even_gram(lat: Lattice, max_norm: int, what: str):
-    """Check an enumeration request; return `_lll_int` of its Gram."""
-    if not isinstance(max_norm, int) or max_norm < 0:
-        raise LatticeError("max_norm must be a nonnegative integer")
-    if is_even(lat):
-        try:
-            return _lll_int(lat.gram)
-        except LatticeError:        # LLL refuses an indefinite Gram
-            pass
-    elif is_positive_definite(lat):
-        raise LatticeError(f"{what} is defined for even lattices")
-    raise LatticeError(f"{what} needs a positive-definite Gram")
-
-
 def short_vectors(lat: Lattice, max_norm: int) -> Dict[int, int]:
     """Exact counts of nonzero lattice vectors with norm <= max_norm.
 
-    The map omits norms with zero count; an even lattice only ever shows even
-    keys. Deterministic: the search runs in one process, in a fixed order. A
-    lattice whose Gram divided by its content is even unimodular of rank n
+    The map omits norms with zero count; a rational Gram gives Fraction
+    norms. Deterministic: the search runs in one process, in a fixed order.
+    A lattice whose Gram divided by its content is even unimodular of rank n
     is enumerated only up to that content times 2 * (n // 24); its higher
     counts come from its theta series as a modular form. Any other lattice
     whose reduced Gram splits into orthogonal blocks is counted block by
     block, whatever its basis (`_norm_counts`).
     """
-    gr, _, c, gso = _reduced_even_gram(lat, max_norm, "short_vectors")
+    if not isinstance(max_norm, int) or max_norm < 0:
+        raise LatticeError("max_norm must be a nonnegative integer")
+    gr, _, c, gso = _reduced(lat.gram, "short_vectors")
     counts = _norm_counts(gr, max_norm // c, gso)
     return {c * k: counts[k] for k in sorted(counts)}
 
@@ -667,7 +661,9 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
     Both members of each +-v pair are returned; the list is sorted by norm
     and then lexicographically. Intended for small bounds (root systems).
     """
-    gr, u, c, gso = _reduced_even_gram(lat, max_norm, "short_vector_list")
+    if not isinstance(max_norm, int) or max_norm < 0:
+        raise LatticeError("max_norm must be a nonnegative integer")
+    gr, u, c, gso = _reduced(lat.gram, "short_vector_list")
     found: list = []
     _enumerate_int_gram(gr, max_norm // c, collect=found, gso=gso)
     # ambient coordinates t x of the basis cleared by t, in ints; t > 0, so
@@ -684,24 +680,23 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
     return [(nrm, tuple(map(frac.__getitem__, amb))) for nrm, amb in out]
 
 
-def _minimum(gram: Sequence[Sequence[Fraction]]) -> Tuple[Fraction, int]:
+def _minimum(gram: Sequence[Sequence[Fraction]]):
     """(minimal norm, kissing number) of a positive-definite rational Gram.
 
-    Counts up to the least diagonal entry of the reduced Gram, a basis
-    vector's norm (`_norm_counts`), so an even unimodular Gram of rank below
-    24 enumerates nothing and the Leech lattice's is searched only up to
-    norm 2. Raises LatticeError if the Gram is not positive definite.
+    Counts up to the least diagonal entry of `_reduced`'s Gram, so an even
+    unimodular Gram of rank below 24 enumerates nothing and the Leech
+    lattice's is searched only up to norm 2. The norm is a Fraction unless
+    the Gram is integral. Raises LatticeError if it is not positive definite.
     """
-    gi, scale = clear_denominators(gram)
-    gr, _, c, gso = _lll_int(gi)
+    gr, _, c, gso = _reduced(gram)
     counts = _norm_counts(gr, min(gr[i][i] for i in range(len(gr))), gso)
     mn = min(counts)
-    return Fraction(c * mn, scale), counts[mn]
+    return c * mn, counts[mn]
 
 
 def theta_series(lat: Lattice, order: int) -> LaurentSeries:
-    """The theta series through q^order, whose coefficient of q^m counts the
-    vectors of norm 2m.
+    """The theta series of an even lattice through q^order, whose coefficient
+    of q^m counts the vectors of norm 2m.
 
     Takes the counts of `short_vectors` up to norm 2*order, so an even
     unimodular lattice of rank n is enumerated only up to norm 2 * (n // 24),
@@ -714,6 +709,8 @@ def theta_series(lat: Lattice, order: int) -> LaurentSeries:
     """
     if not isinstance(order, int) or order < 0:
         raise LatticeError("order must be a nonnegative integer")
+    if order and not is_even(lat):
+        raise LatticeError("theta_series is defined for even lattices")
     counts = short_vectors(lat, 2 * order) if order else {}
     return LaurentSeries(0, (1,) + tuple(counts.get(2 * m, 0)
                                          for m in range(1, order + 1)))
@@ -1024,23 +1021,20 @@ def named_lattice(name: str) -> Lattice:
 def lattice_info(lat: Lattice) -> dict:
     """Summary facts: rank, parity, unimodularity, minimum, kissing number.
 
-    The minimum and kissing number are `_minimum`'s, for an even lattice
-    with a positive-definite Gram.
+    The minimum and kissing number are `_minimum`'s, for every lattice with
+    a positive-definite Gram, and None otherwise.
     """
-    info = {
+    try:
+        mn, kissing = _minimum(lat.gram)
+    except LatticeError:            # the Gram is not positive definite
+        mn = kissing = None
+    return {
         "rank": lat.rank,
         "even": is_even(lat),
         "unimodular": is_unimodular(lat),
-        "min_norm": None,
-        "kissing": None,
+        "min_norm": mn,
+        "kissing": kissing,
     }
-    if info["even"]:
-        try:
-            mn, info["kissing"] = _minimum(lat.gram)
-        except LatticeError:        # the Gram is not positive definite
-            return info
-        info["min_norm"] = mn.numerator      # the Gram is integral
-    return info
 
 
 def format_lattice(lat: Lattice) -> str:

@@ -222,15 +222,17 @@ def test_clifford_spinors_cap(capsys):
 
 
 def test_out_of_memory_exits_1(capsys, monkeypatch):
+    # at 10^30 e4's coefficient list cannot even be sized (OverflowError)
+    too_large = (1, "", "out of memory: the request is too large\n")
+    for argv in (("theta", "E8", "--order"), ("shortvec", "E8", "--max-norm")):
+        assert run(capsys, "lattice", *argv, str(10**30)) == too_large
     # `lattice shortvec E8 --max-norm 10^12` asks e4 for 5 * 10^11
     # coefficients; the test raises the MemoryError without allocating
     def exhausted(N):
         raise MemoryError
     monkeypatch.setattr(mod, "e4", exhausted)
-    rc, out, err = run(capsys, "lattice", "shortvec", "E8",
-                       "--max-norm", str(10**12))
-    assert (rc, out) == (1, "")
-    assert err == "out of memory: the request is too large\n"
+    assert run(capsys, "lattice", "shortvec", "E8",
+               "--max-norm", str(10**12)) == too_large
 
 
 def test_clifford_superym(capsys):
@@ -316,6 +318,28 @@ def test_lattice_theta_and_shortvec(capsys):
         '{"order": 4, "counts": ["1", "0", "196560", "16773120", "398034000"]}\n'
     assert run(capsys, "lattice", "theta", "E7", "--order", "0",
                "--json")[1] == '{"order": 0, "counts": ["1"]}\n'
+
+
+def test_lattice_counts_of_rational_duals(capsys, tmp_path):
+    # the duals `lattice dual` writes are odd and rational: info and
+    # shortvec count them, a norm prints as "p/q" unless it is an integer,
+    # and theta refuses them (SPLAG ch. 4: E7* has 56 vectors of norm 3/2)
+    e7d, d4d = tmp_path / "e7d.lat", tmp_path / "d4d.lat"
+    e7d.write_text(run(capsys, "lattice", "dual", "E7")[1])
+    d4d.write_text(run(capsys, "lattice", "dual", "D4")[1])
+    e7d, d4d = str(e7d), str(d4d)
+    assert run(capsys, "lattice", "info", "--input", e7d)[1] == (
+        '{"rank": 7, "even": false, "unimodular": false, "min_norm": "3/2", '
+        '"kissing": 56}\n')
+    assert run(capsys, "lattice", "info", "--input", d4d)[1] == (
+        '{"rank": 4, "even": false, "unimodular": false, "min_norm": 1, '
+        '"kissing": 24}\n')
+    argv = ("lattice", "shortvec", "--input", e7d, "--max-norm", "2")
+    assert run(capsys, *argv) == (0, "3/2 56\n2 126\n", "")
+    assert run(capsys, *argv, "--json")[1] == \
+        '{"max_norm": 2, "counts": {"3/2": "56", "2": "126"}}\n'
+    assert run(capsys, "lattice", "theta", "--input", e7d, "--order", "2") == \
+        (1, "", "theta_series is defined for even lattices\n")
 
 
 def test_lattice_weyl_and_root(capsys):
@@ -410,6 +434,10 @@ def test_id_area(capsys):
     assert float(approx) == pytest.approx(math.sqrt(3) + math.sqrt(2),
                                           rel=1e-12)
     assert run(capsys, "id", "area")[1] == "0 = 0.0\n"
+    # j (j + 1) beyond the float range is refused, not a traceback
+    j = "1" + "0" * 400
+    assert run(capsys, "id", "area", "1/2", j) == (
+        1, "", f"spin {j} is too large for a float area\n")
 
 
 def test_id_link(capsys, tmp_path):

@@ -374,9 +374,8 @@ def test_short_vector_listing_is_sorted_and_signed():
 
 
 def test_short_vectors_gates():
-    odd = lat.Lattice(1, 1, ((1,),))
-    with pytest.raises(lat.LatticeError):
-        lat.short_vectors(odd, 2)
+    # an odd lattice is counted; only a negative bound is refused
+    assert lat.short_vectors(lat.Lattice(1, 1, ((1,),)), 2) == {1: 2}
     with pytest.raises(lat.LatticeError):
         lat.short_vectors(lat.build_An(2), -1)
 
@@ -439,7 +438,7 @@ def test_large_unstructured_gram_counts_exactly():
     assert (info["min_norm"], info["kissing"]) == (2 * s * s, 240)
     # the queries above split the reduced Gram into two small blocks; the
     # enumerator must also count the whole primitive Gram exactly
-    gr, _, c, _ = lat._lll_int(l.gram)
+    gr, _, c, _ = lat._reduced(l.gram)
     assert c == 2 and max(abs(v) for row in gr for v in row) >= 10**15
     assert lat._enumerate_int_gram(gr, s * s) == {s * s: 240}
 
@@ -462,7 +461,7 @@ FLAT_SUMS = {
 def test_flat_sums_split_and_match_the_whole_enumeration(name):
     parts, bound, order = FLAT_SUMS[name]
     l = scrambled(lat.direct_sum(*parts), 48, 3)
-    gr = lat._lll_int(l.gram)[0]
+    gr = lat._reduced(l.gram)[0]
     assert len(lat._components(gr)) == len(parts)
     whole = enumerated(l, bound)
     assert lat.short_vectors(l, bound) == whole
@@ -479,7 +478,7 @@ def test_blocks_with_different_contents_split_exactly():
     l = scrambled(lat.direct_sum(scaled_basis(E8, s),
                                  scaled_basis(lat.build_An(1), s + 1)),
                   40, 1)
-    gr, _, c, _ = lat._lll_int(l.gram)
+    gr, _, c, _ = lat._reduced(l.gram)
     assert c == 2 and len(lat._components(gr)) == 2
     bound = 2 * (s + 1) ** 2
     expected = {2 * s * s: 240, 2 * (s + 1) ** 2: 2}
@@ -631,6 +630,100 @@ SKEW = ((4, -2, 4, -2), (-2, -2, 2, -2), (-6, 4, 1, 2), (-2, 4, -3, 4))
 def test_minimal_norm_matches_brute_force(build, expected):
     gram = build().gram
     assert lat._minimum(gram) == brute_force_minimum(gram) == expected
+
+
+def identity_lattice(n):
+    return lat.Lattice(n, n, tuple(tuple(int(i == j) for j in range(n))
+                                   for i in range(n)))
+
+
+F = Fraction
+# the weight lattices and Z^5 through norm 3 (SPLAG ch. 4, sections 6.6,
+# 7.3, 8.3 and 8.4): odd or rational, so counted by scaling their Grams
+ODD_AND_RATIONAL = {
+    "E7*": (lambda: lat.dual_lattice(lat.build_E7(E8)), {F(3, 2): 56, 2: 126}),
+    "E6*": (lambda: lat.dual_lattice(lat.build_E6(E8)), {F(4, 3): 54, 2: 72}),
+    "A2*": (lambda: lat.dual_lattice(lat.build_An(2)),
+            {F(2, 3): 6, 2: 6, F(8, 3): 6}),
+    "D4*": (lambda: lat.dual_lattice(lat.build_Dn(4)), {1: 24, 2: 24, 3: 96}),
+    "Z5": (lambda: identity_lattice(5), {1: 10, 2: 40, 3: 80}),
+}
+
+
+@pytest.mark.parametrize("name", list(ODD_AND_RATIONAL))
+def test_odd_and_rational_lattices_are_counted(name):
+    build, expected = ODD_AND_RATIONAL[name]
+    l = build()
+    assert not lat.is_even(l)
+    assert lat.short_vectors(l, 3) == enumerated(l, 3) == expected
+    mn = min(expected)
+    assert lat._minimum(l.gram) == brute_force_minimum(l.gram) == \
+        (mn, expected[mn])
+    info = lat.lattice_info(l)
+    assert (info["min_norm"], info["kissing"]) == (mn, expected[mn])
+    listed = lat.short_vector_list(l, 2)
+    assert all(l.form_dot(v, v) == nrm for nrm, v in listed)
+    assert len(listed) == sum(c for k, c in expected.items() if k <= 2)
+
+
+def test_z4_counts_follow_jacobi():
+    # Jacobi's four-square theorem: r_4(k) = 8 sigma(k) - 32 sigma(k / 4)
+    def sigma(k):
+        return sum(d for d in range(1, k + 1) if k % d == 0)
+    jacobi = {k: 8 * sigma(k) - (32 * sigma(k // 4) if k % 4 == 0 else 0)
+              for k in range(1, 41)}
+    assert lat.short_vectors(scrambled(identity_lattice(4), 12, 4), 40) == \
+        jacobi
+
+
+def test_odd_unimodular_d12plus_matches_its_theta_series():
+    # D12+ = D12 with the glue (1/2, ..., 1/2): the HNF of 2 D12 and the
+    # all-ones row, halved. As an odd unimodular lattice of rank 12 its
+    # theta series is theta3^12 - 24 theta3^4 Delta8 in q^norm (SPLAG ch. 7
+    # section 7), with Delta8 = q prod (1 - q^(2m-1))^8 (1 - q^(4m))^8
+    top = 8
+    h, _ = hnf_transform([[2 * int(v) for v in r]
+                          for r in lat.build_Dn(12).basis] + [[1] * 12])
+    d12plus = lat.Lattice(12, 12, tuple(tuple(F(v, 2) for v in r)
+                                        for r in h[:12]))
+    assert lat.is_unimodular(d12plus) and not lat.is_even(d12plus)
+
+    def times(a, b):
+        return [sum(a[i] * b[k - i] for i in range(k + 1))
+                for k in range(top + 1)]
+
+    def power(a, n):
+        out = [1] + [0] * top
+        for _ in range(n):
+            out = times(out, a)
+        return out
+
+    theta3 = power_counts(squares(top), 1, top)
+    delta8 = [0, 1] + [0] * (top - 1)
+    for m in range(1, top + 1):
+        for e in (2 * m - 1, 4 * m):
+            if e <= top:
+                factor = [1] + [0] * top
+                factor[e] = -1
+                delta8 = times(delta8, power(factor, 8))
+    theta = [a - 24 * b for a, b in zip(power(theta3, 12),
+                                        times(power(theta3, 4), delta8))]
+    assert theta[2:] == [264, 2048, 7944, 24576, 64416, 135168, 253704]
+    counts = lat.short_vectors(d12plus, top)
+    assert counts == {k: t for k, t in enumerate(theta) if k and t}
+
+
+def test_rational_counts_are_scale_and_basis_invariant():
+    # 3 A2* is integral (A2 has determinant 3): its counts are A2*'s with
+    # every norm times 9; and a scrambled basis of E7* counts the same
+    a2d = lat.dual_lattice(lat.build_An(2))
+    tripled = scaled_basis(a2d, 3)
+    assert lat.is_integral(tripled)
+    assert lat.short_vectors(tripled, 27) == {
+        9 * k: v for k, v in lat.short_vectors(a2d, 3).items()}
+    e7d = lat.dual_lattice(lat.build_E7(E8))
+    assert lat.short_vectors(scrambled(e7d, 24, 2), 3) == \
+        lat.short_vectors(e7d, 3)
 
 
 def test_rescale_to_min_norm():
@@ -842,7 +935,7 @@ def ii_9_1():
 
 def fraction_vector_list(l, bound):
     """`short_vector_list` with every coordinate computed in Fractions."""
-    gr, u, c, _ = lat._lll_int(l.gram)
+    gr, u, c, _ = lat._reduced(l.gram)
     found: list = []
     lat._enumerate_int_gram(gr, bound // c, collect=found)
     rows = fraction_matmul(u, l.basis)
@@ -975,9 +1068,9 @@ def test_refusals_keep_their_messages():
             with pytest.raises(lat.LatticeError, match=f"^{f.__name__} {pd}$"):
                 f(l, 2)
         assert lat.lattice_info(l)["min_norm"] is None
-    with pytest.raises(lat.LatticeError, match="^short_vectors is defined "
+    with pytest.raises(lat.LatticeError, match="^theta_series is defined "
                                               "for even lattices$"):
-        lat.short_vectors(lat.Lattice(1, 1, ((1,),)), 2)
+        lat.theta_series(lat.Lattice(1, 1, ((1,),)), 1)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -1211,7 +1304,7 @@ def test_lattice_info_on_an_odd_lattice():
     z1 = lat.Lattice(1, 1, ((1,),))
     info = lat.lattice_info(z1)
     assert info["even"] is False
-    assert info["min_norm"] is None and info["kissing"] is None
+    assert info["min_norm"] == 1 and info["kissing"] == 2
 
 
 def test_format_parse_roundtrip():
