@@ -1,12 +1,12 @@
 """Standalone integer kernels: pi hex digits, the cannonball problem,
 spin-network areas, and the Gauss linking number of lattice polygons.
 
-Nothing here depends on machine floating point for a tested result. The BBP
-digit extractor works in fixed-point integer arithmetic, the cannonball
-search sieves n by quadratic residues and checks each survivor with an exact
-integer square root, areas are kept as exact multisets
-next to a float evaluation, and linking numbers come from signed crossing
-counts decided in rational arithmetic.
+Nothing here depends on machine floating point for a tested result. The pi
+digit extractor sums Bellard's BBP-type series in fixed-point integer
+arithmetic, the cannonball search sieves n by quadratic residues and checks
+each survivor with an exact integer square root, areas are kept as exact
+multisets next to a float evaluation, and linking numbers come from signed
+crossing counts decided in rational arithmetic.
 """
 
 from __future__ import annotations
@@ -27,79 +27,133 @@ class IdentityError(ValueError):
 # ---------------------------------------------------------------------------
 # pi in hexadecimal
 
-BBP_POSITION_LIMIT = 10 ** 6     # 16 digits at 10^6 take 3.5-4.8 s
-BBP_COUNT_LIMIT = 4096           # 4096 digits ending at 10^6: 7.7-8.7 s
-# Terms of the series that share one pow in _bbp_pass. A sweep of 3-12 was
-# fastest at 5-8: fewer terms leave more pows, more terms a pow whose cost
-# grows with the square of the modulus.
-_BBP_BLOCK = 7
+BBP_POSITION_LIMIT = 10 ** 6     # 16 digits at 10^6 take 2.1-2.6 s
+BBP_COUNT_LIMIT = 4096           # 4096 digits ending at 10^6: 4.5-4.9 s
+# Terms of the series that share one pow in _bbp_pass. A sweep of 2-8 was
+# flat within 5% from 3 to 6 and slower at 2 and 8: fewer terms leave more
+# pows, more terms a pow whose cost grows with the square of the modulus.
+_BBP_BLOCK = 4
+# Bits _bbp_pass carries below the ones it returns. The pass sums every term
+# that reaches its own last bit, and with 3 or more spare bits the terms it
+# leaves out stay below 1 ulp of the result.
+_BBP_SPARE = 4
+# Bellard's series pi = 2^-6 sum (-1)^n 2^(-10n) sum c/(a n + b) over these
+# seven (c, a, b).
+_BELLARD = ((-32, 4, 1), (-1, 4, 3), (256, 10, 1), (-64, 10, 3), (-4, 10, 5),
+            (-4, 10, 7), (1, 10, 9))
 
 
-def _bbp_error_bound(terms: int) -> int:
-    """Bound on |exact - computed| in ulp for a pass over ``terms`` values of n.
+def _bellard_pq(n: int) -> Tuple[int, int]:
+    """P(n), Q(n): the seven fractions of term n over one denominator."""
+    q = math.prod(a * n + b for _, a, b in _BELLARD)
+    return sum(c * (q // (a * n + b)) for c, a, b in _BELLARD), q
 
-    Each block of ``_BBP_BLOCK`` values adds one floored quotient, which
-    loses less than 1 ulp; the terms after the pass add less than 1 ulp in
-    all.
+
+def _forward_differences(values: List[int]) -> Tuple[int, ...]:
+    """f(0), then the first, second, ... forward differences of f at 0, of
+    a polynomial f given at 0, 1, ..., deg f."""
+    table = []
+    while values:
+        table.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return tuple(table)
+
+
+# P has degree 6 and Q degree 7, so 7 and 8 values fix their tables
+_P_STEPS = _forward_differences([_bellard_pq(n)[0] for n in range(7)])
+_Q_STEPS = _forward_differences([_bellard_pq(n)[1] for n in range(8)])
+
+
+def _bbp_terms(d: int, prec: int) -> int:
+    """The number of terms _bbp_pass(d, prec) sums: every n whose 2^e,
+    e = 4d - 6 - 10n, reaches the pass's last bit 2^-(4 prec + spare)."""
+    return (4 * prec + _BBP_SPARE + 4 * d - 6) // 10 + 1
+
+
+def _bbp_error_bound(d: int, prec: int) -> int:
+    """Bound on |exact - computed| in ulp for ``_bbp_pass(d, prec)``.
+
+    At 2^S, each of the pass's B blocks adds one floored quotient, which
+    loses less than 1. From n = 1 on, 0 < P(n)/Q(n) <= P(1)/Q(1) < 11.4, so
+    the first term left out, n >= 1 with S + e <= -1, is below 5.7, and the
+    terms after it alternate in sign and shrink, so all of them add less
+    than 5.7. Shifting the spare bits away floors once more, so the pass is
+    off by less than (B + 5.7)/2^spare + 1 < ceil(B/2^spare) + 2 ulp.
     """
-    return -(-terms // _BBP_BLOCK) + 1
+    blocks = -(-_bbp_terms(d, prec) // _BBP_BLOCK)
+    return -(-blocks >> _BBP_SPARE) + 2
 
 
 def _bbp_start_guard(d: int, count: int) -> int:
     """ceil(log16 E) + 2 guard digits, E the error bound of the first pass."""
     guard = 2
-    while 16 ** (guard - 2) < _bbp_error_bound(d + 1 + count + guard):
+    while 16 ** (guard - 2) < _bbp_error_bound(d, count + guard):
         guard += 1
     return guard
 
 
 def _bbp_pass(d: int, prec: int) -> int:
-    """16^prec * frac(16^d pi), up to _bbp_error_bound(d + 1 + prec) ulp,
-    reduced mod 16^prec.
+    """16^prec * frac(16^d pi), up to _bbp_error_bound(d, prec) ulp, reduced
+    mod 16^prec.
 
-    Term n of the series is 16^(d-n) P(n)/Q(n), the four fractions
-    4/(8n+1) - 2/(8n+4) - 1/(8n+5) - 1/(8n+6) over one denominator:
-    P = 120n^2 + 151n + 47, Q = (8n+1)(2n+1)(8n+5)(4n+3). The pass sums
-    n = 0..d+prec in blocks [lo, hi) of ``_BBP_BLOCK`` terms. Horner in 16
-    gives each block as 16^(d+1-hi) N/M with M the product of its Q(n). A
-    block in the head (hi <= d+1) needs one pow modulo M for its fractional
-    part, a block reaching past d only a shift, and one floor division puts
-    that part at 2^s.
+    Term n of Bellard's series for 16^d pi is (-1)^n 2^e P(n)/Q(n) with
+    e = 4d - 6 - 10n, the seven fractions -2^5/(4n+1) - 1/(4n+3)
+    + 2^8/(10n+1) - 2^6/(10n+3) - 2^2/(10n+5) - 2^2/(10n+7) + 1/(10n+9)
+    over one denominator: P = 16400000n^6 + 60500000n^5 + 90764000n^4
+    + 70652400n^3 + 29980024n^2 + 6543234n + 570042 and
+    Q = (4n+1)(4n+3)(10n+1)(10n+3)(10n+5)(10n+7)(10n+9). P and Q step from
+    n to n + 1 by their forward differences. The pass works at 2^S,
+    S = 4 prec + ``_BBP_SPARE``, and sums the terms with S + e >= 0 in
+    blocks [lo, hi) of ``_BBP_BLOCK``. Horner in -1024 gives each block as
+    (-1)^(hi-1) 2^e N/M, with e that of term hi - 1 and M the product of
+    the block's Q(n). A block with e >= 0 needs one pow modulo M for its
+    fractional part, a block with e < 0 only a shift, and one floor
+    division puts that part at 2^S.
     """
     s = 4 * prec                  # 16^prec = 2^s
+    wide = s + _BBP_SPARE         # S
+    p0, p1, p2, p3, p4, p5, p6 = _P_STEPS
+    q0, q1, q2, q3, q4, q5, q6, q7 = _Q_STEPS
     total = 0
-    end = d + prec + 1            # 16^(d-n) 2^s < 1 for n beyond the pass
+    end = _bbp_terms(d, prec)
     for lo in range(0, end, _BBP_BLOCK):
         hi = min(lo + _BBP_BLOCK, end)
         num, den = 0, 1
-        for n in range(lo, hi):
-            q = (8 * n + 1) * (2 * n + 1) * (8 * n + 5) * (4 * n + 3)
-            num = 16 * num * q + (120 * n * n + 151 * n + 47) * den
-            den *= q
-        j = hi - 1 - d            # the block's value is 16^-j num/den
-        if j <= 0:
-            total += (pow(16, -j, den) * num % den << s) // den
+        for _ in range(lo, hi):
+            num = p0 * den - 1024 * num * q0
+            den *= q0
+            p0, p1, p2, p3, p4, p5 = (p0 + p1, p1 + p2, p2 + p3, p3 + p4,
+                                      p4 + p5, p5 + p6)
+            q0, q1, q2, q3, q4, q5, q6 = (q0 + q1, q1 + q2, q2 + q3, q3 + q4,
+                                          q4 + q5, q5 + q6, q6 + q7)
+        if hi % 2 == 0:           # term hi - 1 is odd: the block is negative
+            num = -num
+        e = 4 * d - 6 - 10 * (hi - 1)
+        if e >= 0:
+            total += (pow(2, e, den) * num % den << wide) // den
         else:
-            total += (num % (den << 4 * j) << s - 4 * j) // den
-    return total & ((1 << s) - 1)
+            total += (num % (den << -e) << wide + e) // den
+    return (total >> _BBP_SPARE) & ((1 << s) - 1)
 
 
 def bbp_pi_hex(start: int, count: int) -> str:
     """Hex digits of the fractional part of pi at positions start..start+count-1.
 
     Positions are 1-based: position 1 is the first digit after the point
-    (pi = 3.243F6A8885... in base 16). The series
-    sum 16^-n (4/(8n+1) - 2/(8n+4) - 1/(8n+5) - 1/(8n+6)) is evaluated at
-    offset start-1 by splitting it at n = start-1: the head is summed with
-    one modular exponentiation per block of terms, the tail converges after
-    count + guard terms. All accumulation is fixed-point with guard digits
-    below the requested ones.
+    (pi = 3.243F6A8885... in base 16). Bellard's series
+    pi = 2^-6 sum (-1)^n 2^(-10n) (-2^5/(4n+1) - 1/(4n+3) + 2^8/(10n+1)
+    - 2^6/(10n+3) - 2^2/(10n+5) - 2^2/(10n+7) + 1/(10n+9)) is evaluated at
+    offset start-1 by splitting it where 2^(4(start-1) - 6 - 10n) drops
+    below 1, near n = 0.4 start: the head is summed with one modular
+    exponentiation per block of terms, the tail converges after about
+    0.4 (count + guard) terms. All accumulation is fixed-point with guard
+    digits below the requested ones.
 
     The cost is one pow per block and one division of a 4 (count + guard)
     bit number per block, so it grows with start and with start * count:
-    16 digits take 34-48 ms at position 2*10^4, 0.17-0.25 s at 8*10^4 and
-    3.5-4.8 s at 10^6, and the largest request, 4096 digits ending at 10^6,
-    7.7-8.7 s (minima and medians on a shared 2-vCPU host).
+    16 digits take 19-28 ms at position 2*10^4, 0.10-0.14 s at 8*10^4 and
+    2.1-2.6 s at 10^6, and the largest request, 4096 digits ending at 10^6,
+    4.5-4.9 s (minima and medians on a shared 2-vCPU host).
 
     The digits are certified: the pass's floor divisions put the exact
     value within E = ``_bbp_error_bound`` ulp of the computed total, and
@@ -119,7 +173,7 @@ def bbp_pi_hex(start: int, count: int) -> str:
     while True:
         prec = count + guard
         total = _bbp_pass(d, prec)
-        err = _bbp_error_bound(d + 1 + prec)
+        err = _bbp_error_bound(d, prec)
         shift = 4 * guard
         if (total - err) >> shift == (total + err) >> shift:
             return format(total >> shift, f"0{count}x").upper()

@@ -105,9 +105,9 @@ def test_count_cap():
 
 
 def bbp_four_pass(start: int, count: int) -> str:
-    """A second extractor for the same series: one walk over n per series
-    term, one small modulus per pow, 16 guard digits, reduced mod 16^prec
-    after every term."""
+    """A second extractor, on the Bailey-Borwein-Plouffe series rather than
+    the library's Bellard series: one walk over n per series term, one small
+    modulus per pow, 16 guard digits, reduced mod 16^prec after every term."""
     d = start - 1
     prec = count + 16
     mod = 1 << (4 * prec)
@@ -157,16 +157,18 @@ def test_narrow_guard_forces_a_certified_retry(monkeypatch):
 def test_start_guard_is_log16_of_the_error_bound_plus_two():
     for d, count in ((0, 1), (19999, 16), (10 ** 6, 4096)):
         g = ident._bbp_start_guard(d, count)
-        bound = ident._bbp_error_bound(d + 1 + count + g)
+        bound = ident._bbp_error_bound(d, count + g)
         assert 16 ** (g - 3) < bound <= 16 ** (g - 2)
 
 
 def scaled_pi_fraction(d: int, prec: int) -> Fraction:
     """2^(4 prec) frac(16^d pi), exact up to a tail below 1/16 ulp.
 
-    Sums the four fractions of every term n <= d + prec + 2 apart, each
-    head term reduced exactly mod 1; term n is below 6 * 16^(d-n), so the
-    terms left out add less than 1/16 ulp.
+    A second route to what ``_bbp_pass`` computes: it sums the
+    Bailey-Borwein-Plouffe series, not Bellard's. The four fractions of
+    every term n <= d + prec + 2 are summed apart, each head term reduced
+    exactly mod 1; term n is below 6 * 16^(d-n), so the terms left out add
+    less than 1/16 ulp.
     """
     x = Fraction(0)
     for n in range(d + prec + 3):
@@ -180,15 +182,54 @@ def scaled_pi_fraction(d: int, prec: int) -> Fraction:
 
 
 def test_one_pass_lies_within_its_error_bound():
-    # partial last blocks come from d + 1 + prec not dividing by the block
-    k = ident._BBP_BLOCK
-    for d in (0, 1, k - 1, k, k + 1, 2 * k + 3, 300, 517):
-        for prec in (1, 5, 24):
-            mod = 1 << (4 * prec)
-            exact = scaled_pi_fraction(d, prec)
-            diff = (exact - ident._bbp_pass(d, prec) + mod // 2) % mod - mod // 2
-            bound = ident._bbp_error_bound(d + 1 + prec)
-            assert -bound <= diff and diff + Fraction(1, 16) <= bound, (d, prec)
+    k, spare = ident._BBP_BLOCK, ident._BBP_SPARE
+    # d = 0, 1: 4d - 6 < 0, no head block; d = 2..9: the first block
+    # straddles e = 0, and d mod 5 sets the last term's e mod 10, so its bits
+    # land at every offset from the result's last bit, below it (e < -4 prec)
+    # included; prec 1..12 moves the end across several block boundaries
+    cases = [(d, prec) for d in range(10) for prec in range(1, 13)]
+    # deeper heads: passes that end on, just before and just after a block
+    # boundary
+    cases += [(d, prec) for d in (300, 517, 1001) for prec in range(1, 40)
+              if ident._bbp_terms(d, prec) % k in (0, 1, k - 1)]
+    ends, offsets, straddles = set(), set(), 0
+    for d, prec in cases:
+        mod = 1 << (4 * prec)
+        exact = scaled_pi_fraction(d, prec)
+        diff = (exact - ident._bbp_pass(d, prec) + mod // 2) % mod - mod // 2
+        bound = ident._bbp_error_bound(d, prec)
+        assert -bound <= diff and diff + Fraction(1, 16) <= bound, (d, prec)
+        end = ident._bbp_terms(d, prec)
+        ends.add(end % k)
+        # bits of the last term's 2^e above the result's last bit
+        offsets.add(4 * d - 6 - 10 * (end - 1) + 4 * prec)
+        head = (4 * d - 6) // 10      # the last n with e >= 0
+        straddles += 0 <= head < min(head // k * k + k, end) - 1
+    # the cases reach every seam named above
+    assert ends == set(range(k)) and straddles
+    assert offsets == set(range(-spare, 10 - spare, 2))
+
+
+def test_bellard_tables_step_through_p_and_q():
+    # P and Q as the pass's docstring states them, and the seven fractions
+    # of Bellard's series they put over one denominator
+    p, q = list(ident._P_STEPS), list(ident._Q_STEPS)
+    first = Fraction(11016388, 969969)  # P(1)/Q(1), the error bound's cap
+    for n in range(60):
+        assert p[0] == sum(c * n ** i for i, c in enumerate(
+            (570042, 6543234, 29980024, 70652400, 90764000, 60500000,
+             16400000)))
+        assert q[0] == ((4 * n + 1) * (4 * n + 3) * (10 * n + 1) * (10 * n + 3)
+                        * (10 * n + 5) * (10 * n + 7) * (10 * n + 9))
+        assert Fraction(p[0], q[0]) == (
+            Fraction(-32, 4 * n + 1) - Fraction(1, 4 * n + 3)
+            + Fraction(256, 10 * n + 1) - Fraction(64, 10 * n + 3)
+            - Fraction(4, 10 * n + 5) - Fraction(4, 10 * n + 7)
+            + Fraction(1, 10 * n + 9))
+        assert n == 0 or 0 < Fraction(p[0], q[0]) <= first
+        for t in (p, q):
+            for i in range(len(t) - 1):
+                t[i] += t[i + 1]
 
 
 def machin_pi_hex(digits: int) -> str:
