@@ -6,12 +6,12 @@ certificates, sublattices and quotients are all phrased through it.
 Rational matrices are cleared to integers once (`clear_denominators`):
 determinants and inverses run fraction-free on the cleared matrix (Bareiss
 elimination, every division exact), and products multiply the cleared
-operands in ints. Callers that hold integer rows over a known denominator
-(the lattice constructions) call the integer cores (`invert_int`, `matmul`
-on ints) directly. The rule holds in every exact kernel of the package,
-here and in the lattice constructions, `clifford.clif_mul` and
-`hypercomplex.cd_mul`: Fractions are made once, at the end, one per
-distinct value (`exactnum.shared_fractions`).
+operands in ints. A `lattices.Lattice` holds its basis and Gram as integer
+matrices with a denominator or a scale, so the lattice code calls the
+integer cores (`invert_int`, `matmul` on ints) directly. The rule holds in
+every exact kernel of the package, here and in the lattices,
+`clifford.clif_mul` and `hypercomplex.cd_mul`: Fractions are made once, at
+the end, one per distinct value (`exactnum.shared_fractions`).
 
 Conventions: matrices are lists of rows; vectors act on the left (x @ A is a
 row vector), so "the lattice of A" means the set of integer combinations of

@@ -5,22 +5,22 @@ integrality and unimodularity tests, dual lattices, LLL reduction, exact
 short-vector counts of every positive-definite lattice and theta series of
 the even ones, plus the Lorentzian lattices II_{8k+1,1} and Weyl vectors.
 
-Bases and Grams are rational, but every lattice is built from integer rows
-over one positive denominator (`Lattice._from_ints`), each distinct value
-becoming one Fraction, and every lattice query clears them to integers and
-then runs in integer arithmetic only; a count also divides the Gram by its
-content, the gcd of its entries (`_reduced`). LLL and Gram-Schmidt are
-fraction-free (leading minors d and scaled coefficients lam = d mu), and the
-enumerator takes each coordinate's window as an integer square root over
-that same data, so a window holds exactly the coordinates that keep the
-norm within the bound. Counts are exact for every positive-definite Gram,
-whatever the size of its entries; no floating point is used. Every search
-runs in the calling process. A count-only query on a lattice whose Gram,
-divided by its content, is even unimodular of rank n searches that Gram
-only up to norm 2 * (n // 24) and reads the higher counts off the modular
-forms E4^a Delta^b. Otherwise a reduced Gram whose nonzero pattern falls
-into several blocks is counted one block at a time, and the counts of the
-orthogonal sum are convolved from theirs.
+Bases and Grams are rational, but a `Lattice` holds them in integers: its
+basis rows over their least positive denominator, and its Gram as a scale
+times the primitive Gram (the Gram divided by its content, the gcd of its
+entries). Every query runs on that data in integer arithmetic only; the
+Fractions are made for output. LLL and Gram-Schmidt are fraction-free
+(leading minors d and scaled coefficients lam = d mu), and the enumerator
+takes each coordinate's window as an integer square root over that same
+data, so a window holds exactly the coordinates that keep the norm within
+the bound. Counts are exact for every positive-definite Gram, whatever the
+size of its entries; no floating point is used. Every search runs in the
+calling process. A count-only query on a lattice whose primitive Gram is
+even unimodular of rank n searches that Gram only up to norm 2 * (n // 24)
+and reads the higher counts off the modular forms E4^a Delta^b. Otherwise
+a reduced Gram whose nonzero pattern falls into several blocks is counted
+one block at a time, and the counts of the orthogonal sum are convolved
+from theirs.
 """
 
 from __future__ import annotations
@@ -67,11 +67,15 @@ class Lattice(Value):
 
     ``signature`` names the ambient form: the identity for ``euclidean``,
     diag(-1, +1, ..., +1) with the first coordinate timelike for
-    ``lorentzian``. The Gram matrix is derived from the basis and the form at
-    construction time.
+    ``lorentzian``. The basis is ``rows`` / ``den`` over the least positive
+    denominator; the Gram, derived from the basis and the form, is ``scale``
+    times ``prim_gram``, whose integer entries have gcd 1 (or are all 0), and
+    ``scale`` is an int exactly when the Gram is integral. ``basis`` and
+    ``gram`` are their Fraction views, made on each read.
     """
 
-    __slots__ = ("ambient_dim", "rank", "basis", "signature", "gram")
+    __slots__ = ("ambient_dim", "rank", "rows", "den", "signature",
+                 "prim_gram", "scale")
 
     def __init__(self, ambient_dim: int, rank: int,
                  basis: Tuple[Tuple[Fraction, ...], ...],
@@ -83,8 +87,7 @@ class Lattice(Value):
     def _from_ints(cls, ambient_dim: int, rank: int,
                    rows: Sequence[Sequence[int]], den: int,
                    signature: str = EUCLIDEAN) -> "Lattice":
-        """The lattice with basis rows / den, for integer rows and den > 0,
-        built without a Fraction round trip."""
+        """The lattice with basis rows / den, for integer rows and den > 0."""
         lat = object.__new__(cls)
         lat._set_ints(ambient_dim, rank, rows, den, signature)
         return lat
@@ -100,6 +103,8 @@ class Lattice(Value):
             raise LatticeError("rank must satisfy 1 <= rank <= ambient_dim")
         if any(len(row) != ambient_dim for row in b):
             raise LatticeError("basis row length differs from ambient_dim")
+        c = math.gcd(s, *(v for row in b for v in row))
+        b, s = [[v // c for v in row] for row in b], s // c
         # the Gram is g / s^2 for the integer products g of the rows b; the
         # plain products b b^T are positive definite exactly when the rows
         # are independent, and under the identity form they are g itself
@@ -113,12 +118,16 @@ class Lattice(Value):
         if signature == LORENTZIAN:
             g = [[v - 2 * r[0] * t[0] for v, t in zip(row, b)]
                  for row, r in zip(g, b)]
-        fb = shared_fractions((v for row in b for v in row), s)
-        fg = shared_fractions((v for row in g for v in row), s * s)
-        Value.__init__(self, ambient_dim, rank,
-                       tuple(tuple(map(fb.__getitem__, row)) for row in b),
-                       signature,
-                       tuple(tuple(map(fg.__getitem__, row)) for row in g))
+        # g / s^2 = (c / s^2) (g / c); a zero Gram is integral, with scale 1
+        c = math.gcd(*(v for row in g for v in row)) or s * s
+        q, r = divmod(c, s * s)
+        Value.__init__(self, ambient_dim, rank, tuple(map(tuple, b)), s,
+                       signature, tuple(tuple(v // c for v in x) for x in g),
+                       Fraction(c, s * s) if r else q)
+
+    basis = property(lambda self: _fraction_view(self.rows, 1, self.den))
+    gram = property(lambda self: _fraction_view(
+        self.prim_gram, *self.scale.as_integer_ratio()))
 
     def form_dot(self, a: Sequence, b: Sequence) -> Fraction:
         """Ambient bilinear form applied to two coordinate vectors."""
@@ -132,6 +141,12 @@ class Lattice(Value):
         return s
 
 
+def _fraction_view(m: Sequence[Sequence[int]], p: int, q: int):
+    """The integer matrix m p / q as Fractions, one per distinct entry."""
+    frac = shared_fractions((p * v for row in m for v in row), q)
+    return tuple(tuple(frac[p * v] for v in row) for row in m)
+
+
 def is_positive_definite(lat: Lattice) -> bool:
     """Whether the induced Gram is positive definite.
 
@@ -143,21 +158,20 @@ def is_positive_definite(lat: Lattice) -> bool:
     if lat.signature == EUCLIDEAN:
         return True
     # Sylvester's criterion: every leading principal minor is positive
-    return _int_gso(clear_denominators(lat.gram)[0])[0][-1] > 0
+    return _int_gso(lat.prim_gram)[0][-1] > 0
 
 
 def is_integral(lat: Lattice) -> bool:
-    return all(v.denominator == 1 for row in lat.gram for v in row)
+    return type(lat.scale) is int
 
 
 def is_even(lat: Lattice) -> bool:
-    if not is_integral(lat):
-        return False
-    return all(lat.gram[i][i].numerator % 2 == 0 for i in range(lat.rank))
+    return is_integral(lat) and not any(
+        lat.scale * lat.prim_gram[i][i] % 2 for i in range(lat.rank))
 
 
 def gram_determinant(lat: Lattice) -> Fraction:
-    return det_fraction(lat.gram)
+    return det_fraction(lat.prim_gram) * lat.scale ** lat.rank
 
 
 def is_unimodular(lat: Lattice) -> bool:
@@ -169,14 +183,17 @@ def lattice_contains(lat: Lattice, vector: Sequence) -> bool:
     v = [rat(x) for x in vector]
     if len(v) != lat.ambient_dim:
         raise LatticeError("vector length differs from ambient_dim")
-    # an integer x with x B = v for the basis rows B; the rows are
-    # independent, so this settles membership whatever the form
-    m, _ = clear_denominators([*lat.basis, v])
-    return solve_left(m[:-1], m[-1]) is not None
+    return _spans(lat, *clear_denominators([v]))
+
+
+def _spans(lat: Lattice, m: Sequence[Sequence[int]], t: int) -> bool:
+    # each row w of m needs an integer x with x rows / den = w / t
+    b = [[t * x for x in row] for row in lat.rows]
+    return all(solve_left(b, [lat.den * x for x in w]) is not None for w in m)
 
 
 def sublattice_of(inner: Lattice, outer: Lattice) -> bool:
-    return all(lattice_contains(outer, row) for row in inner.basis)
+    return _spans(outer, inner.rows, inner.den)
 
 
 def same_lattice(a: Lattice, b: Lattice) -> bool:
@@ -186,17 +203,15 @@ def same_lattice(a: Lattice, b: Lattice) -> bool:
 
 def dual_lattice(lat: Lattice) -> Lattice:
     """Dual basis in the same span, via the Gram inverse."""
-    # with the Gram cleared as t G and the basis as s B, and (v, d) the
-    # integer inverse of t G, the dual basis G^-1 B is t v (s B) / (s d)
-    gi, t = clear_denominators(lat.gram)
-    b, s = clear_denominators(lat.basis)
+    # with the Gram (p / q) P and (v, d) the integer inverse of P, the dual
+    # basis G^-1 B is q v rows / (p d den)
+    p, q = lat.scale.as_integer_ratio()
     try:
-        v, d = intlinalg.invert_int(gi)
+        v, d = intlinalg.invert_int(lat.prim_gram)
     except ZeroDivisionError:
         raise LatticeError("singular Gram matrix has no dual basis") from None
-    rows = intlinalg.matmul(v, b)
-    return Lattice._from_ints(lat.ambient_dim, lat.rank,
-                              [[t * x for x in row] for row in rows], s * d,
+    rows = intlinalg.matmul([[q * x for x in row] for row in v], lat.rows)
+    return Lattice._from_ints(lat.ambient_dim, lat.rank, rows, p * d * lat.den,
                               signature=lat.signature)
 
 
@@ -277,13 +292,12 @@ def _complement_in(e8: Lattice, conditions: Sequence[Sequence[Fraction]],
     # e8 is positive definite (short_vector_list found the conditions), so
     # its form is the dot product; a positive multiple of each column of
     # pairings leaves the kernel's Hermite reduction unchanged
-    b, s = clear_denominators(e8.basis)
     c, _ = clear_denominators(conditions)
-    kern = left_kernel(intlinalg.matmul(b, list(zip(*c))))
+    kern = left_kernel(intlinalg.matmul(e8.rows, list(zip(*c))))
     if len(kern) != rank:
         raise LatticeConstructionError(
             f"{what}: kernel rank {len(kern)}, expected {rank}")
-    return Lattice._from_ints(8, rank, intlinalg.matmul(kern, b), s)
+    return Lattice._from_ints(8, rank, intlinalg.matmul(kern, e8.rows), e8.den)
 
 
 def build_E7(e8: Lattice) -> Lattice:
@@ -315,16 +329,14 @@ def direct_sum(*lattices: Lattice) -> Lattice:
     if any(l.signature != EUCLIDEAN for l in lattices):
         raise LatticeError("direct_sum is defined for euclidean lattices")
     ambient = sum(l.ambient_dim for l in lattices)
-    cleared = [clear_denominators(l.basis) for l in lattices]
-    s = math.lcm(*(t for _, t in cleared))
+    s = math.lcm(*(l.den for l in lattices))
     rows: List[List[int]] = []
     offset = 0
-    for lat, (b, t) in zip(lattices, cleared):
-        pre = [0] * offset
-        post = [0] * (ambient - offset - lat.ambient_dim)
-        for row in b:
-            rows.append(pre + [v * (s // t) for v in row] + post)
-        offset += lat.ambient_dim
+    for l in lattices:
+        pad = ambient - offset - l.ambient_dim
+        rows += ([0] * offset + [v * (s // l.den) for v in row] + [0] * pad
+                 for row in l.rows)
+        offset += l.ambient_dim
     return Lattice._from_ints(ambient, len(rows), rows, s)
 
 
@@ -429,12 +441,11 @@ def lll_reduce(lat: Lattice, delta: Fraction = DEFAULT_LLL_DELTA) -> Lattice:
         raise LatticeError("delta must lie strictly between 1/4 and 1")
     if not is_positive_definite(lat):
         raise LatticeError("lll_reduce needs a positive-definite Gram")
-    _, u, _ = _lll_gram(clear_denominators(lat.gram)[0], delta)
+    _, u, _ = _lll_gram(lat.prim_gram, delta)
     if abs(det_fraction(u)) != 1:
         raise LatticeConstructionError("LLL transform lost unimodularity")
-    b, s = clear_denominators(lat.basis)
     return Lattice._from_ints(lat.ambient_dim, lat.rank,
-                              intlinalg.matmul(u, b), s,
+                              intlinalg.matmul(u, lat.rows), lat.den,
                               signature=lat.signature)
 
 
@@ -542,22 +553,15 @@ def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
         h = stale[r] if stale[r] > i else i
 
 
-def _reduced(gram: Sequence[Sequence], what: str = "a lattice count"):
-    """LLL on a rational Gram cleared to integers by s and divided by the
-    gcd c of its entries. Returns (reduced primitive int Gram, transform,
-    scale, its `_int_gso` data), the scale being c / s, an int when the Gram
-    is integral: callers search the primitive Gram up to bound // scale and
-    multiply the norms by the scale. Raises LatticeError "<what> needs a
-    positive-definite Gram" if the Gram is not positive definite."""
-    g, s = clear_denominators(gram)
-    # a zero Gram has content 0; it is refused as not positive definite
-    c = math.gcd(*(v for row in g for v in row)) or 1
+def _reduced(lat: Lattice, what: str = "a lattice count"):
+    """LLL on the primitive Gram: (reduced Gram, transform, scale, its
+    `_int_gso` data); callers count up to bound // scale and scale the norms
+    back. Raises LatticeError "<what> needs a positive-definite Gram"."""
     try:
-        gr, u, gso = _lll_gram([[v // c for v in row] for row in g],
-                               DEFAULT_LLL_DELTA)
+        gr, u, gso = _lll_gram(lat.prim_gram, DEFAULT_LLL_DELTA)
     except LatticeError:
         raise LatticeError(f"{what} needs a positive-definite Gram") from None
-    return gr, u, c if s == 1 else Fraction(c, s), gso
+    return gr, u, lat.scale, gso
 
 
 def _components(g: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -650,7 +654,7 @@ def short_vectors(lat: Lattice, max_norm: int) -> Dict[int, int]:
     """
     if not isinstance(max_norm, int) or max_norm < 0:
         raise LatticeError("max_norm must be a nonnegative integer")
-    gr, _, c, gso = _reduced(lat.gram, "short_vectors")
+    gr, _, c, gso = _reduced(lat, "short_vectors")
     counts = _norm_counts(gr, max_norm // c, gso)
     return {c * k: counts[k] for k in sorted(counts)}
 
@@ -663,32 +667,31 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
     """
     if not isinstance(max_norm, int) or max_norm < 0:
         raise LatticeError("max_norm must be a nonnegative integer")
-    gr, u, c, gso = _reduced(lat.gram, "short_vector_list")
+    gr, u, c, gso = _reduced(lat, "short_vector_list")
     found: list = []
     _enumerate_int_gram(gr, max_norm // c, collect=found, gso=gso)
-    # ambient coordinates t x of the basis cleared by t, in ints; t > 0, so
-    # sorting the integer tuples sorts the coordinates
-    b, t = clear_denominators(lat.basis)
-    cols = list(zip(*intlinalg.matmul(u, b)))
+    # ambient coordinates den x of the basis rows / den, in ints; den > 0,
+    # so sorting the integer tuples sorts the coordinates
+    cols = list(zip(*intlinalg.matmul(u, lat.rows)))
     out = []
     for nrm, coeffs in found:
         amb = tuple(sum(map(operator.mul, coeffs, col)) for col in cols)
         out.append((c * nrm, amb))
         out.append((c * nrm, tuple(-v for v in amb)))
     out.sort()
-    frac = shared_fractions((v for _, amb in out for v in amb), t)
+    frac = shared_fractions((v for _, amb in out for v in amb), lat.den)
     return [(nrm, tuple(map(frac.__getitem__, amb))) for nrm, amb in out]
 
 
-def _minimum(gram: Sequence[Sequence[Fraction]]):
-    """(minimal norm, kissing number) of a positive-definite rational Gram.
+def _minimum(lat: Lattice):
+    """(minimal norm, kissing number) of a positive-definite lattice.
 
     Counts up to the least diagonal entry of `_reduced`'s Gram, so an even
     unimodular Gram of rank below 24 enumerates nothing and the Leech
     lattice's is searched only up to norm 2. The norm is a Fraction unless
     the Gram is integral. Raises LatticeError if it is not positive definite.
     """
-    gr, _, c, gso = _reduced(gram)
+    gr, _, c, gso = _reduced(lat)
     counts = _norm_counts(gr, min(gr[i][i] for i in range(len(gr))), gso)
     mn = min(counts)
     return c * mn, counts[mn]
@@ -709,9 +712,9 @@ def theta_series(lat: Lattice, order: int) -> LaurentSeries:
     """
     if not isinstance(order, int) or order < 0:
         raise LatticeError("order must be a nonnegative integer")
-    if order and not is_even(lat):
+    if not is_even(lat):
         raise LatticeError("theta_series is defined for even lattices")
-    counts = short_vectors(lat, 2 * order) if order else {}
+    counts = short_vectors(lat, 2 * order)
     return LaurentSeries(0, (1,) + tuple(counts.get(2 * m, 0)
                                          for m in range(1, order + 1)))
 
@@ -804,7 +807,7 @@ def is_fundamental_root(r: LorentzianVector, dim: int) -> bool:
     """Whether r has norm 2 and meets the Weyl vector of dim at -1."""
     w = weyl_vector(dim)
     if r.dim != dim:
-        raise LatticeError("vector is not a member of the lattice")
+        raise LatticeError(f"vector has {r.dim} coordinates, expected {dim}")
     return minkowski_dot(r, r) == 2 and minkowski_dot(r, w) == -1
 
 
@@ -882,7 +885,7 @@ def _rescale_to_min_norm(raw: Lattice, target: int, what: str) -> Lattice:
     """Scale a lattice so its minimal norm hits the target. Raise with the
     raw Gram when the norm factor is not a rational square, or when the
     scaled lattice is not even unimodular."""
-    m = _minimum(raw.gram)[0]
+    m = _minimum(raw)[0]
     factor = Fraction(target, m)
     p, q = math.isqrt(factor.numerator), math.isqrt(factor.denominator)
     if p * p != factor.numerator or q * q != factor.denominator:
@@ -890,9 +893,9 @@ def _rescale_to_min_norm(raw: Lattice, target: int, what: str) -> Lattice:
             f"{what}: norm factor {factor} is not a rational square, so the "
             "rescaled lattice has no rational coordinates; raw Gram attached",
             raw_gram=raw.gram, min_norm=m, factor=factor)
-    b, s = clear_denominators(raw.basis)
     lat = Lattice._from_ints(raw.ambient_dim, raw.rank,
-                             [[p * v for v in row] for row in b], q * s)
+                             [[p * v for v in row] for row in raw.rows],
+                             q * raw.den)
     if not (is_even(lat) and is_unimodular(lat)):
         raise LatticeConstructionError(
             f"{what}: rescaling the Gram by {factor} (minimal norm {m} -> "
@@ -1025,7 +1028,7 @@ def lattice_info(lat: Lattice) -> dict:
     a positive-definite Gram, and None otherwise.
     """
     try:
-        mn, kissing = _minimum(lat.gram)
+        mn, kissing = _minimum(lat)
     except LatticeError:            # the Gram is not positive definite
         mn = kissing = None
     return {
@@ -1058,6 +1061,8 @@ def parse_lattice(text: str) -> Lattice:
     signature = head[2]
     if signature not in _SIGNATURES:
         raise LatticeError(f"unknown signature {signature!r}")
+    if rank < 1 or rank > ambient:
+        raise LatticeError("rank must satisfy 1 <= rank <= ambient_dim")
     if len(lines) != rank + 1:
         raise LatticeError(f"expected {rank} basis rows, found {len(lines) - 1}")
     rows = []

@@ -206,7 +206,7 @@ def brute_count_norm4_e8():
 def enumerated(l, bound):
     """Counts {norm: count} up to bound by the library's enumerator alone,
     on the reduced primitive Gram, never through modular forms."""
-    g, _, c, _ = lat._reduced(l.gram)
+    g, _, c, _ = lat._reduced(l)
     counts = lat._enumerate_int_gram(g, bound // c)
     return {c * k: counts[k] for k in sorted(counts)}
 

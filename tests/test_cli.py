@@ -32,6 +32,8 @@ from test_lattices import power_counts, squares
 
 HOPF = "1 1 0\n-1 1 0\n-1 -1 0\n1 -1 0\n\n0 0 1\n0 0 -1\n3 0 -1\n3 0 1\n"
 TOUCHING = "1 1 0\n-1 1 0\n-1 -1 0\n1 -1 0\n\n1 -1 0\n0 0 1\n0 0 -1\n"
+# lattice files, shared with the command corpus cli_corpus.txt
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run(capsys, *argv):
@@ -529,10 +531,13 @@ def test_domain_errors_exit_1(capsys, tmp_path):
     arabic.write_text("\u0661 1 euclidean\n2\n")
     underscored = tmp_path / "underscored.txt"
     underscored.write_text(HOPF.replace("1 1 0\n", "1 1_0 0\n", 1))
-    lightlike = tmp_path / "lightlike.lat"
-    lightlike.write_text("1 2 lorentzian\n1 1\n")
     headless = tmp_path / "headless.lat"
     headless.write_text("1 1\n2\n")
+    # odd and rational, Lorentzian with Gram diag(-1, 1), lightlike, and a
+    # header with a negative rank
+    odd_lat, indefinite, lightlike, negative = (
+        str(DATA / f"{n}.lat")
+        for n in ("odd", "indefinite", "lightlike", "negative_rank"))
 
     cases = [
         (["lattice", "info", "E9"], "unknown lattice name 'E9'"),
@@ -605,11 +610,22 @@ def test_domain_errors_exit_1(capsys, tmp_path):
          "cannot read element 'e1\u0663': unexpected character '\u0663'"),
         (["hyper", "mul", "1+e", "1"],
          "cannot read element '1+e': it ends where a unit index was expected"),
-        (["lattice", "dual", "--input", str(lightlike)],
+        (["lattice", "dual", "--input", lightlike],
          "singular Gram matrix has no dual basis"),
         (["lattice", "info", "--input", str(headless)],
          "first line must be: rank ambient signature"),
         (["hyper", "fano", "0", "1"], "unit indices must lie in 1..7"),
+        # theta refuses at order 0 exactly as at order 1
+        (["lattice", "theta", "--input", odd_lat, "--order", "0"],
+         "theta_series is defined for even lattices"),
+        (["lattice", "theta", "--input", indefinite, "--order", "0"],
+         "theta_series is defined for even lattices"),
+        (["lattice", "theta", "--input", lightlike, "--order", "0"],
+         "short_vectors needs a positive-definite Gram"),
+        (["lattice", "info", "--input", negative],
+         "rank must satisfy 1 <= rank <= ambient_dim"),
+        (["lattice", "root", "--dim", "10", "1", "1"] + ["0"] * 10,
+         "vector has 12 coordinates, expected 10"),
     ]
     for argv, needle in cases:
         rc, _, err = run(capsys, *argv)

@@ -143,7 +143,8 @@ VALUE_CASES = [
     (lambda: ident.SpinList((1, Fraction(1, 2))), ("spins",)),
     (lambda: ident.PolyLoop(((0, 0, 0), (1, 0, 0), (0, 1, 0))), ("vertices",)),
     (lambda: lat.Lattice(2, 2, ((1, 1), (1, -1))),
-     ("ambient_dim", "rank", "basis", "signature", "gram")),
+     ("ambient_dim", "rank", "rows", "den", "signature", "prim_gram",
+      "scale")),
     (lambda: lat.LorentzianVector((1, 1, 1, 1)), ("doubled_coords", "parity")),
     (lambda: mod.LaurentSeries(-1, (1, 744, 196884)), ("low", "coeffs")),
 ]

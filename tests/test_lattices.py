@@ -438,7 +438,7 @@ def test_large_unstructured_gram_counts_exactly():
     assert (info["min_norm"], info["kissing"]) == (2 * s * s, 240)
     # the queries above split the reduced Gram into two small blocks; the
     # enumerator must also count the whole primitive Gram exactly
-    gr, _, c, _ = lat._reduced(l.gram)
+    gr, _, c, _ = lat._reduced(l)
     assert c == 2 and max(abs(v) for row in gr for v in row) >= 10**15
     assert lat._enumerate_int_gram(gr, s * s) == {s * s: 240}
 
@@ -461,7 +461,7 @@ FLAT_SUMS = {
 def test_flat_sums_split_and_match_the_whole_enumeration(name):
     parts, bound, order = FLAT_SUMS[name]
     l = scrambled(lat.direct_sum(*parts), 48, 3)
-    gr = lat._reduced(l.gram)[0]
+    gr = lat._reduced(l)[0]
     assert len(lat._components(gr)) == len(parts)
     whole = enumerated(l, bound)
     assert lat.short_vectors(l, bound) == whole
@@ -478,7 +478,7 @@ def test_blocks_with_different_contents_split_exactly():
     l = scrambled(lat.direct_sum(scaled_basis(E8, s),
                                  scaled_basis(lat.build_An(1), s + 1)),
                   40, 1)
-    gr, _, c, _ = lat._reduced(l.gram)
+    gr, _, c, _ = lat._reduced(l)
     assert c == 2 and len(lat._components(gr)) == 2
     bound = 2 * (s + 1) ** 2
     expected = {2 * s * s: 240, 2 * (s + 1) ** 2: 2}
@@ -628,8 +628,9 @@ SKEW = ((4, -2, 4, -2), (-2, -2, 2, -2), (-6, 4, 1, 2), (-2, 4, -3, 4))
     (lambda: lat.Lattice(4, 4, SKEW), (8, 2)),
 ], ids=["dual-A2", "E8", "flat-icosian-E8", "skew-Z4-sublattice"])
 def test_minimal_norm_matches_brute_force(build, expected):
-    gram = build().gram
-    assert lat._minimum(gram) == brute_force_minimum(gram) == expected
+    lattice = build()
+    assert lat._minimum(lattice) == brute_force_minimum(lattice.gram) == \
+        expected
 
 
 def identity_lattice(n):
@@ -657,7 +658,7 @@ def test_odd_and_rational_lattices_are_counted(name):
     assert not lat.is_even(l)
     assert lat.short_vectors(l, 3) == enumerated(l, 3) == expected
     mn = min(expected)
-    assert lat._minimum(l.gram) == brute_force_minimum(l.gram) == \
+    assert lat._minimum(l) == brute_force_minimum(l.gram) == \
         (mn, expected[mn])
     info = lat.lattice_info(l)
     assert (info["min_norm"], info["kissing"]) == (mn, expected[mn])
@@ -935,7 +936,7 @@ def ii_9_1():
 
 def fraction_vector_list(l, bound):
     """`short_vector_list` with every coordinate computed in Fractions."""
-    gr, u, c, _ = lat._reduced(l.gram)
+    gr, u, c, _ = lat._reduced(l)
     found: list = []
     lat._enumerate_int_gram(gr, bound // c, collect=found)
     rows = fraction_matmul(u, l.basis)
@@ -1051,6 +1052,26 @@ def test_integer_path_matches_the_fraction_route(case):
         assert s.gram == tuple(map(tuple, fraction_gram(s.basis, sig)))
 
 
+@pytest.mark.parametrize("rows, den, sig", [
+    (((2, 1, 0), (0, 3, -1)), 3, lat.EUCLIDEAN),
+    (((3, 1, 0), (1, 2, 4)), 2, lat.LORENTZIAN),
+], ids=["euclidean", "lorentzian"])
+def test_equality_ignores_the_denominator_handed_in(rows, den, sig):
+    m, n = len(rows[0]), len(rows)
+    same = [
+        lat.Lattice._from_ints(m, n, [[2 * v for v in r] for r in rows],
+                               2 * den, signature=sig),
+        lat.Lattice._from_ints(m, n, rows, den, signature=sig),
+        lat.Lattice(m, n, tuple(tuple(Fraction(v, den) for v in r)
+                                for r in rows), signature=sig),
+    ]
+    assert same[0] == same[1] == same[2]
+    assert len({hash(l) for l in same}) == 1
+    assert same[0].basis == same[1].basis == same[2].basis
+    assert same[0].gram == same[1].gram == same[2].gram
+    assert same[0].gram == tuple(map(tuple, fraction_gram(same[2].basis, sig)))
+
+
 def test_refusals_keep_their_messages():
     with pytest.raises(lat.LatticeError, match="^basis rows are linearly "
                                               "dependent$"):
@@ -1068,9 +1089,21 @@ def test_refusals_keep_their_messages():
             with pytest.raises(lat.LatticeError, match=f"^{f.__name__} {pd}$"):
                 f(l, 2)
         assert lat.lattice_info(l)["min_norm"] is None
-    with pytest.raises(lat.LatticeError, match="^theta_series is defined "
-                                              "for even lattices$"):
-        lat.theta_series(lat.Lattice(1, 1, ((1,),)), 1)
+        # theta refuses at every order, 0 included
+        msg = (f"short_vectors {pd}" if lat.is_even(l)
+               else "theta_series is defined for even lattices")
+        for order in (0, 1):
+            with pytest.raises(lat.LatticeError, match=f"^{msg}$"):
+                lat.theta_series(l, order)
+    for order in (0, 1):
+        with pytest.raises(lat.LatticeError, match="^theta_series is defined "
+                                                  "for even lattices$"):
+            lat.theta_series(lat.Lattice(1, 1, ((1,),)), order)
+    # the rank is checked before the rows are counted
+    for head in ("-1 1 euclidean", "0 1 euclidean", "2 1 euclidean\n1\n1"):
+        with pytest.raises(lat.LatticeError, match="^rank must satisfy "
+                                                  "1 <= rank <= ambient_dim$"):
+            lat.parse_lattice(head)
 
 
 @pytest.mark.parametrize("build, message", [
@@ -1222,7 +1255,8 @@ def test_fundamental_root_dimension_gate():
     coords = [0] * 10
     coords[1], coords[2] = 1, -1
     r = lat.LorentzianVector.from_coords(coords)
-    with pytest.raises(lat.LatticeError, match="^vector is not a member"):
+    with pytest.raises(lat.LatticeError,
+                       match="^vector has 10 coordinates, expected 18$"):
         lat.is_fundamental_root(r, 18)
     # the dimension is refused before the vector's length is compared
     with pytest.raises(lat.LatticeError, match="^unsupported dimension 12"):

@@ -373,7 +373,7 @@ def test_j_difference_stays_constant_at_order_three():
     # (the counts j needs at order 3) checks that route
     counts = {}
     for l in (e8, d16):
-        g = lat._reduced(l.gram)[0]
+        g = lat._reduced(l)[0]
         found = lat._enumerate_int_gram(g, 8)
         counts[l] = LaurentSeries(0, (1,) + tuple(found[k] for k in (2, 4, 6, 8)))
     e8_squared = mod.series_mul(counts[e8], counts[e8], 4)
