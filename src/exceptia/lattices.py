@@ -187,18 +187,24 @@ def lattice_contains(lat: Lattice, vector: Sequence) -> bool:
 
 
 def _spans(lat: Lattice, m: Sequence[Sequence[int]], t: int) -> bool:
-    # each row w of m needs an integer x with x rows / den = w / t
-    b = [[t * x for x in row] for row in lat.rows]
-    return all(solve_left(b, [lat.den * x for x in w]) is not None for w in m)
+    # w / t lies in rows / den exactly when den w lies in the span of t rows,
+    # that is, when adding it leaves the span's Hermite form unchanged
+    h = intlinalg.hnf([[t * x for x in row] for row in lat.rows])
+    return intlinalg.hnf(h + [[lat.den * x for x in w] for w in m]) == h
 
 
 def sublattice_of(inner: Lattice, outer: Lattice) -> bool:
+    if inner.ambient_dim != outer.ambient_dim:
+        raise LatticeError("ambient_dim differs between the lattices")
     return _spans(outer, inner.rows, inner.den)
 
 
 def same_lattice(a: Lattice, b: Lattice) -> bool:
-    """Point-set equality, decided by mutual basis membership."""
-    return sublattice_of(a, b) and sublattice_of(b, a)
+    """Point-set equality. The Hermite form of a lattice's integer rows is
+    unique for the lattice, and den, the least d with d L in Z^n, is too."""
+    if a.ambient_dim != b.ambient_dim:
+        raise LatticeError("ambient_dim differs between the lattices")
+    return a.den == b.den and intlinalg.hnf(a.rows) == intlinalg.hnf(b.rows)
 
 
 def dual_lattice(lat: Lattice) -> Lattice:
@@ -218,17 +224,6 @@ def dual_lattice(lat: Lattice) -> Lattice:
 # ---------------------------------------------------------------------------
 # named constructions
 
-def _hnf_lattice_halved(doubled_gens: Sequence[Sequence[int]], rank: int,
-                        what: str) -> Lattice:
-    """The lattice spanned by halves of the given integer generators, on
-    the Hermite normal form basis of their span."""
-    rows = intlinalg.hnf(doubled_gens)
-    if len(rows) != rank:
-        raise LatticeConstructionError(
-            f"{what}: generator span has rank {len(rows)}, expected {rank}")
-    return Lattice._from_ints(len(rows[0]), rank, rows, 2)
-
-
 def build_An(n: int) -> Lattice:
     """Integer vectors in R^{n+1} with coordinate sum zero."""
     if n < 1:
@@ -241,44 +236,36 @@ def build_An(n: int) -> Lattice:
     return Lattice._from_ints(n + 1, n, rows, 1)
 
 
-def build_Dn(n: int) -> Lattice:
-    """Integer vectors in R^n with even coordinate sum."""
-    if n < 2:
-        raise LatticeError("D_n needs n >= 2")
+def _dn_rows(n: int) -> List[List[int]]:
     rows = [[1, 1] + [0] * (n - 2)]
     for i in range(n - 1):
         r = [0] * n
         r[i], r[i + 1] = 1, -1
         rows.append(r)
-    return Lattice._from_ints(n, n, rows, 1)
+    return rows
 
 
-def _e8_generators_doubled() -> List[List[int]]:
-    gens = []
-    for i in range(7):
-        r = [0] * 8
-        r[i], r[i + 1] = 2, -2
-        gens.append(r)
-    r = [0] * 8
-    r[6], r[7] = 2, 2
-    gens.append(r)
-    gens.append([1] * 8)          # the all-halves glue vector, doubled
-    return gens
+def build_Dn(n: int) -> Lattice:
+    """Integer vectors in R^n with even coordinate sum."""
+    if n < 2:
+        raise LatticeError("D_n needs n >= 2")
+    return Lattice._from_ints(n, n, _dn_rows(n), 1)
+
+
+def _dn_plus(n: int) -> Lattice:
+    """D_n and the all-halves glue vector, on the Hermite form basis."""
+    gens = [[2 * v for v in row] for row in _dn_rows(n)] + [[1] * n]
+    return Lattice._from_ints(n, n, intlinalg.hnf(gens), 2)
 
 
 def build_E8() -> Lattice:
     """Vectors with all-integer or all-half-integer coordinates and even sum."""
-    return _hnf_lattice_halved(_e8_generators_doubled(), 8, "E8")
+    return _dn_plus(8)
 
 
 def build_D16plus() -> Lattice:
     """The even-sum integer/half-integer construction in 16 dimensions."""
-    gens = [[0] * 16 for _ in range(16)]
-    gens[0][0] = gens[0][1] = 2
-    for i in range(15):
-        gens[i + 1][i], gens[i + 1][i + 1] = 2, -2
-    gens.append([1] * 16)
-    return _hnf_lattice_halved(gens, 16, "D16+")
+    return _dn_plus(16)
 
 
 def _check_e8_input(e8: Lattice, caller: str) -> None:
@@ -289,15 +276,19 @@ def _check_e8_input(e8: Lattice, caller: str) -> None:
 
 def _complement_in(e8: Lattice, conditions: Sequence[Sequence[Fraction]],
                    rank: int, what: str) -> Lattice:
-    # e8 is positive definite (short_vector_list found the conditions), so
-    # its form is the dot product; a positive multiple of each column of
+    # the form pairs the rows with the conditions, whose timelike coordinate
+    # is negated under LORENTZIAN; a positive multiple of each column of
     # pairings leaves the kernel's Hermite reduction unchanged
     c, _ = clear_denominators(conditions)
+    if e8.signature == LORENTZIAN:
+        c = [[-v[0], *v[1:]] for v in c]
     kern = left_kernel(intlinalg.matmul(e8.rows, list(zip(*c))))
     if len(kern) != rank:
         raise LatticeConstructionError(
             f"{what}: kernel rank {len(kern)}, expected {rank}")
-    return Lattice._from_ints(8, rank, intlinalg.matmul(kern, e8.rows), e8.den)
+    return Lattice._from_ints(e8.ambient_dim, rank,
+                              intlinalg.matmul(kern, e8.rows), e8.den,
+                              signature=e8.signature)
 
 
 def build_E7(e8: Lattice) -> Lattice:
@@ -714,6 +705,8 @@ def theta_series(lat: Lattice, order: int) -> LaurentSeries:
         raise LatticeError("order must be a nonnegative integer")
     if not is_even(lat):
         raise LatticeError("theta_series is defined for even lattices")
+    if not is_positive_definite(lat):
+        raise LatticeError("theta_series needs a positive-definite Gram")
     counts = short_vectors(lat, 2 * order)
     return LaurentSeries(0, (1,) + tuple(counts.get(2 * m, 0)
                                          for m in range(1, order + 1)))

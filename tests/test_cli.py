@@ -254,9 +254,10 @@ def test_lattice_build_info_roundtrip(capsys, tmp_path):
     assert rc == 0
     assert json.loads(out) == {"rank": 2, "even": True, "unimodular": False,
                                "min_norm": 2, "kissing": 6}
-    # the Leech lattice two ways, and E7 and E6, pinned by the sha256 of
-    # stdout (text, then --json); the bases of all but the icosian build come
-    # from left_kernel, so the pins fix which kernel basis it returns. The
+    # the Leech lattice two ways, E7, E6, E8 and D16+, pinned by the sha256
+    # of stdout (text, then --json); the bases of the Leech lattice from
+    # II_{25,1}, E7 and E6 come from left_kernel, so the pins fix which kernel
+    # basis it returns, and those of E8 and D16+ are Hermite forms. The
     # icosian build reads back as even unimodular with 196560 minima
     icosian = (
         "003fa46d87b95ed378155a21a7315473430e46cccf8c520cf267885239d2c53b",
@@ -273,6 +274,12 @@ def test_lattice_build_info_roundtrip(capsys, tmp_path):
         ("build", "E6"): (
             "9f5b5dcc4fa806c0a9952a9b08e2c3dc1db67af025b0e4d51ea73a5b3af70f5e",
             "c07cce5ee26191e633efdb8e3491c9e4e898b699173f0ed0c0a614678fa250ab"),
+        ("build", "E8"): (
+            "370dcf7e31fbca22bbda406af7cdf8df7cb766da97960a8496cf5a9c4c8204ec",
+            "fdcc6ea6fc9efc44e2f7460bd2192cdd8f60bc626f2ce3ffe6e3f269e7087054"),
+        ("build", "D16+"): (
+            "604546d382628164b905bbbaa52dbcd264982bce444e8f570941c8aef8a16941",
+            "9c4020dac3ac9cd0d2d88762967a00f26965c2c2a0af95af812b36dd5042085b"),
     }
     for argv, digests in pinned.items():
         for flags, digest in zip(((), ("--json",)), digests):
@@ -621,7 +628,7 @@ def test_domain_errors_exit_1(capsys, tmp_path):
         (["lattice", "theta", "--input", indefinite, "--order", "0"],
          "theta_series is defined for even lattices"),
         (["lattice", "theta", "--input", lightlike, "--order", "0"],
-         "short_vectors needs a positive-definite Gram"),
+         "theta_series needs a positive-definite Gram"),
         (["lattice", "info", "--input", negative],
          "rank must satisfy 1 <= rank <= ambient_dim"),
         (["lattice", "root", "--dim", "10", "1", "1"] + ["0"] * 10,

@@ -93,14 +93,25 @@ def test_E8_is_even_unimodular_with_240_roots():
 
 
 def test_E7_E6_complements():
-    e7 = lat.build_E7(E8)
-    assert e7.rank == 7
-    assert lat.gram_determinant(e7) == 2
-    assert lat.short_vectors(e7, 2) == {2: 126}
-    e6 = lat.build_E6(E8)
-    assert e6.rank == 6
-    assert lat.gram_determinant(e6) == 3
-    assert lat.short_vectors(e6, 2) == {2: 72}
+    # E8 as built; E8 with a zero coordinate prepended; and that padded copy
+    # in a Lorentzian ambient, reflected in r = (2; 1, 1, 1, 1, 1, 0, 0, 0)
+    # of norm 1, so its rows leave the plane x0 = 0
+    r = (2, 1, 1, 1, 1, 1, 0, 0, 0)
+    padded = [(0, *row) for row in E8.basis]
+    reflected = [[x - 2 * (sum(map(mul, v, r)) - 2 * v[0] * r[0]) * y
+                  for x, y in zip(v, r)] for v in padded]
+    for e8 in (E8, lat.Lattice(9, 8, padded),
+               lat.Lattice(9, 8, reflected, signature=lat.LORENTZIAN)):
+        e7 = lat.build_E7(e8)
+        assert (e7.rank, e7.ambient_dim, e7.signature) == (
+            7, e8.ambient_dim, e8.signature)
+        assert lat.gram_determinant(e7) == 2
+        assert lat.short_vectors(e7, 2) == {2: 126}
+        e6 = lat.build_E6(e8)
+        assert (e6.rank, e6.ambient_dim, e6.signature) == (
+            6, e8.ambient_dim, e8.signature)
+        assert lat.gram_determinant(e6) == 3
+        assert lat.short_vectors(e6, 2) == {2: 72}
 
 
 def test_D16plus_is_even_unimodular_with_480_roots():
@@ -167,6 +178,17 @@ def test_same_lattice_distinguishes_scalings():
     doubled = lat.Lattice(2, 1, tuple(tuple(2 * x for x in row)
                                       for row in a1.basis))
     assert not lat.same_lattice(a1, doubled)
+    # equal Hermite rows over different denominators: a lattice and its half
+    rows = ((1, 1), (0, 2))
+    assert not lat.same_lattice(lat.Lattice._from_ints(2, 2, rows, 1),
+                                lat.Lattice._from_ints(2, 2, rows, 2))
+    assert not lat.same_lattice(lat.build_Dn(8), E8)
+    # a basis change keeps the lattice; E8 and D16+ are built on Hermite
+    # rows, and their scrambled bases are not
+    for l in (E8, lat.build_D16plus()):
+        s = scrambled(l, 40, 3)
+        assert s.rows != l.rows
+        assert lat.same_lattice(s, l) and lat.same_lattice(l, s)
 
 
 # --------------------------------------------------------------------------
@@ -1090,7 +1112,7 @@ def test_refusals_keep_their_messages():
                 f(l, 2)
         assert lat.lattice_info(l)["min_norm"] is None
         # theta refuses at every order, 0 included
-        msg = (f"short_vectors {pd}" if lat.is_even(l)
+        msg = (f"theta_series {pd}" if lat.is_even(l)
                else "theta_series is defined for even lattices")
         for order in (0, 1):
             with pytest.raises(lat.LatticeError, match=f"^{msg}$"):
@@ -1117,8 +1139,13 @@ def test_refusals_keep_their_messages():
      "build_E6 expects the rank-8 even unimodular lattice as input"),
     (lambda: lat.Lattice(1, 1, ((1,),), signature="x"),
      "unknown signature 'x'"),
+    (lambda: lat.sublattice_of(lat.build_Dn(2), lat.build_An(2)),
+     "ambient_dim differs between the lattices"),
+    (lambda: lat.same_lattice(lat.build_An(2), lat.build_Dn(2)),
+     "ambient_dim differs between the lattices"),
 ], ids=["one summand", "lorentzian summand", "E7 of D8", "E6 of D8",
-        "signature x"])
+        "signature x", "sublattice across ambients",
+        "same lattice across ambients"])
 def test_builder_and_value_refusals_keep_their_messages(build, message):
     with pytest.raises(lat.LatticeError) as info:
         build()
