@@ -193,17 +193,21 @@ def _spans(lat: Lattice, m: Sequence[Sequence[int]], t: int) -> bool:
     return intlinalg.hnf(h + [[lat.den * x for x in w] for w in m]) == h
 
 
+def _check_comparable(a: Lattice, b: Lattice) -> None:
+    for attr in ("ambient_dim", "signature"):
+        if getattr(a, attr) != getattr(b, attr):
+            raise LatticeError(f"{attr} differs between the lattices")
+
+
 def sublattice_of(inner: Lattice, outer: Lattice) -> bool:
-    if inner.ambient_dim != outer.ambient_dim:
-        raise LatticeError("ambient_dim differs between the lattices")
+    _check_comparable(inner, outer)
     return _spans(outer, inner.rows, inner.den)
 
 
 def same_lattice(a: Lattice, b: Lattice) -> bool:
     """Point-set equality. The Hermite form of a lattice's integer rows is
     unique for the lattice, and den, the least d with d L in Z^n, is too."""
-    if a.ambient_dim != b.ambient_dim:
-        raise LatticeError("ambient_dim differs between the lattices")
+    _check_comparable(a, b)
     return a.den == b.den and intlinalg.hnf(a.rows) == intlinalg.hnf(b.rows)
 
 
@@ -268,49 +272,53 @@ def build_D16plus() -> Lattice:
     return _dn_plus(16)
 
 
-def _check_e8_input(e8: Lattice, caller: str) -> None:
+def _e8_roots(e8: Lattice, caller: str) -> List[Tuple[int, ...]]:
+    """E8's roots as integer rows over e8.den, in the listing's order, which
+    is by coordinates alone: every nonzero vector of norm <= 2 is a root."""
     if e8.rank != 8 or not (is_even(e8) and is_unimodular(e8)):
         raise LatticeError(f"{caller} expects the rank-8 even unimodular "
                            "lattice as input")
+    return [v for _, v in _short_vector_rows(e8, 2)]
 
 
-def _complement_in(e8: Lattice, conditions: Sequence[Sequence[Fraction]],
-                   rank: int, what: str) -> Lattice:
-    # the form pairs the rows with the conditions, whose timelike coordinate
-    # is negated under LORENTZIAN; a positive multiple of each column of
-    # pairings leaves the kernel's Hermite reduction unchanged
-    c, _ = clear_denominators(conditions)
-    if e8.signature == LORENTZIAN:
+def _complement(lat: Lattice, conditions: Sequence[Sequence[int]],
+                what: str) -> List[List[int]]:
+    """Integer rows, over lat.den, of a basis of the vectors of lat that the
+    form makes orthogonal to each integer vector in conditions, or to any
+    positive multiple of it: scaling a pairing column keeps the kernel."""
+    c = conditions
+    if lat.signature == LORENTZIAN:
         c = [[-v[0], *v[1:]] for v in c]
-    kern = left_kernel(intlinalg.matmul(e8.rows, list(zip(*c))))
+    kern = left_kernel(intlinalg.matmul(lat.rows, list(zip(*c))))
+    rank = lat.rank - len(conditions)
     if len(kern) != rank:
         raise LatticeConstructionError(
             f"{what}: kernel rank {len(kern)}, expected {rank}")
-    return Lattice._from_ints(e8.ambient_dim, rank,
-                              intlinalg.matmul(kern, e8.rows), e8.den,
-                              signature=e8.signature)
+    return intlinalg.matmul(kern, lat.rows)
 
 
 def build_E7(e8: Lattice) -> Lattice:
     """Orthogonal complement in E8 of its lexicographically least root."""
-    _check_e8_input(e8, "build_E7")
-    # every nonzero vector of norm <= 2 is a root, so the list is sorted by
-    # coordinates alone
-    v = short_vector_list(e8, 2)[0][1]
-    return _complement_in(e8, [v], 7, "E7")
+    v = _e8_roots(e8, "build_E7")[0]
+    return Lattice._from_ints(e8.ambient_dim, 7, _complement(e8, [v], "E7"),
+                              e8.den, signature=e8.signature)
 
 
 def build_E6(e8: Lattice) -> Lattice:
     """Orthogonal complement in E8 of an explicit A2 root pair."""
-    _check_e8_input(e8, "build_E6")
-    roots = [v for _, v in short_vector_list(e8, 2)]
+    roots = _e8_roots(e8, "build_E6")
     v1 = roots[0]
-    v2 = next((r for r in roots if e8.form_dot(v1, r) == -1), None)
+    # r + v1 is listed exactly when r.v1 = -1: |r + v1|^2 = 4 + 2 r.v1
+    listed = set(roots)
+    v2 = next((r for r in roots
+               if tuple(map(operator.add, r, v1)) in listed), None)
     if v2 is None:
         raise LatticeConstructionError(
             "E6: no root meets the chosen one at inner product -1; "
             "the input cannot be E8")
-    return _complement_in(e8, [v1, v2], 6, "E6")
+    return Lattice._from_ints(e8.ambient_dim, 6,
+                              _complement(e8, [v1, v2], "E6"), e8.den,
+                              signature=e8.signature)
 
 
 def direct_sum(*lattices: Lattice) -> Lattice:
@@ -650,26 +658,30 @@ def short_vectors(lat: Lattice, max_norm: int) -> Dict[int, int]:
     return {c * k: counts[k] for k in sorted(counts)}
 
 
-def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Fraction, ...]]]:
-    """All nonzero vectors with norm <= max_norm as (norm, ambient coords).
-
-    Both members of each +-v pair are returned; the list is sorted by norm
-    and then lexicographically. Intended for small bounds (root systems).
-    """
+def _short_vector_rows(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[int, ...]]]:
+    """`short_vector_list` with each vector v as the integer row lat.den v;
+    den > 0, so sorting the rows sorts the coordinates."""
     if not isinstance(max_norm, int) or max_norm < 0:
         raise LatticeError("max_norm must be a nonnegative integer")
     gr, u, c, gso = _reduced(lat, "short_vector_list")
     found: list = []
     _enumerate_int_gram(gr, max_norm // c, collect=found, gso=gso)
-    # ambient coordinates den x of the basis rows / den, in ints; den > 0,
-    # so sorting the integer tuples sorts the coordinates
     cols = list(zip(*intlinalg.matmul(u, lat.rows)))
     out = []
     for nrm, coeffs in found:
         amb = tuple(sum(map(operator.mul, coeffs, col)) for col in cols)
         out.append((c * nrm, amb))
         out.append((c * nrm, tuple(-v for v in amb)))
-    out.sort()
+    return sorted(out)
+
+
+def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Fraction, ...]]]:
+    """All nonzero vectors with norm <= max_norm as (norm, ambient coords).
+
+    Both members of each +-v pair are returned; the list is sorted by norm
+    and then lexicographically. Intended for small bounds (root systems).
+    """
+    out = _short_vector_rows(lat, max_norm)
     frac = shared_fractions((v for _, amb in out for v in amb), lat.den)
     return [(nrm, tuple(map(frac.__getitem__, amb))) for nrm, amb in out]
 
@@ -805,45 +817,30 @@ def is_fundamental_root(r: LorentzianVector, dim: int) -> bool:
 
 
 def _ii26_rows_doubled() -> List[List[int]]:
-    rows = [[-1] + [1] * 25]              # the all-halves row, doubled
-    r = [0] * 26
-    r[1], r[2] = 2, 2
-    rows.append(r)
-    for i in range(1, 25):
-        r = [0] * 26
-        r[i], r[i + 1] = 2, -2
-        rows.append(r)
-    return rows
+    # the all-halves row, then D_25 on the spacelike coordinates, doubled
+    return [[-1] + [1] * 25] + [[0] + [2 * v for v in row]
+                                for row in _dn_rows(25)]
 
 
 def leech_from_ii26() -> Lattice:
     """The rank-24 quotient w-perp / Zw inside II_{25,1}.
 
-    w is the lightlike Weyl vector (70,0,1,...,24). The orthogonal sublattice
-    S = {x : x.w = 0} has rank 25 and contains w; because w is isotropic and
-    orthogonal to all of S, the bilinear form descends to the quotient S/Zw.
-    The returned lattice keeps the ambient Lorentzian coordinates (its rows
-    are the non-w rows of a basis of S completed from w), and its Gram is
-    positive definite, integral and even. Coordinates stay doubled, so in
-    integers, until the quotient rows are halved at the end.
+    w is the lightlike Weyl vector (70,0,1,...,24). Its orthogonal sublattice
+    S, taken in II_{25,1} by the complement step that gives E7 and E6, has
+    rank 25 and contains w; w is isotropic and orthogonal to all of S, so the
+    form descends to S/Zw. The result keeps the ambient Lorentzian
+    coordinates (its rows are the non-w rows of a basis of S completed from
+    w), and its Gram is positive definite, integral and even. Coordinates
+    stay doubled, so in integers, until the quotient rows are halved.
     """
-    rows = _ii26_rows_doubled()
     # the constructor refuses dependent rows
-    Lattice._from_ints(26, 26, rows, 2, signature=LORENTZIAN)
+    ii = Lattice._from_ints(26, 26, _ii26_rows_doubled(), 2,
+                            signature=LORENTZIAN)
     w = weyl_vector(26).doubled_coords
-
-    # each pairing of doubled coordinates is 4 times the pairing itself
-    col = [sum(map(operator.mul, row, w)) - 2 * row[0] * w[0] for row in rows]
-    if any(c % 4 for c in col):
-        raise LatticeConstructionError("w pairs non-integrally with the basis")
-    kern = left_kernel([[c // 4] for c in col])
-    if len(kern) != 25:
-        raise LatticeConstructionError(
-            f"w-perp has kernel rank {len(kern)}, expected 25")
 
     # S's rows, doubled; w is isotropic, so it lies in S exactly when it
     # lies in II_{25,1}, and z gives its coefficients over S's rows
-    s = intlinalg.matmul(kern, rows)
+    s = _complement(ii, [w], "w-perp")
     z = solve_left(s, w)
     if z is None:
         raise LatticeConstructionError("w is not a lattice member")

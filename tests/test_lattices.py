@@ -13,8 +13,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from exceptia import hypercomplex as hc
 from exceptia import lattices as lat
 from exceptia import modular as mod
-from exceptia.intlinalg import (det_fraction, hnf_transform, invert_fraction,
-                                left_kernel, matmul, solve_left)
+from exceptia.intlinalg import (clear_denominators, det_fraction,
+                                hnf_transform, invert_fraction, left_kernel,
+                                matmul, solve_left)
 from test_acceptance import enumerated
 from test_intlinalg import fraction_inverse, fraction_matmul
 
@@ -92,16 +93,20 @@ def test_E8_is_even_unimodular_with_240_roots():
     assert lat.short_vectors(E8, 2) == {2: 240}
 
 
-def test_E7_E6_complements():
-    # E8 as built; E8 with a zero coordinate prepended; and that padded copy
-    # in a Lorentzian ambient, reflected in r = (2; 1, 1, 1, 1, 1, 0, 0, 0)
-    # of norm 1, so its rows leave the plane x0 = 0
+def e8_embeddings():
+    """E8 as built; E8 with a zero coordinate prepended; and that padded copy
+    in a Lorentzian ambient, reflected in r = (2; 1, 1, 1, 1, 1, 0, 0, 0) of
+    norm 1, so its rows leave the plane x0 = 0."""
     r = (2, 1, 1, 1, 1, 1, 0, 0, 0)
     padded = [(0, *row) for row in E8.basis]
     reflected = [[x - 2 * (sum(map(mul, v, r)) - 2 * v[0] * r[0]) * y
                   for x, y in zip(v, r)] for v in padded]
-    for e8 in (E8, lat.Lattice(9, 8, padded),
-               lat.Lattice(9, 8, reflected, signature=lat.LORENTZIAN)):
+    return (E8, lat.Lattice(9, 8, padded),
+            lat.Lattice(9, 8, reflected, signature=lat.LORENTZIAN))
+
+
+def test_E7_E6_complements():
+    for e8 in e8_embeddings():
         e7 = lat.build_E7(e8)
         assert (e7.rank, e7.ambient_dim, e7.signature) == (
             7, e8.ambient_dim, e8.signature)
@@ -112,6 +117,7 @@ def test_E7_E6_complements():
             6, e8.ambient_dim, e8.signature)
         assert lat.gram_determinant(e6) == 3
         assert lat.short_vectors(e6, 2) == {2: 72}
+        assert [e7, e6] == fraction_E7_E6(e8)
 
 
 def test_D16plus_is_even_unimodular_with_480_roots():
@@ -977,6 +983,7 @@ BASIS_CHANGE_CASES = {
         2 * 10**16),
     "rational-A7": (lambda: reflected(scrambled(lat.build_An(7), 24, 4),
                                       range(1, 9)), 4),
+    "lorentzian-E8": (lambda: e8_embeddings()[2], 2),
 }
 
 
@@ -985,8 +992,8 @@ def test_basis_changes_match_the_fraction_route(name):
     build, bound = BASIS_CHANGE_CASES[name]
     l = build()
     dual = fraction_matmul(fraction_inverse(l.gram), l.basis)
-    assert lat.dual_lattice(l) == lat.Lattice(l.ambient_dim, l.rank,
-                                              tuple(map(tuple, dual)))
+    assert lat.dual_lattice(l) == lat.Lattice(
+        l.ambient_dim, l.rank, tuple(map(tuple, dual)), signature=l.signature)
     _, u, _, _ = fraction_lll(l.gram, lat.DEFAULT_LLL_DELTA)
     assert lat.lll_reduce(l).basis == tuple(map(tuple, fraction_matmul(u, l.basis)))
     assert lat.short_vector_list(l, bound) == fraction_vector_list(l, bound)
@@ -1143,9 +1150,16 @@ def test_refusals_keep_their_messages():
      "ambient_dim differs between the lattices"),
     (lambda: lat.same_lattice(lat.build_An(2), lat.build_Dn(2)),
      "ambient_dim differs between the lattices"),
+    (lambda: lat.sublattice_of(lat.Lattice(2, 1, ((1, 0),)), lat.Lattice(
+        2, 1, ((1, 0),), signature=lat.LORENTZIAN)),
+     "signature differs between the lattices"),
+    (lambda: lat.same_lattice(lat.Lattice(2, 1, ((1, 0),)), lat.Lattice(
+        2, 1, ((1, 0),), signature=lat.LORENTZIAN)),
+     "signature differs between the lattices"),
 ], ids=["one summand", "lorentzian summand", "E7 of D8", "E6 of D8",
         "signature x", "sublattice across ambients",
-        "same lattice across ambients"])
+        "same lattice across ambients", "sublattice across signatures",
+        "same lattice across signatures"])
 def test_builder_and_value_refusals_keep_their_messages(build, message):
     with pytest.raises(lat.LatticeError) as info:
         build()
@@ -1177,6 +1191,25 @@ def fraction_leech_from_ii26():
     srows = fraction_matmul(completed, kern)
     assert srows[0] == yw
     return tuple(map(tuple, fraction_matmul(srows[1:], basis)))
+
+
+def fraction_E7_E6(e8):
+    """E7 and E6 cut out of e8 with every coordinate a Fraction: the root
+    from `short_vector_list`, v2 by `form_dot`, and the kernel of the
+    pairings cleared to integers. The reference for `lat.build_E7` and
+    `lat.build_E6`, which pair and list in integer rows."""
+    roots = [v for _, v in lat.short_vector_list(e8, 2)]
+    v1 = roots[0]
+    v2 = next(r for r in roots if e8.form_dot(v1, r) == -1)
+    out = []
+    for conditions in ([v1], [v1, v2]):
+        pairings = [[e8.form_dot(b, v) for v in conditions] for b in e8.basis]
+        kern = left_kernel(clear_denominators(pairings)[0])
+        out.append(lat.Lattice(
+            e8.ambient_dim, len(kern),
+            tuple(map(tuple, fraction_matmul(kern, e8.basis))),
+            signature=e8.signature))
+    return out
 
 
 def test_leech_from_ii26_matches_the_fraction_construction():
