@@ -5,8 +5,8 @@ Nothing here depends on machine floating point for a tested result. The pi
 digit extractor sums Bellard's BBP-type series in fixed-point integer
 arithmetic, the cannonball search sieves n by quadratic residues and checks
 each survivor with an exact integer square root, areas are kept as exact
-multisets next to a float evaluation, and linking numbers come from signed
-crossing counts decided in rational arithmetic.
+multisets next to a float evaluation, and linking numbers come from the
+signed crossings of one generic projection, decided in integers.
 """
 
 from __future__ import annotations
@@ -303,10 +303,11 @@ class PolyLoop(Value):
     __slots__ = ("vertices",)
 
     def __init__(self, vertices: Tuple[Point, ...]):
-        vs = tuple(tuple(int(c) for c in v) for v in vertices)
+        vs = tuple(tuple(v) for v in vertices)
         if len(vs) < 3:
             raise IdentityError("a loop needs at least 3 vertices")
-        if any(len(v) != 3 for v in vs):
+        if any(len(v) != 3 or not all(isinstance(c, int) for c in v)
+               for v in vs):
             raise IdentityError("vertices must be integer triples")
         for a, b in zip(vs, vs[1:] + vs[:1]):
             if a == b:
@@ -370,79 +371,57 @@ def loops_disjoint(g: PolyLoop, h: PolyLoop) -> bool:
     return True
 
 
-class _Degenerate(Exception):
-    """The current projection direction is non-generic; try the next one."""
-
-
-def _crossing_sum(g: PolyLoop, h: PolyLoop, p: Fraction, q: Fraction) -> int:
-    """Signed count of crossings where g passes over h, viewed along the
-    direction (p, q, 1): the projection is (x - p z, y - q z), height is z."""
-    def project(v):
-        x, y, z = v
-        return (x - p * z, y - q * z, z)
-
-    gsegs = [(project(a), project(b)) for a, b in g.segments()]
-    hsegs = [(project(c), project(d)) for c, d in h.segments()]
-    total = 0
-    for (a, b) in gsegs:
-        rx, ry = b[0] - a[0], b[1] - a[1]
-        if rx == 0 and ry == 0:
-            raise _Degenerate                  # segment seen end-on
-        for (c, d) in hsegs:
-            sx, sy = d[0] - c[0], d[1] - c[1]
-            if sx == 0 and sy == 0:
-                raise _Degenerate
-            den = rx * sy - ry * sx
-            wx, wy = c[0] - a[0], c[1] - a[1]
-            if den == 0:
-                # parallel in projection: any shared point is degenerate
-                if wx * ry - wy * rx == 0:
-                    rr = rx * rx + ry * ry
-                    t0 = wx * rx + wy * ry
-                    t1 = t0 + sx * rx + sy * ry
-                    if max(t0, t1) >= 0 and min(t0, t1) <= rr:
-                        raise _Degenerate
-                continue
-            t = Fraction(wx * sy - wy * sx, den)
-            u = Fraction(wx * ry - wy * rx, den)
-            if t <= 0 or t >= 1 or u <= 0 or u >= 1:
-                if (0 <= t <= 1 and u in (0, 1)) or (0 <= u <= 1 and t in (0, 1)):
-                    raise _Degenerate          # crossing at a vertex shadow
-                continue
-            zg = a[2] + t * (b[2] - a[2])
-            zh = c[2] + u * (d[2] - c[2])
-            if zg == zh:
-                raise IdentityError("loops touch along the view direction; "
-                                    "disjointness check should have caught "
-                                    "this")
-            if zg > zh:
-                total += 1 if den > 0 else -1
-    return total
-
-
-_MAX_PROJECTIONS = 40
-
-
 def linking_number(g: PolyLoop, h: PolyLoop) -> int:
-    """Gauss linking number of two disjoint loops.
+    """Gauss linking number of two disjoint loops: the signed crossings
+    where g passes over h, seen along d = (1/B, 1/B^2, 1) with B = 8m^2 + 2
+    and m the largest coordinate magnitude of the two loops. Scaled by B^2,
+    the shadow of (x, y, z) is the integer pair (B^2 x - B z, B^2 y - z) and
+    its height z; crossings are compared cross-multiplied, in integers.
 
-    Counts signed crossings of g over h in a generic projection. The first
-    attempt looks straight down the z-axis; any degeneracy (a crossing at a
-    vertex shadow, segments collinear in projection, a segment seen end-on)
-    moves to the next direction in a fixed rational schedule, so results are
-    deterministic. Raises if the loops touch or if every scheduled direction
-    is degenerate.
+    The view is generic. Vertices are integers, so a segment r has
+    |r_i| <= 2m. No segment is seen end-on: its shadow step is zero only if
+    r_x = B r_y and r_z = B^2 r_y, which forces r = 0. No vertex shadow lies
+    on a segment shadow of the other loop: for a vertex v and a segment ce
+    of the other loop let n = (e - c) x (v - c), so |n_i| <= 8m^2. The 2x2
+    shadow determinant is B^2 (B^2 n_z + B n_x + n_y), nonzero when n != 0
+    because 8m^2 (B + 1) < B^2. When n = 0, v lies on the line ce but off
+    the segment, since the loops are disjoint; the shadow map is injective
+    on that line, so v's shadow falls outside the segment's. Hence parallel
+    shadows never meet, every crossing lies strictly inside both shadow
+    segments, and equal heights would mean a shared point.
     """
     if not loops_disjoint(g, h):
         raise IdentityError("loops intersect; the linking number needs "
                             "disjoint loops")
-    p, q = Fraction(0), Fraction(0)
-    for k in range(_MAX_PROJECTIONS):
-        try:
-            return _crossing_sum(g, h, p, q)
-        except _Degenerate:
-            base = 2 * k + 3
-            p = Fraction(1, base)
-            q = Fraction(1, base * (base + 2))
-    raise IdentityError(f"no generic projection found after "
-                        f"{_MAX_PROJECTIONS} perturbations")
+    m = max(abs(c) for v in g.vertices + h.vertices for c in v)
+    b = 8 * m * m + 2
+    b2 = b * b
+
+    def shadow(loop):
+        """Each segment as its start and its step, both (shadow, height)."""
+        pts = [(b2 * x - b * z, b2 * y - z, z) for x, y, z in loop.vertices]
+        return [(p, _sub(q, p)) for p, q in zip(pts, pts[1:] + pts[:1])]
+
+    hsegs = shadow(h)
+    total = 0
+    for (ax, ay, az), (rx, ry, rz) in shadow(g):
+        for (cx, cy, cz), (sx, sy, sz) in hsegs:
+            den = rx * sy - ry * sx
+            if den == 0:
+                continue                       # parallel shadows never meet
+            sign = 1 if den > 0 else -1
+            den *= sign
+            wx, wy = cx - ax, cy - ay
+            # the shadows cross at a + (t/den) r = c + (u/den) s
+            t = sign * (wx * sy - wy * sx)
+            u = sign * (wx * ry - wy * rx)
+            if not (0 < t < den and 0 < u < den):
+                continue
+            over = (az - cz) * den + t * rz - u * sz
+            if over == 0:
+                raise IdentityError("loops touch along the view direction; "
+                                    "disjointness check should have caught "
+                                    "this")
+            if over > 0:
+                total += sign
+    return total

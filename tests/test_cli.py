@@ -21,6 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from exceptia import cli
 from exceptia import hypercomplex as hc
@@ -455,6 +457,34 @@ def test_id_link(capsys, tmp_path):
     assert run(capsys, "id", "link", "--input", str(f))[1] == "-1\n"
     rc, out, _ = run(capsys, "id", "link", "--input", str(f), "--json")
     assert json.loads(out) == {"linking_number": -1}
+
+
+VERTEX = st.tuples(*[st.integers(-3, 3)] * 3)
+LOOP_FILES = st.one_of(
+    # two blocks of vertices: loops that link, touch, intersect, repeat a
+    # vertex or are too short
+    st.lists(st.lists(VERTEX, min_size=1, max_size=8), min_size=2,
+             max_size=2).map(lambda blocks: "\n\n".join(
+                 "\n".join(" ".join(map(str, v)) for v in b) for b in blocks)),
+    # lines of digits, signs, spaces and any other character, in any number
+    # of blocks
+    st.lists(st.text(st.sampled_from("0123456789 -\n")
+                     | st.characters(codec="utf-8"), max_size=12),
+             max_size=10).map("\n".join),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(content=LOOP_FILES)
+def test_id_link_reads_any_loop_file_without_a_traceback(capsys, tmp_path,
+                                                         content):
+    f = tmp_path / "loops.txt"
+    f.write_text(content, encoding="utf-8")
+    rc, out, err = run(capsys, "id", "link", "--input", str(f))
+    assert rc in (0, 1), (content, err)
+    assert "Traceback" not in err
+    assert re.fullmatch(r"-?\d+\n", out) if rc == 0 else out == ""
 
 
 def test_operands_beginning_with_minus_follow_double_dash(capsys):

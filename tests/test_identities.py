@@ -439,6 +439,13 @@ def test_loop_validation():
         PolyLoop(((0, 0, 0), (1, 0, 0)))
     with pytest.raises(IdentityError, match="integer triples"):
         PolyLoop(((0, 0), (1, 0), (0, 1)))
+    with pytest.raises(IdentityError, match="integer triples"):
+        # a thread at x = 3/2, which truncation would move onto the square
+        PolyLoop(((1.5, 0, 0), (0, 2.9, 0), (Fraction(7, 2), 0, 1)))
+    with pytest.raises(IdentityError, match="integer triples"):
+        PolyLoop(((0, 0, 0), (1.0, 0, 0), (0, 1, 0)))
+    with pytest.raises(IdentityError, match="integer triples"):
+        PolyLoop(((0, 0, 0), (Fraction(1), 0, 0), (0, 1, 0)))
     with pytest.raises(IdentityError, match="distinct"):
         PolyLoop(((0, 0, 0), (0, 0, 0), (1, 0, 0)))
     with pytest.raises(IdentityError, match="distinct"):
@@ -490,9 +497,9 @@ def test_split_loops_do_not_link():
 
 
 def test_stacked_squares_do_not_link():
-    # the straight-down view is fully degenerate here (every projected
-    # segment of one loop lies on a segment of the other), so this exercises
-    # the fallback projection schedule
+    # seen straight down, every shadow segment of one loop would lie on a
+    # segment of the other; the tilted view of linking_number is generic
+    # even here
     assert linking_number(SQUARE_XY, SQUARE_XY.translated((0, 0, 5))) == 0
 
 
@@ -542,3 +549,100 @@ def test_linking_survives_translation_of_both_loops():
         v = tuple(rng.randrange(-9, 10) for _ in range(3))
         assert linking_number(g.translated(v), h.translated(v)) == \
             linking_number(g, h)
+
+
+def test_linking_is_invariant_on_crowded_small_loops():
+    # triangles and quadrilaterals in a 5x5x5 box: vertices often lie on
+    # the lines of the other loop's edges, the near-degenerate case that the
+    # size of B in linking_number's view guards against; symmetry, reversal
+    # and translation (which changes m, and so the view) must all agree
+    rng = random.Random(7)
+    pairs = 0
+    while pairs < 300:
+        g, h = ([tuple(rng.randrange(-2, 3) for _ in range(3))
+                 for _ in range(rng.randrange(3, 5))] for _ in range(2))
+        if any(a == b for loop in (g, h)
+               for a, b in zip(loop, loop[1:] + loop[:1])):
+            continue
+        g, h = PolyLoop(g), PolyLoop(h)
+        if not loops_disjoint(g, h):
+            continue
+        pairs += 1
+        n = linking_number(g, h)
+        v = tuple(rng.randrange(-20, 21) for _ in range(3))
+        assert linking_number(h, g) == n
+        assert linking_number(g.reversed(), h) == -n
+        assert linking_number(g.translated(v), h.translated(v)) == n
+
+
+# ---------------------------------------------------------------------------
+# a second route: Seifert surfaces
+
+def seifert_count(flat, other) -> int:
+    """Linking number of a rectangle ``flat`` in the plane z = 0 with a loop
+    ``other`` that misses it: the signed crossings of other's edges through
+    the rectangle's interior, each signed by its z-direction against the
+    rectangle's normal (right-hand rule). The rectangle is a Seifert surface
+    of ``flat``. Restated from the benchmark's oracle; shares nothing with
+    the projection in ``linking_number``."""
+    area2 = sum(a[0] * b[1] - b[0] * a[1]
+                for a, b in zip(flat, flat[1:] + flat[:1]))
+    normal = 1 if area2 > 0 else -1
+    xs = sorted(v[0] for v in flat)
+    ys = sorted(v[1] for v in flat)
+    total = 0
+    for a, b in zip(other, other[1:] + other[:1]):
+        if (a[2] > 0) == (b[2] > 0):
+            continue
+        t = Fraction(a[2], a[2] - b[2])
+        x = a[0] + t * (b[0] - a[0])
+        y = a[1] + t * (b[1] - a[1])
+        if xs[0] < x < xs[-1] and ys[0] < y < ys[-1]:
+            total += normal * (1 if b[2] > a[2] else -1)
+    return total
+
+
+def seifert_pair(rng: random.Random):
+    """A rectangle in z = 0 with even corners, traversed either way, and a
+    loop of 3-8 vertices with odd x, y and odd (so nonzero) z, kept when it
+    misses the rectangle: no vertex lies in the rectangle's plane, and no
+    edge meets its boundary."""
+    x0, x1 = sorted(rng.sample(range(-8, 9, 2), 2))
+    y0, y1 = sorted(rng.sample(range(-8, 9, 2), 2))
+    flat = [(x0, y0, 0), (x1, y0, 0), (x1, y1, 0), (x0, y1, 0)]
+    if rng.random() < 0.5:
+        flat.reverse()
+    while True:
+        other = [(rng.randrange(-9, 10, 2), rng.randrange(-9, 10, 2),
+                  rng.randrange(-5, 6, 2)) for _ in range(rng.randrange(3, 9))]
+        if all(a != b for a, b in zip(other, other[1:] + other[:1])) and \
+                loops_disjoint(PolyLoop(flat), PolyLoop(other)):
+            return flat, other
+
+
+def signed_permutation(rng: random.Random):
+    """A random signed permutation of the axes, as (perm, signs, det)."""
+    perm = rng.sample(range(3), 3)
+    signs = [rng.choice((-1, 1)) for _ in range(3)]
+    inversions = sum(perm[j] > perm[i] for i in range(3) for j in range(i))
+    return perm, signs, (-1) ** inversions * math.prod(signs)
+
+
+def test_linking_number_matches_the_seifert_count():
+    rng = random.Random(32)
+    seen = []
+    for i in range(400):
+        flat, other = seifert_pair(rng)
+        n = seifert_count(flat, other)
+        assert linking_number(PolyLoop(flat), PolyLoop(other)) == n
+        perm, signs, det = signed_permutation(rng)
+        k = (1, 3, 10 ** 9)[i % 3]
+
+        def moved(loop):
+            return PolyLoop(tuple(tuple(k * signs[a] * v[perm[a]]
+                                        for a in range(3)) for v in loop))
+
+        assert linking_number(moved(other), moved(flat)) == det * n
+        seen.append(n)
+    assert sum(n != 0 for n in seen) >= 40, "too few linked pairs"
+    assert max(map(abs, seen)) >= 2, "no pair links more than once"
