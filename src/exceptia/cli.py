@@ -457,8 +457,8 @@ def _cmd_lattice_leech(args):
 
 def _cmd_lattice_weyl(args):
     w = lat.weyl_vector(args.dim)
-    norm = lat.minkowski_dot(w, w)
-    coords = [str(c) for c in w.coords]
+    norm = lat.ii_lattice(args.dim).form_dot(w, w)
+    coords = [str(c) for c in w]
     return _emit(args,
                  lambda: " ".join(coords) + f"\nnorm {norm}",
                  lambda: {"dim": args.dim, "coords": coords,
@@ -473,8 +473,7 @@ def _cmd_lattice_root(args):
         except ValueError:
             raise ValueError(f"coordinate {tok} is not a rational "
                              "number") from None
-    v = lat.LorentzianVector.from_coords(coords)
-    ok = lat.is_fundamental_root(v, args.dim)
+    ok = lat.is_fundamental_root(coords, args.dim)
     return _emit(args, lambda: "true" if ok else "false",
                  lambda: {"dim": args.dim, "fundamental": ok})
 

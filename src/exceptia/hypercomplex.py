@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from typing import Dict, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 from .exactnum import (GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenRational, Value,
                        rat, shared_fractions)
@@ -310,7 +310,8 @@ class PermutationIJK(Value):
 
     __slots__ = ("images",)
 
-    def __init__(self, images: Tuple[int, int, int]):
+    def __init__(self, images: Sequence[int]):
+        images = tuple(images)
         if tuple(sorted(images)) != (1, 2, 3):
             raise ValueError("images must be a permutation of (1, 2, 3)")
         super().__init__(images)

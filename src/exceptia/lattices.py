@@ -3,7 +3,8 @@
 Named constructions (A_n, D_n, E6, E7, E8, D16+, the Leech lattice two ways),
 integrality and unimodularity tests, dual lattices, LLL reduction, exact
 short-vector counts of every positive-definite lattice and theta series of
-the even ones, plus the Lorentzian lattices II_{8k+1,1} and Weyl vectors.
+the even ones, plus the Lorentzian lattices II_{8k+1,1} (`ii_lattice`) and
+their Weyl vectors.
 
 Bases and Grams are rational, but a `Lattice` holds them in integers: its
 basis rows over their least positive denominator, and its Gram as a scale
@@ -725,101 +726,56 @@ def theta_series(lat: Lattice, order: int) -> LaurentSeries:
 
 
 # ---------------------------------------------------------------------------
-# Lorentzian vectors and the even unimodular lattices II_{8k+1,1}
-
-PARITY_INTEGER = "all-integer"
-PARITY_HALF = "all-half-integer"
-
-
-class LorentzianVector(Value):
-    """A vector of II_{8k+1,1} candidates, stored with doubled coordinates.
-
-    Doubling keeps half-integers exact; the constructor enforces the shared
-    parity of the doubled entries and the even coordinate sum.
-    """
-
-    __slots__ = ("doubled_coords", "parity")
-
-    def __init__(self, doubled_coords: Tuple[int, ...]):
-        dc = tuple(int(v) for v in doubled_coords)
-        if not dc:
-            raise LatticeError("empty coordinate vector")
-        r = dc[0] % 2
-        if any(v % 2 != r for v in dc):
-            raise LatticeError("coordinates must be all integers or all "
-                               "half-integers")
-        if sum(dc) % 4:
-            raise LatticeError("coordinate sum must be an even integer")
-        super().__init__(dc, PARITY_HALF if r else PARITY_INTEGER)
-
-    @classmethod
-    def from_coords(cls, coords: Sequence) -> "LorentzianVector":
-        doubled = []
-        for c in coords:
-            d = 2 * rat(c)
-            if d.denominator != 1:
-                raise LatticeError("coordinates must be halves of integers")
-            doubled.append(int(d))
-        return cls(tuple(doubled))
-
-    @property
-    def coords(self) -> Tuple[Fraction, ...]:
-        return tuple(Fraction(v, 2) for v in self.doubled_coords)
-
-    @property
-    def dim(self) -> int:
-        return len(self.doubled_coords)
-
-
-def minkowski_dot(u: LorentzianVector, v: LorentzianVector) -> Fraction:
-    """The signature (-,+,...,+) bilinear form, exact."""
-    if u.dim != v.dim:
-        raise LatticeError("dimension mismatch")
-    a, b = u.doubled_coords, v.doubled_coords
-    s = -a[0] * b[0] + sum(x * y for x, y in zip(a[1:], b[1:]))
-    return Fraction(s, 4)
-
+# the even unimodular Lorentzian lattices II_{8k+1,1}
 
 _II_DIMS = (10, 18, 26)
 
 
+def _check_ii_dim(dim: int) -> None:
+    if dim not in _II_DIMS:
+        raise LatticeError(f"unsupported dimension {dim}; "
+                           f"expected one of {_II_DIMS}")
+
+
+def ii_lattice(dim: int) -> Lattice:
+    """II_{dim-1,1} for dim 10, 18 or 26: the vectors whose coordinates are
+    all integers or all half-integers with an even sum, under the Lorentzian
+    form. The basis is the all-halves row (-1/2; 1/2, ..., 1/2) and then
+    D_{dim-1} on the spacelike coordinates, held doubled over den 2."""
+    _check_ii_dim(dim)
+    rows = [[-1] + [1] * (dim - 1)] + [[0] + [2 * v for v in row]
+                                       for row in _dn_rows(dim - 1)]
+    return Lattice._from_ints(dim, dim, rows, 2, signature=LORENTZIAN)
+
+
 def ii_member(vector: Sequence) -> bool:
-    """Membership in II_{8k+1,1}: integer or half-integer type, even sum."""
+    """Membership in II_{n-1,1}, for n the vector's length."""
     v = [rat(c) for c in vector]
     if len(v) not in _II_DIMS:
         raise LatticeError(f"unsupported length {len(v)}; "
                            f"expected one of {_II_DIMS}")
-    try:
-        LorentzianVector.from_coords(v)
-    except LatticeError:
-        return False
-    return True
+    return lattice_contains(ii_lattice(len(v)), v)
 
 
 _WEYL_HEAD = {10: 28, 18: 46, 26: 70}
 
 
-def weyl_vector(dim: int) -> LorentzianVector:
+def weyl_vector(dim: int) -> Tuple[int, ...]:
     """The vectors (28,0,1..8), (46,0,1..16), (70,0,1..24)."""
-    if dim not in _II_DIMS:
-        raise LatticeError(f"unsupported dimension {dim}; "
-                           f"expected one of {_II_DIMS}")
-    coords = [_WEYL_HEAD[dim]] + list(range(dim - 1))
-    return LorentzianVector(tuple(2 * c for c in coords))
+    _check_ii_dim(dim)
+    return (_WEYL_HEAD[dim],) + tuple(range(dim - 1))
 
 
-def is_fundamental_root(r: LorentzianVector, dim: int) -> bool:
-    """Whether r has norm 2 and meets the Weyl vector of dim at -1."""
+def is_fundamental_root(r: Sequence, dim: int) -> bool:
+    """Whether r, a vector of II_{dim-1,1}, has norm 2 and meets the Weyl
+    vector of dim at -1. Raises LatticeError if r is not a member."""
     w = weyl_vector(dim)
-    if r.dim != dim:
-        raise LatticeError(f"vector has {r.dim} coordinates, expected {dim}")
-    return minkowski_dot(r, r) == 2 and minkowski_dot(r, w) == -1
-
-
-def _ii26_rows_doubled() -> List[List[int]]:
-    # the all-halves row, then D_25 on the spacelike coordinates, doubled
-    return [[-1] + [1] * 25] + [[0] + [2 * v for v in row]
-                                for row in _dn_rows(25)]
+    if len(r) != dim:
+        raise LatticeError(f"vector has {len(r)} coordinates, expected {dim}")
+    ii = ii_lattice(dim)
+    if not lattice_contains(ii, r):
+        raise LatticeError(f"vector is not a member of II_{{{dim - 1},1}}")
+    return ii.form_dot(r, r) == 2 and ii.form_dot(r, w) == -1
 
 
 def leech_from_ii26() -> Lattice:
@@ -833,10 +789,8 @@ def leech_from_ii26() -> Lattice:
     w), and its Gram is positive definite, integral and even. Coordinates
     stay doubled, so in integers, until the quotient rows are halved.
     """
-    # the constructor refuses dependent rows
-    ii = Lattice._from_ints(26, 26, _ii26_rows_doubled(), 2,
-                            signature=LORENTZIAN)
-    w = weyl_vector(26).doubled_coords
+    ii = ii_lattice(26)
+    w = [2 * v for v in weyl_vector(26)]
 
     # S's rows, doubled; w is isotropic, so it lies in S exactly when it
     # lies in II_{25,1}, and z gives its coefficients over S's rows
@@ -854,7 +808,7 @@ def leech_from_ii26() -> Lattice:
     # transform that reaches it is u^{-1}
     uinv = intlinalg.hnf_transform(u)[1]
     srows = intlinalg.matmul([list(col) for col in zip(*uinv)], s)
-    if srows[0] != list(w):
+    if srows[0] != w:
         raise LatticeConstructionError("basis completion lost the w row")
     return Lattice._from_ints(26, 24, srows[1:], 2, signature=LORENTZIAN)
 

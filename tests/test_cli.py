@@ -663,6 +663,8 @@ def test_domain_errors_exit_1(capsys, tmp_path):
          "rank must satisfy 1 <= rank <= ambient_dim"),
         (["lattice", "root", "--dim", "10", "1", "1"] + ["0"] * 10,
          "vector has 12 coordinates, expected 10"),
+        (["lattice", "root", "--dim", "10", "1/2"] + ["0"] * 9,
+         "vector is not a member of II_{9,1}"),
     ]
     for argv, needle in cases:
         rc, _, err = run(capsys, *argv)

@@ -145,7 +145,6 @@ VALUE_CASES = [
     (lambda: lat.Lattice(2, 2, ((1, 1), (1, -1))),
      ("ambient_dim", "rank", "rows", "den", "signature", "prim_gram",
       "scale")),
-    (lambda: lat.LorentzianVector((1, 1, 1, 1)), ("doubled_coords", "parity")),
     (lambda: mod.LaurentSeries(-1, (1, 744, 196884)), ("low", "coeffs")),
 ]
 

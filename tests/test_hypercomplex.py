@@ -562,6 +562,13 @@ def test_bad_permutation_images():
         hc.PermutationIJK((1, 1, 2))
 
 
+def test_permutation_from_a_list_is_the_tuple_value():
+    p, q = hc.PermutationIJK([2, 3, 1]), hc.PermutationIJK((2, 3, 1))
+    assert p == q and hash(p) == hash(q)
+    assert p.images == (2, 3, 1)
+    assert p.parity == q.parity == "even"
+
+
 # --------------------------------------------------------------------------
 # unit rings
 

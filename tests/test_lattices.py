@@ -1223,23 +1223,69 @@ def test_leech_from_ii26_matches_the_fraction_construction():
 # --------------------------------------------------------------------------
 # the Lorentzian side
 
+def ii_parity_rule(vector):
+    """The textbook description of II_{n-1,1}: all coordinates integers or
+    all half-integers, with an even sum."""
+    doubled = [2 * Fraction(c) for c in vector]
+    if any(d.denominator != 1 for d in doubled):
+        return False
+    return (len({d % 2 for d in doubled}) == 1
+            and sum(doubled) % 4 == 0)
+
+
+def random_ii_candidate(rng, dim):
+    """A vector of one of four kinds: integers, half-integers, a mix of the
+    two, or one with a quarter; the first two are members half the time."""
+    kind = rng.randrange(4)
+    ints = [rng.randint(-3, 3) for _ in range(dim)]
+    if kind == 0:
+        return kind, ints
+    halves = [Fraction(2 * v + 1, 2) for v in ints]
+    if kind == 1:
+        return kind, halves
+    i = rng.randrange(dim)
+    if kind == 2:
+        return kind, ints[:i] + [halves[i]] + ints[i + 1:]
+    return kind, ints[:i] + [Fraction(4 * ints[i] + 1, 4)] + ints[i + 1:]
+
+
+@pytest.mark.parametrize("dim", [10, 18, 26])
+def test_ii_lattice_is_even_unimodular_and_holds_the_parity_classes(dim):
+    ii = lat.ii_lattice(dim)
+    assert ii.signature == lat.LORENTZIAN
+    assert ii.rank == ii.ambient_dim == dim
+    assert lat.is_even(ii)
+    assert abs(lat.gram_determinant(ii)) == 1
+    rng = random.Random(dim)
+    seen = set()
+    for _ in range(60):
+        kind, v = random_ii_candidate(rng, dim)
+        member = lat.lattice_contains(ii, v)
+        assert member == ii_parity_rule(v), v
+        assert lat.ii_member(v) == member
+        seen.add((kind, member))
+    # both classes occur as members and as non-members, and the mixed and
+    # quartered vectors never lie in the lattice
+    assert seen == {(0, True), (0, False), (1, True), (1, False),
+                    (2, False), (3, False)}
+
+
 def test_lorentzian_vector_classes():
-    v = lat.LorentzianVector.from_coords((1, 2, 3) + (0,) * 7)
-    assert v.parity == lat.PARITY_INTEGER
-    h = lat.LorentzianVector.from_coords((Fraction(1, 2),) * 9
-                                         + (Fraction(-1, 2),))
-    assert h.parity == lat.PARITY_HALF
-    assert h.coords[0] == Fraction(1, 2)
+    ii = lat.ii_lattice(10)
+    v = (1, 2, 3) + (0,) * 7
+    h = (Fraction(1, 2),) * 9 + (Fraction(-1, 2),)
+    assert lat.lattice_contains(ii, v)
+    assert lat.lattice_contains(ii, h)
+    # a sum of the two classes falls in the half-integer class
+    assert lat.lattice_contains(ii, [a + b for a, b in zip(v, h)])
 
 
 def test_lorentzian_vector_rejects_bad_classes():
-    with pytest.raises(lat.LatticeError):
-        lat.LorentzianVector.from_coords((Fraction(1, 2),) + (0,) * 9)
-    with pytest.raises(lat.LatticeError):
-        lat.LorentzianVector.from_coords((Fraction(1, 4),) + (0,) * 9)
-    with pytest.raises(lat.LatticeError):
-        # odd coordinate sum
-        lat.LorentzianVector.from_coords((1,) + (0,) * 9)
+    ii = lat.ii_lattice(10)
+    assert not lat.lattice_contains(ii, (Fraction(1, 2),) + (0,) * 9)
+    assert not lat.lattice_contains(ii, (Fraction(1, 4),) + (0,) * 9)
+    # odd coordinate sum
+    assert not lat.lattice_contains(ii, (1,) + (0,) * 9)
 
 
 def test_ii_membership():
@@ -1256,9 +1302,9 @@ def test_weyl_vectors_and_their_norms():
     by_dim = {10: -580, 18: -620, 26: 0}
     for dim, norm in by_dim.items():
         w = lat.weyl_vector(dim)
-        assert w.dim == dim
-        assert lat.ii_member(w.coords)
-        assert lat.minkowski_dot(w, w) == norm
+        assert len(w) == dim
+        assert lat.ii_member(w)
+        assert lat.ii_lattice(dim).form_dot(w, w) == norm
     with pytest.raises(lat.LatticeError):
         lat.weyl_vector(12)
 
@@ -1287,14 +1333,14 @@ def vinberg_simple_roots(dim):
         reason="weyl_vector(10) has head 28, not 38")),
     18])
 def test_weyl_vector_meets_vinberg_simple_roots_at_minus_one(dim):
-    roots = [lat.LorentzianVector.from_coords(c)
-             for c in vinberg_simple_roots(dim)]
+    ii = lat.ii_lattice(dim)
+    roots = vinberg_simple_roots(dim)
     assert len(roots) == {10: 10, 18: 19}[dim]
     for a, b in itertools.combinations(roots, 2):
-        assert lat.minkowski_dot(a, b) <= 0
+        assert ii.form_dot(a, b) <= 0
     for r in roots:
-        assert lat.minkowski_dot(r, r) == 2
-        assert lat.ii_member(r.coords)
+        assert ii.form_dot(r, r) == 2
+        assert lat.lattice_contains(ii, r)
         assert lat.is_fundamental_root(r, dim)
 
 
@@ -1303,18 +1349,15 @@ def test_fundamental_roots_next_to_the_weyl_vector():
     for dim in (10, 18, 26):
         coords = [0] * dim
         coords[1], coords[2] = 1, -1
-        r = lat.LorentzianVector.from_coords(coords)
-        assert lat.is_fundamental_root(r, dim)
+        assert lat.is_fundamental_root(coords, dim)
         coords2 = [0] * dim
         coords2[1], coords2[2] = 1, 1
-        r2 = lat.LorentzianVector.from_coords(coords2)
-        assert not lat.is_fundamental_root(r2, dim)
+        assert not lat.is_fundamental_root(coords2, dim)
 
 
 def test_fundamental_root_dimension_gate():
-    coords = [0] * 10
-    coords[1], coords[2] = 1, -1
-    r = lat.LorentzianVector.from_coords(coords)
+    r = [0] * 10
+    r[1], r[2] = 1, -1
     with pytest.raises(lat.LatticeError,
                        match="^vector has 10 coordinates, expected 18$"):
         lat.is_fundamental_root(r, 18)
@@ -1323,9 +1366,30 @@ def test_fundamental_root_dimension_gate():
         lat.is_fundamental_root(r, 12)
 
 
-def test_minkowski_dot_dimension_gate():
-    with pytest.raises(lat.LatticeError):
-        lat.minkowski_dot(lat.weyl_vector(10), lat.weyl_vector(18))
+@pytest.mark.parametrize("dim, r", [
+    (10, (Fraction(1, 2),) + (0,) * 9),               # mixed classes
+    (10, (1,) + (0,) * 9),                            # odd sum
+    (18, (Fraction(3, 2),) + (Fraction(1, 2),) * 16 + (0,)),
+], ids=["mixed", "odd-sum", "mixed-18"])
+def test_fundamental_root_refuses_non_members(dim, r):
+    with pytest.raises(lat.LatticeError) as info:
+        lat.is_fundamental_root(r, dim)
+    assert str(info.value) == f"vector is not a member of II_{{{dim - 1},1}}"
+
+
+def test_lorentzian_queries_refuse_float_coordinates():
+    # a float is refused, not truncated to an integer
+    v = (1.5,) + (1,) * 9
+    with pytest.raises(TypeError):
+        lat.is_fundamental_root(v, 10)
+    with pytest.raises(TypeError):
+        lat.ii_member(v)
+
+
+def test_form_dot_length_gate():
+    with pytest.raises(lat.LatticeError,
+                       match="^vector length differs from ambient_dim$"):
+        lat.ii_lattice(10).form_dot(lat.weyl_vector(10), lat.weyl_vector(18))
 
 
 # --------------------------------------------------------------------------
