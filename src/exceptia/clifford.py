@@ -3,13 +3,14 @@
 Elements are exact rational combinations of blades. A blade is a subset of
 the generators written in ascending order and stored as a bitmask; the first
 p generators square to -1, the remaining q square to +1, and distinct
-generators anticommute. Products run on integer numerators over one
-denominator: each operand is cleared to integers once, every blade pair
-costs one integer product and a sign read off a per-blade bitmask, and each
-distinct coefficient of the result becomes one Fraction. The
-classification into matrix algebras over R, C, H is table-driven mod 8, and
-the spinor taxonomy (Dirac, Majorana, Weyl, Majorana-Weyl, and which
-dimensions admit the supersymmetric balance 2(n-2)) is derived from it.
+generators anticommute. Sums, negation, scaling and the products' integer
+numerators come from `exactnum.Terms`: each operand is cleared to integers
+over one denominator once, every blade pair costs one integer product and a
+sign read off a per-blade bitmask, and each distinct coefficient of the
+result becomes one Fraction. The classification into matrix algebras over R,
+C, H is table-driven mod 8, and the spinor taxonomy (Dirac, Majorana, Weyl,
+Majorana-Weyl, and which dimensions admit the supersymmetric balance 2(n-2))
+is derived from it.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import math
 from fractions import Fraction
 from typing import Dict, Set
 
-from .exactnum import Rat, Value, rat, shared_fractions
-from .intlinalg import clear_denominators
+from .exactnum import Rat, Terms, Value, rat
 
 MAX_GENERATORS = 24
 
@@ -38,7 +38,7 @@ class CliffordSignature(Value):
         return self.p + self.q
 
 
-class CliffordElement(Value):
+class CliffordElement(Terms, Value):
     """Map from blade bitmask to nonzero rational coefficient, as `terms`:
     (bitmask, Fraction) pairs sorted by bitmask, none with coefficient 0."""
 
@@ -58,31 +58,7 @@ class CliffordElement(Value):
     def as_dict(self) -> Dict[int, Fraction]:
         return dict(self.terms)
 
-    def __add__(self, other: "CliffordElement") -> "CliffordElement":
-        _check(self, other)
-        d = self.as_dict()
-        for mask, c in other.terms:
-            d[mask] = d.get(mask, Fraction(0)) + c
-        return CliffordElement.from_dict(self.signature, d)
-
-    def __sub__(self, other: "CliffordElement") -> "CliffordElement":
-        return self + (-other)
-
-    def __neg__(self) -> "CliffordElement":
-        return CliffordElement(self.signature,
-                               tuple((m, -c) for m, c in self.terms))
-
-    def scale(self, s: Rat) -> "CliffordElement":
-        s = rat(s)
-        if not s:
-            return CliffordElement(self.signature, ())
-        return CliffordElement(self.signature,
-                               tuple((m, s * c) for m, c in self.terms))
-
-
-def _check(x: CliffordElement, y: CliffordElement) -> None:
-    if x.signature != y.signature:
-        raise ValueError("signature mismatch")
+    _scalar = staticmethod(rat)
 
 
 def scalar(sig: CliffordSignature, c: Rat = 1) -> CliffordElement:
@@ -91,14 +67,14 @@ def scalar(sig: CliffordSignature, c: Rat = 1) -> CliffordElement:
 
 def generator(sig: CliffordSignature, i: int) -> CliffordElement:
     """e_i for 1 <= i <= p+q (the first p square to -1)."""
-    if not 1 <= i <= sig.n:
-        raise ValueError("generator index out of range")
-    return CliffordElement.from_dict(sig, {1 << (i - 1): 1})
+    return blade(sig, (i,))
 
 
 def blade(sig: CliffordSignature, indices, c: Rat = 1) -> CliffordElement:
     mask = 0
     for i in indices:
+        if not 1 <= i <= sig.n:
+            raise ValueError("generator index out of range")
         bit = 1 << (i - 1)
         if mask & bit:
             raise ValueError("repeated index in blade")
@@ -114,14 +90,11 @@ def clif_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
     is the parity of the generators of a above j, which e_j hops over,
     flipped when j < p and e_j is in a, where e_j e_j = -1 contracts.
     """
-    _check(x, y)
-    sig = x.signature
-    (xn,), dx = clear_denominators([[c for _, c in x.terms]])
-    (yn,), dy = clear_denominators([[c for _, c in y.terms]])
-    ys = [(mb, cb) for (mb, _), cb in zip(y.terms, yn)]
-    low = (1 << sig.p) - 1
+    x._same_algebra(y)
+    (xs, dx), (ys, dy) = x._numerators(), y._numerators()
+    low = (1 << x.signature.p) - 1
     acc: Dict[int, int] = {}
-    for (ma, _), ca in zip(x.terms, xn):
+    for ma, ca in xs:
         q = ma >> 1
         for k in (1, 2, 4, 8, 16):      # suffix parities, up to 32 generators
             q ^= q >> k
@@ -130,9 +103,7 @@ def clif_mul(x: CliffordElement, y: CliffordElement) -> CliffordElement:
             m = ma ^ mb
             c = -ca * cb if (q & mb).bit_count() & 1 else ca * cb
             acc[m] = acc.get(m, 0) + c
-    frac = shared_fractions(acc.values(), dx * dy)
-    return CliffordElement(sig, tuple((m, frac[c]) for m in sorted(acc)
-                                      if (c := acc[m])))
+    return x._over(acc, dx * dy)
 
 
 def clif_reverse(x: CliffordElement) -> CliffordElement:
@@ -226,10 +197,8 @@ def spinor_taxonomy(n: int) -> SpinorProfile:
     # Majorana condition: the Lorentzian Clifford algebra, in one of the two
     # metric conventions, acts irreducibly on a real vector space of half
     # the Dirac real dimension
-    majorana = False
-    for p, q in ((n - 1, 1), (1, n - 1)):
-        if p >= 0 and q >= 0 and _smallest_real_rep(_classify_raw(p, q)) == dirac_c:
-            majorana = True
+    majorana = any(_smallest_real_rep(_classify_raw(p, q)) == dirac_c
+                   for p, q in ((n - 1, 1), (1, n - 1)))
 
     weyl = n % 2 == 0
     majorana_weyl = n % 8 == 2

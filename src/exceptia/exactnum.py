@@ -12,6 +12,8 @@ rather than wrapping it.
 
 The module also holds what every other module shares: `Value`, the base of
 the immutable value classes, which stores the fields a subclass checks;
+`Terms`, the arithmetic of a sparse element stored as (index, coefficient)
+terms, which hypercomplex numbers and Clifford elements share;
 `LaurentSeries`, the one q-series type, of theta series and modular forms;
 `format_terms`, the signed-sum text form; `read_integer` and
 `read_rational`, the readers of numbers given as text; and
@@ -21,6 +23,7 @@ over a common denominator.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from fractions import Fraction
@@ -126,6 +129,65 @@ class Value:
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+
+class Terms:
+    """Arithmetic of a sparse element, mixed into a `Value` class whose last
+    field is ``terms``: (index, coefficient) pairs in ascending index order,
+    none with coefficient 0, so equal elements have equal terms. The other
+    fields name the algebra, and only elements of one algebra combine. The
+    class supplies ``_scalar``, which coerces a scalar to its coefficients.
+    """
+
+    __slots__ = ()
+
+    def _like(self, terms) -> "Terms":
+        """The element of this algebra with the given terms."""
+        return type(self)(*[getattr(self, n) for n in self.__slots__[:-1]],
+                          terms)
+
+    def _same_algebra(self, other: "Terms") -> None:
+        for n in self.__slots__[:-1]:
+            a, b = getattr(self, n), getattr(other, n)
+            if a != b:
+                raise ValueError(f"{n} mismatch: {a} vs {b}")
+
+    def __add__(self, other):
+        self._same_algebra(other)
+        acc = dict(self.terms)
+        for k, c in other.terms:
+            c = acc.pop(k) + c if k in acc else c
+            if c:
+                acc[k] = c
+        return self._like(tuple(sorted(acc.items())))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._like(tuple((k, -c) for k, c in self.terms))
+
+    def scale(self, s):
+        s = self._scalar(s)
+        return self._like(tuple((k, s * c) for k, c in self.terms) if s
+                          else ())
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _numerators(self):
+        """(pairs, d): the terms as (index, integer numerator) pairs over d,
+        the least common denominator of the rational coefficients."""
+        d = math.lcm(*(c.denominator for _, c in self.terms))
+        return [(k, c.numerator * (d // c.denominator))
+                for k, c in self.terms], d
+
+    def _over(self, acc: Dict[int, int], d: int) -> "Terms":
+        """The element of this algebra with coefficient acc[k] / d at each
+        index k, its zero values dropped."""
+        frac = shared_fractions(acc.values(), d)
+        return self._like(tuple((k, frac[c]) for k in sorted(acc)
+                                if (c := acc[k])))
 
 
 class SeriesError(ValueError):

@@ -7,15 +7,15 @@ quaternions), each doubling step builds pairs with
 
 which yields the complex numbers, quaternions, octonions and sedenions at
 levels 1 through 4. An element is stored sparsely, as its nonzero
-coordinates in ascending unit order (the layout `clifford.CliffordElement`
-uses), so sums, scaling, conjugation and unit products cost what the nonzero
-terms cost at any level; `.coords` builds the dense tuple of all 2^level
-coordinates on request. The product is not computed by recursing on halves:
-the formula fixes e_i e_j = +-e_(i xor j) for the basis units, and `cd_mul`
-sums that unit sign rule over the pairs of nonzero terms, as
-`fano_octonion_mul` does with the Fano table. Rational products run on
-integer numerators over one denominator per operand and make one Fraction
-per distinct coefficient of the result. Alongside the doubling
+coordinates in ascending unit order, so sums, scaling, conjugation and unit
+products cost what the nonzero terms cost at any level; the sums, negation
+and scaling are those of `exactnum.Terms`. `.coords` builds the dense tuple
+of all 2^level coordinates on request. The product is not computed by
+recursing on halves: the formula fixes e_i e_j = +-e_(i xor j) for the basis
+units, and `cd_mul` sums that unit sign rule over the pairs of nonzero
+terms, as `fano_octonion_mul` does with the Fano table. Rational products
+run on integer numerators over one denominator per operand and make one
+Fraction per distinct coefficient of the result. Alongside the doubling
 product this module carries the classical Fano-plane octonion table, the
 x-product deformation, the permutation action on quaternion units, and the
 two famous unit rings: the 24 Hurwitz quaternions and the 120 icosians with
@@ -28,8 +28,8 @@ import functools
 from fractions import Fraction
 from typing import Dict, Sequence, Tuple, Union
 
-from .exactnum import (GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenRational, Value,
-                       rat, shared_fractions)
+from .exactnum import (GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenRational, Terms,
+                       Value, rat)
 from . import intlinalg
 
 Scalar = Union[Fraction, GoldenRational]
@@ -38,7 +38,7 @@ RATIONAL = "rational"
 GOLDEN = "golden"
 
 
-class HyperNumber(Value):
+class HyperNumber(Terms, Value):
     """An element of the level-k doubling algebra, which has 2^k coordinates.
 
     `terms` holds (unit index, coefficient) pairs in ascending index order,
@@ -65,43 +65,13 @@ class HyperNumber(Value):
             z[k] = c
         return tuple(z)
 
-    def __add__(self, other: "HyperNumber") -> "HyperNumber":
-        _check_compat(self, other)
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            c = acc.pop(k) + c if k in acc else c
-            if c:
-                acc[k] = c
-        return HyperNumber(self.field, self.level, tuple(sorted(acc.items())))
-
-    def __sub__(self, other: "HyperNumber") -> "HyperNumber":
-        return self + -other
-
-    def __neg__(self) -> "HyperNumber":
-        return HyperNumber(self.field, self.level,
-                           tuple((k, -c) for k, c in self.terms))
-
-    def scale(self, s: Scalar) -> "HyperNumber":
-        s = _as_scalar(s, self.field)
-        if not s:
-            return zero(self.level, self.field)
-        return HyperNumber(self.field, self.level,
-                           tuple((k, s * c) for k, c in self.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _scalar(self, s) -> Scalar:
+        return _as_scalar(s, self.field)
 
     def __repr__(self) -> str:
         parts = [f"{c}*e{k}" if k else f"{c}" for k, c in self.terms]
         body = " + ".join(parts) if parts else "0"
         return f"hyper[{self.field}]({body})"
-
-
-def _check_compat(x: HyperNumber, y: HyperNumber) -> None:
-    if x.field != y.field:
-        raise ValueError(f"field mismatch: {x.field} vs {y.field}")
-    if x.level != y.level:
-        raise ValueError(f"level mismatch: {x.level} vs {y.level}")
 
 
 def _as_scalar(v, field: str) -> Scalar:
@@ -139,9 +109,11 @@ def one(level: int, field: str = RATIONAL) -> HyperNumber:
 
 def basis_element(level: int, index: int, field: str = RATIONAL) -> HyperNumber:
     """e_index at the given level; e_0 is the multiplicative identity."""
+    # built before the range test, which shifts by the level it checks
+    e = HyperNumber(field, level, ((index, _as_scalar(1, field)),))
     if not 0 <= index < 1 << level:
         raise ValueError(f"index {index} out of range for level {level}")
-    return HyperNumber(field, level, ((index, _as_scalar(1, field)),))
+    return e
 
 
 # --------------------------------------------------------------------------
@@ -182,27 +154,22 @@ def _product(x: HyperNumber, y: HyperNumber, unit) -> HyperNumber:
     cleared to integer numerators over one denominator per operand first,
     and each distinct coefficient of the result becomes one Fraction;
     golden ones are multiplied as they are."""
-    _check_compat(x, y)
-    xs, ys = [a for _, a in x.terms], [b for _, b in y.terms]
+    x._same_algebra(y)
     rational = x.field == RATIONAL
-    d, zero = 1, GOLDEN_ZERO
     if rational:
-        (xs,), dx = intlinalg.clear_denominators([xs])
-        (ys,), dy = intlinalg.clear_denominators([ys])
-        d, zero = dx * dy, 0
-    ys = [(j, b) for (j, _), b in zip(y.terms, ys)]
+        (xs, dx), (ys, dy) = x._numerators(), y._numerators()
+    else:
+        xs, ys = x.terms, y.terms
+    zero = 0 if rational else GOLDEN_ZERO
     acc: Dict[int, Scalar] = {}
-    for (i, _), a in zip(x.terms, xs):
+    for i, a in xs:
         for j, b in ys:
             k, s = unit(i, j)
             acc[k] = (acc.get(k, zero) + a * b if s > 0
                       else acc.get(k, zero) - a * b)
     if rational:
-        frac = shared_fractions(acc.values(), d)
-        terms = ((k, frac[c]) for k in sorted(acc) if (c := acc[k]))
-    else:
-        terms = ((k, c) for k in sorted(acc) if (c := acc[k]))
-    return HyperNumber(x.field, x.level, tuple(terms))
+        return x._over(acc, dx * dy)
+    return x._like(tuple((k, c) for k in sorted(acc) if (c := acc[k])))
 
 
 def cd_mul(x: HyperNumber, y: HyperNumber) -> HyperNumber:
@@ -285,8 +252,8 @@ def xproduct(a: HyperNumber, b: HyperNumber, c: HyperNumber) -> HyperNumber:
 
     For unit-norm a this is again a composition algebra product.
     """
-    _check_compat(a, b)
-    _check_compat(a, c)
+    a._same_algebra(b)
+    a._same_algebra(c)
     if a.level != 3:
         raise ValueError("x-product is defined on octonions")
     return fano_octonion_mul(fano_octonion_mul(b, a),
@@ -398,9 +365,10 @@ def _build_icosian_state():
                 elems.add(r)
                 order.append(r)
 
-    # fixed integer coordinate system: HNF basis of the quadrupled images;
-    # only certificates read these rows, icosian_basis() decodes them
-    scaled = [[_quad(c) for c in icosian_to_r8_raw(q)] for q in sorted_units(elems)]
+    # fixed integer coordinate system: HNF basis of the quadrupled images,
+    # the same for any order of the rows; only certificates read these rows,
+    # icosian_basis() decodes them
+    scaled = [[_quad(c) for c in icosian_to_r8_raw(q)] for q in order]
     basis = intlinalg.hnf(scaled)
     if len(basis) != 8:
         raise RuntimeError("icosian images span the wrong rank")

@@ -826,9 +826,9 @@ def _ring_mult_matrix(factor, side: str) -> List[Tuple[int, ...]]:
 
 
 def _rescale_to_min_norm(raw: Lattice, target: int, what: str) -> Lattice:
-    """Scale a lattice so its minimal norm hits the target. Raise with the
-    raw Gram when the norm factor is not a rational square, or when the
-    scaled lattice is not even unimodular."""
+    """Scale a lattice, in its own ambient form, so its minimal norm hits
+    the target. Raise with the raw Gram when the norm factor is not a
+    rational square, or when the scaled lattice is not even unimodular."""
     m = _minimum(raw)[0]
     factor = Fraction(target, m)
     p, q = math.isqrt(factor.numerator), math.isqrt(factor.denominator)
@@ -839,7 +839,7 @@ def _rescale_to_min_norm(raw: Lattice, target: int, what: str) -> Lattice:
             raw_gram=raw.gram, min_norm=m, factor=factor)
     lat = Lattice._from_ints(raw.ambient_dim, raw.rank,
                              [[p * v for v in row] for row in raw.rows],
-                             q * raw.den)
+                             q * raw.den, raw.signature)
     if not (is_even(lat) and is_unimodular(lat)):
         raise LatticeConstructionError(
             f"{what}: rescaling the Gram by {factor} (minimal norm {m} -> "

@@ -1,5 +1,6 @@
-"""Field arithmetic in Q(sqrt5), and the value semantics of the package's
-immutable classes."""
+"""Field arithmetic in Q(sqrt5), the value semantics of the package's
+immutable classes, and the sparse-term arithmetic of hypercomplex numbers
+and Clifford elements."""
 
 from fractions import Fraction
 
@@ -251,3 +252,77 @@ def test_storage_only_values_take_fields_by_position_or_name(build):
 def test_wrong_fields_raise_type_error(cls, args, named):
     with pytest.raises(TypeError, match=cls.__name__):
         cls(*args, **named)
+
+
+# ---------------------------------------------------------------------------
+# sparse-term arithmetic, shared by hypercomplex numbers and Clifford elements
+
+small_rationals = st.fractions(min_value=-20, max_value=20,
+                               max_denominator=12)
+small_goldens = st.builds(GoldenRational, small_rationals, small_rationals)
+
+
+@st.composite
+def same_algebra_operands(draw):
+    """(x, y, s): two elements of one algebra and a scalar for it. The
+    algebra is a rational or golden doubling algebra at level 0-5, or a
+    Clifford algebra with p + q <= 8; y negates some of x's terms, so sums
+    and differences cancel."""
+    kind = draw(st.sampled_from((hc.RATIONAL, hc.GOLDEN, "clifford")))
+    coef = small_goldens if kind == hc.GOLDEN else small_rationals
+    if kind == "clifford":
+        n = draw(st.integers(0, 8))
+        p = draw(st.integers(0, n))
+        sig = cl.CliffordSignature(p, n - p)
+
+        def build(d):
+            return cl.CliffordElement.from_dict(sig, d)
+    else:
+        n = draw(st.integers(0, 5))
+
+        def build(d):
+            return hc.HyperNumber(kind, n, tuple(sorted(
+                (k, c) for k, c in d.items() if c)))
+    keys = st.integers(0, (1 << n) - 1)
+    xd = draw(st.dictionaries(keys, coef, max_size=12))
+    yd = draw(st.dictionaries(keys, coef, max_size=12))
+    if xd:
+        for k in draw(st.sets(st.sampled_from(sorted(xd)))):
+            yd[k] = -xd[k]
+    s = draw(st.one_of(st.just(0), coef))
+    return build(xd), build(yd), s
+
+
+def check_element(z, like, ref):
+    """z is an element of like's algebra whose terms are the nonzero
+    entries of the dict ref, in ascending index order, with coefficients
+    of like's coefficient type."""
+    assert type(z) is type(like)
+    names = type(z).__slots__[:-1]
+    assert [getattr(z, n) for n in names] == [getattr(like, n) for n in names]
+    ks = [k for k, _ in z.terms]
+    assert ks == sorted(set(ks))
+    assert all(c for _, c in z.terms)
+    golden = getattr(like, "field", None) == hc.GOLDEN
+    assert all(type(c) is (GoldenRational if golden else Fraction)
+               for _, c in z.terms)
+    assert dict(z.terms) == {k: c for k, c in ref.items() if c}
+
+
+def merged(x, y, sign):
+    """The terms of x + sign * y as a dict, zeros kept."""
+    acc = dict(x.terms)
+    for k, c in y.terms:
+        acc[k] = acc[k] + sign * c if k in acc else sign * c
+    return acc
+
+
+@given(same_algebra_operands())
+def test_terms_arithmetic_matches_a_dict_merge(xys):
+    x, y, s = xys
+    check_element(x + y, x, merged(x, y, 1))
+    check_element(x - y, x, merged(x, y, -1))
+    check_element(-x, x, {k: -c for k, c in x.terms})
+    check_element(x.scale(s), x, {k: s * c for k, c in x.terms})
+    assert (x - x).is_zero() and (x - x).terms == ()
+    assert x.is_zero() == (not x.terms)

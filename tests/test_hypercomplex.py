@@ -1,6 +1,7 @@
 """Doubling algebras: products, norms, the Fano table, triality, unit rings."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -39,18 +40,21 @@ def test_basis_element_bounds():
         e(2, 4)
     with pytest.raises(ValueError):
         hc.basis_element(1, -1)
+    with pytest.raises(ValueError, match="negative level -1"):
+        hc.basis_element(-1, 0)
 
 
 def test_mixed_levels_refuse_to_combine():
-    with pytest.raises(ValueError):
-        hc.cd_mul(e(1, 1), e(2, 1))
-    with pytest.raises(ValueError):
-        e(1, 1) + e(2, 1)
+    for combine in (hc.cd_mul, operator.add, operator.sub):
+        with pytest.raises(ValueError, match="^level mismatch: 1 vs 2$"):
+            combine(e(1, 1), e(2, 1))
 
 
 def test_mixed_fields_refuse_to_combine():
-    with pytest.raises(ValueError):
-        e(2, 1) + hc.basis_element(2, 1, hc.GOLDEN)
+    for combine in (hc.cd_mul, operator.add, operator.sub):
+        with pytest.raises(ValueError,
+                           match="^field mismatch: rational vs golden$"):
+            combine(e(2, 1), hc.basis_element(2, 1, hc.GOLDEN))
 
 
 def test_scale_and_arithmetic():

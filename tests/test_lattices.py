@@ -760,6 +760,15 @@ def test_rescale_to_min_norm():
     tripled = lat.Lattice(8, 8, tuple(tuple(3 * v for v in r)
                                       for r in E8.basis))
     assert lat._rescale_to_min_norm(tripled, 2, "probe") == E8
+    # the rescaled rows keep the input's form: LeechII (even unimodular,
+    # minimum 4) comes back unchanged, and E8 doubled with a zero timelike
+    # coordinate comes back as E8 in the Lorentzian ambient
+    leech = lat.leech_from_ii26()
+    assert lat._rescale_to_min_norm(leech, 4, "probe") == leech
+    doubled, lorentzian = (lat.Lattice(9, 8, tuple(
+        (0,) + tuple(k * v for v in r) for r in E8.basis),
+        signature=lat.LORENTZIAN) for k in (2, 1))
+    assert lat._rescale_to_min_norm(doubled, 2, "probe") == lorentzian
     # E8 with each coordinate pair (a, b) sent to ((a+b)/2, (a-b)/2): its
     # Gram is E8's halved, so factor 2 gives E8's Gram back, but through no
     # rational coordinates
