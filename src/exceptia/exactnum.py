@@ -153,6 +153,8 @@ class Terms:
                 raise ValueError(f"{n} mismatch: {a} vs {b}")
 
     def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         self._same_algebra(other)
         acc = dict(self.terms)
         for k, c in other.terms:
@@ -162,6 +164,8 @@ class Terms:
         return self._like(tuple(sorted(acc.items())))
 
     def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         return self + -other
 
     def __neg__(self):

@@ -16,12 +16,14 @@ takes each coordinate's window as an integer square root over that same
 data, so a window holds exactly the coordinates that keep the norm within
 the bound. Counts are exact for every positive-definite Gram, whatever the
 size of its entries; no floating point is used. Every search runs in the
-calling process. A count-only query on a lattice whose primitive Gram is
-even unimodular of rank n searches that Gram only up to norm 2 * (n // 24)
-and reads the higher counts off the modular forms E4^a Delta^b. Otherwise
-a reduced Gram whose nonzero pattern falls into several blocks is counted
-one block at a time, and the counts of the orthogonal sum are convolved
-from theirs.
+calling process. A count-only query first tests the primitive Gram as
+stored: when it is even unimodular of rank n, the query searches it only
+up to norm 2 * (n // 24) and reads the higher counts off the modular forms
+E4^a Delta^b, so below rank 24 it neither reduces nor searches. Otherwise
+the Gram is LLL-reduced once, and a reduced Gram whose nonzero pattern
+falls into several blocks is counted one block at a time, and the counts
+of the orthogonal sum are convolved from theirs. LLL reads its reduced
+Gram back from its Gram-Schmidt data.
 """
 
 from __future__ import annotations
@@ -370,48 +372,52 @@ def _int_gso(g: Sequence[Sequence[int]]):
     return d, lam
 
 
-def _lll_gram(g0: Sequence[Sequence[int]], delta: Fraction):
+def _lll_gram(g0: Sequence[Sequence[int]], delta: Fraction, gso=None):
     """LLL on a positive-definite int Gram matrix, in integers only.
 
     Returns (g, u, gso) where u is unimodular, g = u g0 u^T is the reduced
-    Gram and gso = (d, lam) is `_int_gso(g)`. That data is kept up to date
-    through every size reduction and swap with exact divisions (Cohen, Alg.
-    2.6.7), so each decision is the one rational LLL takes with
-    mu[i][j] = lam[i][j]/d[j+1] and |b*_i|^2 = d[i+1]/d[i]. No decision
-    reads the Gram itself, so g is formed once, from u, at the end. Works
-    entirely on the Gram; callers holding a basis apply u themselves.
+    Gram and gso = (d, lam) is `_int_gso(g)`. The argument ``gso`` is
+    `_int_gso(g0)` when the caller already holds it; it is updated in place.
+    That data is kept up to date through every size reduction and swap with
+    exact divisions (Cohen, Alg. 2.6.7), so each decision is the one
+    rational LLL takes with mu[i][j] = lam[i][j]/d[j+1] and
+    |b*_i|^2 = d[i+1]/d[i]. No decision reads the Gram itself, and the data
+    determine it, so g is read back from them at the end by undoing
+    `_int_gso`'s exact steps. Works entirely on the Gram; callers holding a
+    basis apply u themselves.
     """
     n = len(g0)
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    d, lam = _int_gso(g0)
+    d, lam = gso or _int_gso(g0)
     if d[-1] <= 0:
         raise LatticeError("Gram matrix is not positive definite")
     p, q = delta.numerator, delta.denominator
 
     def red(k: int, l: int) -> None:
-        # when |mu[k][l]| > 1/2, b_k -= r b_l with r the nearest integer to
-        # mu[k][l], ties rounded away from zero (3/2 -> 2, -3/2 -> -2)
+        # called when |mu[k][l]| > 1/2, that is 2 |lam[k][l]| > d[l+1]:
+        # b_k -= r b_l with r the nearest integer to mu[k][l], ties rounded
+        # away from zero (3/2 -> 2, -3/2 -> -2)
         lk, dl = lam[k], d[l + 1]
-        a = abs(lk[l])
-        if 2 * a > dl:
-            r = (2 * a + dl) // (2 * dl)
-            if lk[l] < 0:
-                r = -r
-            u[k] = [x - r * y for x, y in zip(u[k], u[l])]
-            lk[l] -= r * dl
-            ll = lam[l]
-            for t in range(l):
-                lk[t] -= r * ll[t]
+        r = (2 * abs(lk[l]) + dl) // (2 * dl)
+        if lk[l] < 0:
+            r = -r
+        u[k] = [x - r * y for x, y in zip(u[k], u[l])]
+        lk[l] -= r * dl
+        ll = lam[l]
+        for t in range(l):
+            lk[t] -= r * ll[t]
 
     k = 1
     while k < n:
-        red(k, k - 1)
-        m = lam[k][k - 1]
+        lk = lam[k]
+        if 2 * abs(lk[k - 1]) > d[k]:
+            red(k, k - 1)
+        m = lk[k - 1]
         # Lovasz: |b*_k|^2 < (delta - mu^2) |b*_{k-1}|^2, times q d[k-1] d[k]
         if q * (d[k + 1] * d[k - 1] + m * m) < p * d[k] * d[k]:
             # swap rows k-1 and k everywhere, then repair (d, lam)
             u[k - 1], u[k] = u[k], u[k - 1]
-            lk1, lk = lam[k - 1], lam[k]
+            lk1 = lam[k - 1]
             lk1[:k - 1], lk[:k - 1] = lk[:k - 1], lk1[:k - 1]
             b = (d[k - 1] * d[k + 1] + m * m) // d[k]
             for i in range(k + 1, n):
@@ -423,11 +429,20 @@ def _lll_gram(g0: Sequence[Sequence[int]], delta: Fraction):
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
-                red(k, l)
+                if 2 * abs(lk[l]) > d[l + 1]:
+                    red(k, l)
             k += 1
-    # u g0 u^T; g0 is symmetric, so its rows are its columns
-    ug = [[sum(map(operator.mul, ur, row)) for row in g0] for ur in u]
-    g = [[sum(map(operator.mul, row, ur)) for ur in u] for row in ug]
+    # g from (d, lam): _int_gso's step s -> (d[t+1] s - lam[i][t] lam[j][t])
+    # // d[t], run backwards from lam[i][j] (d[i+1] on the diagonal)
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        li, gi = lam[i], g[i]
+        for j in range(i + 1):
+            lj = lam[j]
+            s = li[j] if j < i else d[i + 1]
+            for t in range(j - 1, -1, -1):
+                s = (d[t] * s + li[t] * lj[t]) // d[t + 1]
+            gi[j] = g[j][i] = s
     return g, u, (d, lam)
 
 
@@ -553,14 +568,21 @@ def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
         h = stale[r] if stale[r] > i else i
 
 
+def _definite_gso(lat: Lattice, what: str = "a lattice count"):
+    """`_int_gso` of the primitive Gram. Raises LatticeError "<what> needs a
+    positive-definite Gram" unless it is positive definite."""
+    gso = _int_gso(lat.prim_gram)
+    if gso[0][-1] <= 0:
+        raise LatticeError(f"{what} needs a positive-definite Gram")
+    return gso
+
+
 def _reduced(lat: Lattice, what: str = "a lattice count"):
     """LLL on the primitive Gram: (reduced Gram, transform, scale, its
     `_int_gso` data); callers count up to bound // scale and scale the norms
     back. Raises LatticeError "<what> needs a positive-definite Gram"."""
-    try:
-        gr, u, gso = _lll_gram(lat.prim_gram, DEFAULT_LLL_DELTA)
-    except LatticeError:
-        raise LatticeError(f"{what} needs a positive-definite Gram") from None
+    gr, u, gso = _lll_gram(lat.prim_gram, DEFAULT_LLL_DELTA,
+                           _definite_gso(lat, what))
     return gr, u, lat.scale, gso
 
 
@@ -586,41 +608,54 @@ def _components(g: Sequence[Sequence[int]]) -> List[List[int]]:
     return out
 
 
-def _norm_counts(g: Sequence[Sequence[int]], bound: int,
-                 gso=None) -> Dict[int, int]:
+def _norm_counts(g: Sequence[Sequence[int]], bound: Optional[int],
+                 gso=None, reduce: bool = False) -> Dict[int, int]:
     """Counts {norm: count} of the nonzero vectors with norm <= bound over a
-    reduced primitive Gram g, as `_enumerate_int_gram` gives them; ``gso``
-    is `_int_gso(g)` when the caller already holds it.
+    positive-definite primitive Gram g, as `_enumerate_int_gram` gives them.
+    ``gso`` is `_int_gso(g)` when the caller already holds it, and may be
+    updated in place. g is LLL-reduced, unless ``reduce`` is set: then it is
+    reduced here, from gso, only when a search or a block split follows. A
+    bound of None counts up to a norm that the minimum cannot exceed.
 
-    When g is even unimodular (even diagonal, determinant 1) of rank n, its
-    theta series is fixed by the counts up to norm 2 * (n // 24)
-    (`modular.even_unimodular_theta`), so only those are counted and every
-    higher count is read off E4^a Delta^b.
+    When g is even unimodular of rank n (an even diagonal, and `_int_gso`
+    ending in d[-1] == 1), its theta series is fixed by the counts up to
+    norm 2 * (n // 24) (`modular.even_unimodular_theta`), so only those are
+    counted (nothing below rank 24, so g is not reduced there) and every
+    higher count is read off E4^a Delta^b. Its minimum is at most
+    2 * (n // 24) + 2 (Siegel; Mallows-Odlyzko-Sloane, J. Algebra 36, 1975),
+    the norm that a bound of None counts up to.
 
-    Otherwise, when the nonzero pattern of g has several connected
+    Otherwise a bound of None is the least diagonal entry of the reduced
+    Gram, and when the nonzero pattern of that Gram has several connected
     components, the basis splits into mutually orthogonal blocks and the
     lattice is their orthogonal sum, whose theta series is the product of
     theirs. Each block, divided by its own content c, is counted up to
-    bound // c by this function (so every even unimodular block takes the
-    route above), and the counts are convolved up to the bound. The other
-    blocks are orthogonal to a block, so it keeps its Gram-Schmidt data
-    from g and stays size-reduced. A single component is enumerated whole.
+    bound // c by this function as it is (so every even unimodular block
+    takes the route above), and the counts are convolved up to the bound.
+    The other blocks are orthogonal to a block, so it keeps its
+    Gram-Schmidt data from g and stays reduced. A single component is
+    enumerated whole.
     """
-    if bound <= 0:
+    if bound is not None and bound <= 0:
         return {}
     n = len(g)
     head = n // 24
-    if bound > 2 * head and not any(g[i][i] % 2 for i in range(n)):
+    if ((bound is None or bound > 2 * head)
+            and not any(g[i][i] % 2 for i in range(n))):
         gso = gso or _int_gso(g)
         if gso[0][-1] == 1:
             # modular imports this module, so the solver is imported at
             # call time
             from .modular import even_unimodular_theta
-            counts = _norm_counts(g, 2 * head, gso)
+            counts = _norm_counts(g, 2 * head, gso, reduce)
             theta = even_unimodular_theta(
                 n, [1] + [counts.get(2 * k, 0) for k in range(1, head + 1)],
-                bound // 2)
+                head + 1 if bound is None else bound // 2)
             return {2 * k: t for k, t in enumerate(theta) if k and t}
+    if reduce:
+        g, _, gso = _lll_gram(g, DEFAULT_LLL_DELTA, gso)
+    if bound is None:
+        bound = min(g[i][i] for i in range(n))
     blocks = _components(g)
     if len(blocks) == 1:
         return _enumerate_int_gram(g, bound, gso=gso)
@@ -647,15 +682,17 @@ def short_vectors(lat: Lattice, max_norm: int) -> Dict[int, int]:
     The map omits norms with zero count; a rational Gram gives Fraction
     norms. Deterministic: the search runs in one process, in a fixed order.
     A lattice whose Gram divided by its content is even unimodular of rank n
-    is enumerated only up to that content times 2 * (n // 24); its higher
-    counts come from its theta series as a modular form. Any other lattice
-    whose reduced Gram splits into orthogonal blocks is counted block by
-    block, whatever its basis (`_norm_counts`).
+    is enumerated only up to that content times 2 * (n // 24), so below rank
+    24 not at all and without LLL; its higher counts come from its theta
+    series as a modular form. Any other lattice is LLL-reduced once, and
+    when its reduced Gram splits into orthogonal blocks it is counted block
+    by block, whatever its basis (`_norm_counts`).
     """
     if not isinstance(max_norm, int) or max_norm < 0:
         raise LatticeError("max_norm must be a nonnegative integer")
-    gr, _, c, gso = _reduced(lat, "short_vectors")
-    counts = _norm_counts(gr, max_norm // c, gso)
+    c = lat.scale
+    counts = _norm_counts(lat.prim_gram, max_norm // c,
+                          _definite_gso(lat, "short_vectors"), reduce=True)
     return {c * k: counts[k] for k in sorted(counts)}
 
 
@@ -690,15 +727,18 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
 def _minimum(lat: Lattice):
     """(minimal norm, kissing number) of a positive-definite lattice.
 
-    Counts up to the least diagonal entry of `_reduced`'s Gram, so an even
-    unimodular Gram of rank below 24 enumerates nothing and the Leech
-    lattice's is searched only up to norm 2. The norm is a Fraction unless
-    the Gram is integral. Raises LatticeError if it is not positive definite.
+    On a primitive Gram that is even unimodular of rank n, counts up to
+    Siegel's bound 2 * (n // 24) + 2 and takes the first nonzero theta
+    coefficient, so below rank 24 nothing is reduced or enumerated and the
+    Leech lattice is searched only up to norm 2. Any other lattice counts up
+    to the least diagonal entry of its LLL-reduced Gram (`_norm_counts`).
+    The norm is a Fraction unless the Gram is integral. Raises LatticeError
+    if it is not positive definite.
     """
-    gr, _, c, gso = _reduced(lat)
-    counts = _norm_counts(gr, min(gr[i][i] for i in range(len(gr))), gso)
+    counts = _norm_counts(lat.prim_gram, None, _definite_gso(lat),
+                          reduce=True)
     mn = min(counts)
-    return c * mn, counts[mn]
+    return lat.scale * mn, counts[mn]
 
 
 def theta_series(lat: Lattice, order: int) -> LaurentSeries:
@@ -706,13 +746,14 @@ def theta_series(lat: Lattice, order: int) -> LaurentSeries:
     of q^m counts the vectors of norm 2m.
 
     Takes the counts of `short_vectors` up to norm 2*order, so an even
-    unimodular lattice of rank n is enumerated only up to norm 2 * (n // 24),
-    and an orthogonal sum is counted one component at a time and convolved
-    (`_norm_counts`). The higher counts of an even unimodular lattice (or
-    block) of rank 24 or more are read off eta24 through the order, so there
-    an order above `modular.ETA24_LIMIT` raises its SeriesError; from rank
-    16 on, an order whose series products pair more terms than
-    `modular.SERIES_PRODUCT_LIMIT` raises one too.
+    unimodular lattice of rank n is enumerated only up to norm 2 * (n // 24)
+    and LLL-reduced only from rank 24 on, and an orthogonal sum is counted
+    one component at a time and convolved (`_norm_counts`). The higher
+    counts of an even unimodular lattice (or block) of rank 24 or more are
+    read off eta24 through the order, so there an order above
+    `modular.ETA24_LIMIT` raises its SeriesError; from rank 16 on, an order
+    whose series products pair more terms than `modular.SERIES_PRODUCT_LIMIT`
+    raises one too.
     """
     if not isinstance(order, int) or order < 0:
         raise LatticeError("order must be a nonnegative integer")

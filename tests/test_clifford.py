@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from exceptia import clifford as cl
+from exceptia import hypercomplex as hc
 
 
 SIG21 = cl.CliffordSignature(2, 1)
@@ -88,6 +89,19 @@ def test_mixed_signatures_refuse_to_combine():
     for combine in (cl.clif_mul, operator.add, operator.sub):
         with pytest.raises(ValueError, match=f"^{message}$"):
             combine(a, b)
+
+
+def test_sums_with_other_types_raise_type_error():
+    # + and - return NotImplemented for a non-element, so Python raises its
+    # TypeError rather than an AttributeError from reading other's fields
+    sig = cl.CliffordSignature(1, 1)
+    x = cl.scalar(sig, 1)
+    for other in (2, Fraction(1, 3), hc.one(1)):
+        for combine, sign in ((operator.add, "[+]"), (operator.sub, "-")):
+            with pytest.raises(TypeError, match=f"unsupported .* for {sign}:"):
+                combine(x, other)
+            with pytest.raises(TypeError, match=f"unsupported .* for {sign}:"):
+                combine(other, x)
 
 
 def test_quaternions_live_inside_c2():

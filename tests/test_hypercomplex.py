@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from exceptia.exactnum import GOLDEN_ONE, GOLDEN_ZERO, PHI, GoldenRational
+from exceptia import clifford as cl
 from exceptia import hypercomplex as hc
 
 
@@ -55,6 +56,18 @@ def test_mixed_fields_refuse_to_combine():
         with pytest.raises(ValueError,
                            match="^field mismatch: rational vs golden$"):
             combine(e(2, 1), hc.basis_element(2, 1, hc.GOLDEN))
+
+
+def test_sums_with_other_types_raise_type_error():
+    # + and - return NotImplemented for a non-element, so Python raises its
+    # TypeError rather than an AttributeError from reading other's fields
+    x = hc.one(2)
+    for other in (1, Fraction(1, 2), cl.scalar(cl.CliffordSignature(2, 0), 1)):
+        for combine, sign in ((operator.add, "[+]"), (operator.sub, "-")):
+            with pytest.raises(TypeError, match=f"unsupported .* for {sign}:"):
+                combine(x, other)
+            with pytest.raises(TypeError, match=f"unsupported .* for {sign}:"):
+                combine(other, x)
 
 
 def test_scale_and_arithmetic():

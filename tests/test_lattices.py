@@ -272,17 +272,89 @@ def test_theta_3E8_prefix():
     assert th.counts == (1, 720, 179280)
 
 
-def recorded_ranks(monkeypatch):
-    """Patch the enumerator to append the rank of every Gram it searches."""
+def recorded_ranks(monkeypatch, name="_enumerate_int_gram"):
+    """Patch the enumerator, or the Gram function ``name`` of lattices, to
+    append the rank of every Gram it is called on."""
     ranks = []
-    real = lat._enumerate_int_gram
+    real = getattr(lat, name)
 
-    def recording(g, bound, *args, **kwargs):
+    def recording(g, *args, **kwargs):
         ranks.append(len(g))
-        return real(g, bound, *args, **kwargs)
+        return real(g, *args, **kwargs)
 
-    monkeypatch.setattr(lat, "_enumerate_int_gram", recording)
+    monkeypatch.setattr(lat, name, recording)
     return ranks
+
+
+E8_THETA = (1, 240, 2160, 6720)
+E8_SQUARED_THETA = (1, 480, 61920, 1050240)
+
+# (builder, minimum, theta series through q^3 in units of the scale
+# s^2): each primitive Gram is even unimodular of rank below 24
+UNREDUCED = {
+    "E8": (lambda: E8, (2, 240), E8_THETA),
+    "E8+E8": (lambda: lat.direct_sum(E8, E8), (2, 480), E8_SQUARED_THETA),
+    "D16+": (lambda: lat.build_D16plus(), (2, 480), E8_SQUARED_THETA),
+    "E8-scrambled": (lambda: scrambled(E8, 32, 1), (2, 240), E8_THETA),
+    "E8+E8-scrambled": (lambda: scrambled(lat.direct_sum(E8, E8), 32, 2),
+                        (2, 480), E8_SQUARED_THETA),
+    "D16+-scrambled": (lambda: scrambled(lat.build_D16plus(), 32, 3),
+                       (2, 480), E8_SQUARED_THETA),
+    "E8x10^8": (lambda: scaled_basis(E8, 10**8), (2 * 10**16, 240),
+                E8_THETA),
+    "lorentzian-E8": (lambda: e8_embeddings()[2], (2, 240), E8_THETA),
+}
+
+
+@pytest.mark.parametrize("name", list(UNREDUCED))
+def test_even_unimodular_counts_run_no_lll(name, monkeypatch):
+    # the counts of an even unimodular Gram of rank below 24 come from its
+    # theta series as a modular form, so no query reduces or searches it
+    build, minimum, theta = UNREDUCED[name]
+    l = build()
+    s = l.scale
+    calls = recorded_ranks(monkeypatch, "_lll_gram")
+    ranks = recorded_ranks(monkeypatch)
+    assert lat._minimum(l) == minimum
+    assert lat.short_vectors(l, 6 * s) == {
+        2 * k * s: t for k, t in enumerate(theta) if k}
+    info = lat.lattice_info(l)
+    assert (info["min_norm"], info["kissing"]) == minimum
+    # theta_series counts norms 2m, so the scaled copy shows its zeros
+    expected = theta if s == 1 else (1, 0, 0, 0)
+    assert lat.theta_series(l, 3).counts == expected
+    assert calls == ranks == []
+
+
+# (builder, minimum, a bound) of lattices that a count reduces once
+REDUCED_ONCE = {
+    "LeechII": (lat.leech_from_ii26, (4, 196560), 6),
+    "LeechIcosian": (lat.leech_from_icosians, (4, 196560), 6),
+    "3E8": (lambda: lat.direct_sum(E8, E8, E8), (2, 720), 6),
+    "E8+D16+": (lambda: lat.named_lattice("E8+D16+"), (2, 720), 6),
+    "E7": (lambda: lat.build_E7(E8), (2, 126), 4),
+    "A4": (lambda: lat.build_An(4), (2, 20), 4),
+}
+
+
+@pytest.mark.parametrize("name", list(REDUCED_ONCE))
+def test_other_counts_run_lll_once_per_query(name, monkeypatch):
+    # rank 24 even unimodular lattices are searched up to norm 2 on their
+    # reduced Gram; any other lattice is reduced, split and enumerated
+    build, minimum, bound = REDUCED_ONCE[name]
+    l = build()
+    calls = recorded_ranks(monkeypatch, "_lll_gram")
+    for query, check in (
+            (lambda: lat._minimum(l), lambda r: r == minimum),
+            (lambda: lat.short_vectors(l, bound),
+             lambda r: min(r) == minimum[0] and r[minimum[0]] == minimum[1]),
+            (lambda: lat.lattice_info(l),
+             lambda r: (r["min_norm"], r["kissing"]) == minimum),
+            (lambda: lat.theta_series(l, bound // 2),
+             lambda r: r.coefficient(minimum[0] // 2) == minimum[1])):
+        calls.clear()
+        assert check(query())
+        assert calls == [l.rank]
 
 
 def test_theta_3E8_enumerates_E8_once_and_equals_its_cube(monkeypatch):
@@ -755,6 +827,42 @@ def test_rational_counts_are_scale_and_basis_invariant():
         lat.short_vectors(e7d, 3)
 
 
+# (builder, bound): even unimodular inputs, which take the modular forms
+# from any basis, and others, which are reduced, split and enumerated
+INVARIANCE_CASES = {
+    "E8": (lambda: E8, 6),
+    "E8+E8": (lambda: lat.direct_sum(E8, E8), 4),
+    "D16+": (lambda: lat.build_D16plus(), 4),
+    "E8x3": (lambda: scaled_basis(E8, 3), 36),
+    "lorentzian-E8": (lambda: e8_embeddings()[2], 4),
+    "E7": (lambda: lat.build_E7(E8), 4),
+    "A4": (lambda: lat.build_An(4), 6),
+    "E8+A2": (lambda: lat.direct_sum(E8, lat.build_An(2)), 4),
+    "A2*": (lambda: lat.dual_lattice(lat.build_An(2)), 3),
+    "Z3": (lambda: identity_lattice(3), 5),
+}
+
+
+@given(name=st.sampled_from(sorted(INVARIANCE_CASES)),
+       ops=st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15),
+                              st.sampled_from((-2, -1, 1, 2))), max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_counts_are_invariant_under_unimodular_scrambles(name, ops):
+    # the counts and the minimum belong to the lattice, not to its basis,
+    # whichever route the primitive Gram of the scramble takes
+    build, bound = INVARIANCE_CASES[name]
+    l = build()
+    rows = [list(r) for r in l.basis]
+    n = len(rows)
+    for i, j, c in ops:
+        if i % n != j % n:
+            rows[i % n] = [a + c * b for a, b in zip(rows[i % n], rows[j % n])]
+    m = lat.Lattice(l.ambient_dim, n, tuple(map(tuple, rows)), l.signature)
+    assert lat.same_lattice(m, l)
+    assert lat.short_vectors(m, bound) == lat.short_vectors(l, bound)
+    assert lat._minimum(m) == lat._minimum(l)
+
+
 def test_rescale_to_min_norm():
     # factor 1/9 takes the coordinates of 3 E8 back to E8's
     tripled = lat.Lattice(8, 8, tuple(tuple(3 * v for v in r)
@@ -912,6 +1020,21 @@ def test_lll_gram_matches_the_fraction_oracle(rows, den, delta):
     _, u_rat, _, _ = fraction_lll(matmul(basis, list(zip(*basis))), delta)
     reduced = lat.lll_reduce(lat.Lattice(len(rows[0]), n, basis), delta)
     assert reduced.basis == tuple(map(tuple, matmul(u_rat, basis)))
+
+
+@pytest.mark.parametrize("build", [
+    lat.leech_from_ii26, lambda: scrambled(lat.build_D16plus(), 40, 5),
+], ids=["LeechII", "scrambled-D16+"])
+def test_lll_gram_reads_back_the_reduced_gram(build):
+    # g is read back from the Gram-Schmidt data, not formed from u
+    g0 = [list(r) for r in build().prim_gram]
+    g, u, gso = lat._lll_gram(g0, lat.DEFAULT_LLL_DELTA)
+    assert g == matmul(matmul(u, g0), [list(c) for c in zip(*u)])
+    assert gso == lat._int_gso(g)
+    assert abs(det_fraction(u)) == 1
+    # started from the caller's Gram-Schmidt data, LLL does the same
+    assert lat._lll_gram(g0, lat.DEFAULT_LLL_DELTA, lat._int_gso(g0)) == \
+        (g, u, gso)
 
 
 def sylvester(g):
