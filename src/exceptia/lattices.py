@@ -15,8 +15,10 @@ Fractions are made for output. LLL and Gram-Schmidt are fraction-free
 takes each coordinate's window as an integer square root over that same
 data, so a window holds exactly the coordinates that keep the norm within
 the bound. Counts are exact for every positive-definite Gram, whatever the
-size of its entries; no floating point is used. Every search runs in the
-calling process. A count-only query first tests the primitive Gram as
+size of its entries; no floating point is used. Counts come from a search
+that goes level by level and merges equal partial states; listing vectors
+walks the search tree depth first. Every search runs in the calling
+process. A count-only query first tests the primitive Gram as
 stored: when it is even unimodular of rank n, the query searches it only
 up to norm 2 * (n // 24) and reads the higher counts off the modular forms
 E4^a Delta^b, so below rank 24 it neither reduces nor searches. Otherwise
@@ -454,9 +456,8 @@ def lll_reduce(lat: Lattice, delta: Fraction = DEFAULT_LLL_DELTA) -> Lattice:
     delta = rat(delta)
     if not (Fraction(1, 4) < delta < 1):
         raise LatticeError("delta must lie strictly between 1/4 and 1")
-    if not is_positive_definite(lat):
-        raise LatticeError("lll_reduce needs a positive-definite Gram")
-    _, u, _ = _lll_gram(lat.prim_gram, delta)
+    _, u, _ = _lll_gram(lat.prim_gram, delta,
+                        _definite_gso(lat, "lll_reduce"))
     if abs(det_fraction(u)) != 1:
         raise LatticeConstructionError("LLL transform lost unimodularity")
     return Lattice._from_ints(lat.ambient_dim, lat.rank,
@@ -479,26 +480,113 @@ def lll_reduce(lat: Lattice, delta: Fraction = DEFAULT_LLL_DELTA) -> Lattice:
 # vector projected away from b_0, ..., b_{i-1} is a Gram determinant; and
 # since d[0] = 1, E_{-1} is the norm itself. No vector outside the bound is
 # visited and none inside it is missed, at any size of the Gram entries.
-# Each level keeps Schnorr-Euchner partial sums for C_i and rebuilds only the
-# entries whose coordinates changed, so a node costs amortised O(1). Only one
-# representative of each +-v pair is visited (its top nonzero coordinate is
-# positive); counts are incremented by two.
+# Only one representative of each +-v pair is visited (its top nonzero
+# coordinate is positive), and each is counted twice. E_i == 0 holds exactly
+# when every coordinate above i is zero.
+#
+# Counts come from merged states. What a level r sees of the coordinates
+# above it is its state: E_r and the centers C_0, ..., C_r summed over those
+# coordinates so far. Equal states have equal subtrees, and on root lattices
+# most of the tree repeats (D12 to norm 4: 8,081 window entries, 109
+# states), so `_enumerate_int_gram` goes level by level with a frontier
+# {state: multiplicity} in which equal children merge. Listing needs every
+# vector, so `_list_int_gram` walks the tree depth first instead, keeping
+# Schnorr-Euchner partial sums for the C_i and rebuilding only the entries
+# whose coordinates changed, so a node costs amortised O(1) (Schnorr-Euchner
+# 1994).
+
+# the most states a level's frontier holds: a full one is finished down to
+# the leaves before the level above goes on, so memory stays bounded at any
+# bound (D4 to norm 20000 reaches 590,067 states at its last level)
+_FRONTIER_CAP = 1 << 18
+
 
 def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
-                        collect: Optional[list] = None,
                         gso=None) -> Dict[int, int]:
     """Counts {norm: count} of the x with 0 < x g x^T <= bound over an
-    LLL-reduced positive-definite int Gram g.
+    LLL-reduced positive-definite int Gram g, by merged states. ``gso`` is
+    `_int_gso(g)` when the caller already holds it.
 
-    With ``collect`` a list, also appends (norm, coefficient tuple) for one
-    representative of each +-v pair. ``gso`` is `_int_gso(g)` when the
-    caller already holds it.
+    A state is one int: C_j + 2^(K-1) in the K-bit slot j, E_r above the
+    slots. Every visited x_k and every partial sum of C_k obey the
+    Fincke-Pohst bounds |x_k| <= X_k (``xs``) and |C_k| <= M_k (``m``)
+    computed below, since each visited w_k has w_k^2 <= d[k] d[k+1] bound.
+    With K one bit wider than the largest M_k, |C_k| < 2^(K-1) and no slot
+    overflows, so a child is the parent's lower slots plus x_r P_r, with
+    P_r = sum_{j<r} lam[r][j] 2^(jK), and its E shifted in.
     """
     d, lam = gso or _int_gso(g)
     n = len(d) - 1
     counts: Dict[int, int] = {}
     if bound <= 0:
         return counts
+    isqrt = math.isqrt
+    xs = [0] * n
+    most = 0
+    for k in range(n - 1, -1, -1):
+        m = sum(abs(lam[i][k]) * xs[i] for i in range(k + 1, n))
+        xs[k] = (isqrt(d[k] * d[k + 1] * bound) + m) // d[k + 1]
+        most = max(most, m)
+    K = most.bit_length() + 1
+    bias, mask = 1 << (K - 1), (1 << K) - 1
+    P = [sum(lam[r][j] << (j * K) for j in range(r)) for r in range(n)]
+
+    def finish(r: int, frontier: Dict[int, int]) -> None:
+        # every state of the frontier entering level r, down to the leaves;
+        # the frontier is emptied before the last chunk goes down, so the
+        # levels above hold no states that are done
+        dl, dr = d[r], d[r + 1]
+        room = bound * dr
+        shift = r * K
+        if not r:
+            # d[0] = 1, so the norm is (E_0 + w^2) // d[1], stepped along
+            # the window; x = 0 is not counted
+            for s, m in frontier.items():
+                e, c = s >> K, (s & mask) - bias
+                t = isqrt(room - e)
+                a = -((t + c) // dr) if e else 1
+                w = dr * a + c
+                nv = (e + w * w) // dr
+                for _ in range(a, (t - c) // dr + 1):
+                    counts[nv] = counts.get(nv, 0) + 2 * m
+                    nv += 2 * w + dr
+                    w += dr
+            return
+        p, low, cap = P[r], (1 << shift) - 1, _FRONTIER_CAP
+        out: Dict[int, int] = {}
+        for s, m in frontier.items():
+            e, c = s >> (shift + K), ((s >> shift) & mask) - bias
+            t = isqrt(dl * (room - e))
+            a = -((t + c) // dr) if e else 0
+            w = dr * a + c
+            key = (s & low) + a * p
+            for _ in range(a, (t - c) // dr + 1):
+                child = key + ((dl * e + w * w) // dr << shift)
+                out[child] = out.get(child, 0) + m
+                if len(out) >= cap:
+                    finish(r - 1, out)
+                    out = {}
+                w += dr
+                key += p
+        frontier.clear()
+        if out:
+            finish(r - 1, out)
+
+    finish(n - 1, {sum(bias << (j * K) for j in range(n)): 1})
+    return counts
+
+
+def _list_int_gram(g: Sequence[Sequence[int]], bound: int,
+                   gso=None) -> List[Tuple[int, Tuple[int, ...]]]:
+    """(norm, coefficient tuple) of one representative of each +-x pair with
+    0 < x g x^T <= bound over an LLL-reduced positive-definite int Gram g,
+    depth first. ``gso`` is `_int_gso(g)` when the caller already holds it.
+    """
+    d, lam = gso or _int_gso(g)
+    n = len(d) - 1
+    found: List[Tuple[int, Tuple[int, ...]]] = []
+    if bound <= 0:
+        return found
     top = n - 1
     isqrt = math.isqrt
     room = [bound * d[k + 1] for k in range(n)]
@@ -508,7 +596,6 @@ def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
     hi = [-1] * n
     es = [0] * n                  # E_i at each level
     cs = [0] * n                  # C_i at each level
-    zp = [True] * n               # are all coordinates above zero?
     # Row i of S holds at j > i the partial sum over k >= j of
     # lam[k][i] x[k], so S[i][i+1] = C_i. Entries i+1 .. stale[i] must be
     # rebuilt before row i is read again.
@@ -518,7 +605,7 @@ def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
     # start by entering the top row; hi[top] = -1 ends the search at once
     # if its window is empty
     i = top
-    r, h, e, z = top, top, 0, True
+    r, h, e = top, top, 0
     while True:
         # enter row r: rebuild its stale partial sums, then take its window
         Sr = S[r]
@@ -532,13 +619,11 @@ def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
         c = Sr[r + 1]
         dr = d[r + 1]
         s = isqrt(d[r] * (room[r] - e))
-        a = -((s + c) // dr)
+        a = -((s + c) // dr) if e else (0 if r else 1)  # x = 0 is not listed
         b = (s - c) // dr
-        if z and a < 1:
-            a = 1 if r == 0 else 0     # x = 0 is not counted
         if a <= b:
             if r:
-                es[r], cs[r], zp[r] = e, c, z
+                es[r], cs[r] = e, c
                 x[r], hi[r] = a - 1, b
                 i = r
             else:
@@ -547,10 +632,8 @@ def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
                 w = dr * a + c
                 nv = (e + w * w) // dr
                 for v in range(a, b + 1):
-                    counts[nv] = counts.get(nv, 0) + 2
-                    if collect is not None:
-                        x[0] = v
-                        collect.append((nv, tuple(x)))
+                    x[0] = v
+                    found.append((nv, tuple(x)))
                     nv += 2 * w + dr
                     w += dr
         # move to the next value, backtracking as needed
@@ -558,12 +641,11 @@ def _enumerate_int_gram(g: Sequence[Sequence[int]], bound: int,
         while v > hi[i]:
             i += 1
             if i > top:
-                return counts
+                return found
             v = x[i] + 1
         x[i] = v
         w = d[i + 1] * v + cs[i]
         e = (d[i] * es[i] + w * w) // d[i + 1]
-        z = zp[i] and not v
         r = i - 1
         h = stale[r] if stale[r] > i else i
 
@@ -676,7 +758,7 @@ def _norm_counts(g: Sequence[Sequence[int]], bound: Optional[int],
     return total
 
 
-def short_vectors(lat: Lattice, max_norm: int) -> Dict[int, int]:
+def short_vectors(lat: Lattice, max_norm: int, gso=None) -> Dict[int, int]:
     """Exact counts of nonzero lattice vectors with norm <= max_norm.
 
     The map omits norms with zero count; a rational Gram gives Fraction
@@ -686,13 +768,15 @@ def short_vectors(lat: Lattice, max_norm: int) -> Dict[int, int]:
     24 not at all and without LLL; its higher counts come from its theta
     series as a modular form. Any other lattice is LLL-reduced once, and
     when its reduced Gram splits into orthogonal blocks it is counted block
-    by block, whatever its basis (`_norm_counts`).
+    by block, whatever its basis (`_norm_counts`). ``gso`` is
+    `_definite_gso(lat)` when the caller already holds it.
     """
     if not isinstance(max_norm, int) or max_norm < 0:
         raise LatticeError("max_norm must be a nonnegative integer")
     c = lat.scale
     counts = _norm_counts(lat.prim_gram, max_norm // c,
-                          _definite_gso(lat, "short_vectors"), reduce=True)
+                          gso or _definite_gso(lat, "short_vectors"),
+                          reduce=True)
     return {c * k: counts[k] for k in sorted(counts)}
 
 
@@ -702,8 +786,7 @@ def _short_vector_rows(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[int
     if not isinstance(max_norm, int) or max_norm < 0:
         raise LatticeError("max_norm must be a nonnegative integer")
     gr, u, c, gso = _reduced(lat, "short_vector_list")
-    found: list = []
-    _enumerate_int_gram(gr, max_norm // c, collect=found, gso=gso)
+    found = _list_int_gram(gr, max_norm // c, gso)
     cols = list(zip(*intlinalg.matmul(u, lat.rows)))
     out = []
     for nrm, coeffs in found:
@@ -724,7 +807,7 @@ def short_vector_list(lat: Lattice, max_norm: int) -> List[Tuple[int, Tuple[Frac
     return [(nrm, tuple(map(frac.__getitem__, amb))) for nrm, amb in out]
 
 
-def _minimum(lat: Lattice):
+def _minimum(lat: Lattice, gso=None):
     """(minimal norm, kissing number) of a positive-definite lattice.
 
     On a primitive Gram that is even unimodular of rank n, counts up to
@@ -733,9 +816,10 @@ def _minimum(lat: Lattice):
     Leech lattice is searched only up to norm 2. Any other lattice counts up
     to the least diagonal entry of its LLL-reduced Gram (`_norm_counts`).
     The norm is a Fraction unless the Gram is integral. Raises LatticeError
-    if it is not positive definite.
+    if it is not positive definite. ``gso`` is `_definite_gso(lat)` when
+    the caller already holds it.
     """
-    counts = _norm_counts(lat.prim_gram, None, _definite_gso(lat),
+    counts = _norm_counts(lat.prim_gram, None, gso or _definite_gso(lat),
                           reduce=True)
     mn = min(counts)
     return lat.scale * mn, counts[mn]
@@ -759,9 +843,7 @@ def theta_series(lat: Lattice, order: int) -> LaurentSeries:
         raise LatticeError("order must be a nonnegative integer")
     if not is_even(lat):
         raise LatticeError("theta_series is defined for even lattices")
-    if not is_positive_definite(lat):
-        raise LatticeError("theta_series needs a positive-definite Gram")
-    counts = short_vectors(lat, 2 * order)
+    counts = short_vectors(lat, 2 * order, _definite_gso(lat, "theta_series"))
     return LaurentSeries(0, (1,) + tuple(counts.get(2 * m, 0)
                                          for m in range(1, order + 1)))
 
@@ -1010,16 +1092,22 @@ def lattice_info(lat: Lattice) -> dict:
     """Summary facts: rank, parity, unimodularity, minimum, kissing number.
 
     The minimum and kissing number are `_minimum`'s, for every lattice with
-    a positive-definite Gram, and None otherwise.
+    a positive-definite Gram, and None otherwise. A positive-definite Gram's
+    determinant is the last leading minor of its `_int_gso` data, so only
+    any other Gram is eliminated by `gram_determinant`.
     """
-    try:
-        mn, kissing = _minimum(lat)
-    except LatticeError:            # the Gram is not positive definite
+    gso = _int_gso(lat.prim_gram)
+    det = gso[0][-1]
+    if det > 0:
+        mn, kissing = _minimum(lat, gso)
+        unimodular = abs(det * lat.scale ** lat.rank) == 1
+    else:
         mn = kissing = None
+        unimodular = is_unimodular(lat)
     return {
         "rank": lat.rank,
         "even": is_even(lat),
-        "unimodular": is_unimodular(lat),
+        "unimodular": unimodular,
         "min_norm": mn,
         "kissing": kissing,
     }

@@ -1,11 +1,17 @@
 """Euclidean and Lorentzian lattices: builders, enumeration, reduction."""
 
 import itertools
+import json
 import math
 import multiprocessing.process
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -687,6 +693,128 @@ def test_short_vectors_match_a_box_search_on_large_grams(data):
     assert lat.short_vectors(l, bound) == box_counts(g, bound)
 
 
+# --------------------------------------------------------------------------
+# the merged-state counter against the depth-first lister
+
+def listed_counts(g, bound):
+    """Twice the norm histogram of `_list_int_gram`, which lists one x of
+    each +-x pair, after checking each listed norm against x g x^T."""
+    counts: dict = {}
+    for nv, x in lat._list_int_gram(g, bound):
+        gx = [sum(map(mul, row, x)) for row in g]
+        assert sum(map(mul, x, gx)) == nv
+        counts[nv] = counts.get(nv, 0) + 2
+    return counts
+
+
+def estimated_nodes(g, bound):
+    """The Gaussian-heuristic count of the points a depth-first search over
+    g visits: at level k, those of norm <= bound in the projected lattice
+    of rank n - k and determinant d[n] / d[k]."""
+    d, _ = lat._int_gso(g)
+    n = len(g)
+    return sum(math.pi ** (m / 2) / math.gamma(m / 2 + 1) * bound ** (m / 2)
+               / math.sqrt(d[n] / d[n - m]) for m in range(1, n + 1))
+
+
+@st.composite
+def definite_grams(draw):
+    """(g, bound): the Gram B B^T of a random square integer B of rank 1-8,
+    its entries up to about 10^15, LLL-reduced or not, and a bound up to
+    six times its least diagonal entry, drawn so that a search stays
+    small."""
+    n = draw(st.integers(1, 8))
+    size = draw(st.sampled_from((2, 30, 10**4, 11 * 10**6)))
+    rows = draw(st.lists(st.lists(st.integers(-size, size), min_size=n,
+                                  max_size=n), min_size=n, max_size=n))
+    g = matmul(rows, list(zip(*rows)))
+    assume(lat._int_gso(g)[0][-1] > 0)
+    if draw(st.booleans()):
+        g = lat._lll_gram(g, lat.DEFAULT_LLL_DELTA)[0]
+    bound = min(g[i][i] for i in range(n)) * draw(st.integers(0, 60)) // 10
+    assume(estimated_nodes(g, bound) <= 2000)
+    return g, bound
+
+
+@given(data=definite_grams())
+@settings(max_examples=300, deadline=None)
+@example(data=([[2, 1], [1, 2]], 12))
+def test_merged_state_counts_match_the_depth_first_listing(data):
+    # the two kernels share no code: the counter merges equal partial
+    # states level by level, the lister walks every node depth first
+    g, bound = data
+    assert lat._enumerate_int_gram(g, bound) == listed_counts(g, bound)
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("D12", 6), ("A10", 6), ("E7*", 4), ("LeechII", 2)])
+def test_a_capped_frontier_counts_the_same(monkeypatch, name, bound):
+    l = (lat.dual_lattice(lat.build_E7(E8)) if name == "E7*"
+         else lat.named_lattice(name))
+    g, _, c, _ = lat._reduced(l)
+    whole = lat._enumerate_int_gram(g, bound // c)
+    # every level is finished in chunks of at most four states
+    monkeypatch.setattr(lat, "_FRONTIER_CAP", 4)
+    assert lat._enumerate_int_gram(g, bound // c) == whole
+
+
+def jacobi_r4(top):
+    """{N: r_4(N)} for even 2 <= N <= top, r_4(N) = 8 sum_{d | N, 4 !| d} d.
+    D4 is the even-sum part of Z^4, and every x in Z^4 of even norm has an
+    even sum, so these are D4's counts."""
+    sigma = [0] * (top + 1)
+    for d in range(1, top + 1):
+        if d % 4:
+            for m in range(d, top + 1, d):
+                sigma[m] += d
+    return {n: 8 * sigma[n] for n in range(2, top + 1, 2)}
+
+
+def test_a_capped_frontier_keeps_its_memory_small(monkeypatch):
+    # D4 to norm 300 holds 1,528 states at its widest level; with the cap
+    # at 128 states no level holds more, so the count's peak traced memory
+    # is a fraction of the uncapped one's
+    g, _, c, _ = lat._reduced(lat.build_Dn(4))
+
+    def peak():
+        tracemalloc.start()
+        try:
+            counts = lat._enumerate_int_gram(g, 300 // c)
+            return counts, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole, whole_peak = peak()
+    monkeypatch.setattr(lat, "_FRONTIER_CAP", 128)
+    capped, capped_peak = peak()
+    assert {c * k: v for k, v in capped.items()} == jacobi_r4(300)
+    assert capped == whole and 3 * capped_peak < whole_peak
+
+
+# D4 to norm 20000 reaches 590,067 distinct states at its last level, more
+# than twice the frontier cap, so that level is finished in chunks; the
+# count runs in a child process whose address space is limited
+D4_CHUNKED = """
+import json, resource, sys
+from exceptia import lattices as lat
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+counts = lat.short_vectors(lat.build_Dn(4), int(sys.argv[1]))
+print(json.dumps(sorted(counts.items())))
+"""
+
+
+@pytest.mark.slow
+def test_a_chunked_d4_count_is_jacobis_r4():
+    top = 20000
+    assert 2 * lat._FRONTIER_CAP <= 590067
+    src = Path(lat.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", D4_CHUNKED, str(top)],
+                          capture_output=True, text=True, timeout=900,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert dict(json.loads(proc.stdout)) == jacobi_r4(top)
+
+
 def brute_force_minimum(gram):
     """(least nonzero x G x^T, number of x reaching it) over the box
     |x_i| <= sqrt(c (G^-1)_ii), c the least diagonal entry; the box holds
@@ -1097,8 +1225,7 @@ def ii_9_1():
 def fraction_vector_list(l, bound):
     """`short_vector_list` with every coordinate computed in Fractions."""
     gr, u, c, _ = lat._reduced(l)
-    found: list = []
-    lat._enumerate_int_gram(gr, bound // c, collect=found)
+    found = lat._list_int_gram(gr, bound // c)
     rows = fraction_matmul(u, l.basis)
     out = []
     for nrm, x in found:
